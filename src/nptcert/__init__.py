@@ -39,9 +39,7 @@ from .certificates import (
     ghz_inequality,
     hur_weak_test,
     orthogonal_pair_construct,
-    pt_of_operator,
     sr_pt_test,
-    sr_report,
     two_qubit_equivalence,
     variance_positivity,
     witness_from_eigvec,

@@ -31,12 +31,13 @@ from .hermitian import (
     Bipartition,
     HermitianOperator,
     expectation,
+    matrix_payload,
     partial_transpose,
     projector,
     trace_product,
     validate_hermitian,
 )
-from .spectral import NptVerdict, Spectrum, classify_npt
+from .spectral import NptVerdict, Spectrum, pt_spectrum
 
 VIOLATION_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -99,6 +100,17 @@ class WitnessOperator:
     w: HermitianOperator
     source_eigenvalue: float
     bipartition: Bipartition
+
+
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """Everything one certify pass computes for a state and bipartition."""
+
+    rho_pt: HermitianOperator
+    spectrum: Spectrum
+    verdict: NptVerdict
+    pair: PseudoSpinPair
+    report: SRReport
 
 
 @dataclass(frozen=True)
@@ -187,12 +199,6 @@ def sr_moments(h1: HermitianOperator, h2: HermitianOperator,
                     margin < -tol, tol)
 
 
-def sr_report(pair: PseudoSpinPair, rho: HermitianOperator,
-              tol: float = VIOLATION_TOL) -> SRReport:
-    """SR certificate for a pseudo-spin pair over rho (pass rho^PT for PT form)."""
-    return sr_moments(pair.h1, pair.h2, rho, tol)
-
-
 def hur_weak_test(pair: PseudoSpinPair, rho: HermitianOperator,
                   tol: float = VIOLATION_TOL) -> HurWeakReport:
     """Weak form with raw second moments in place of variances.
@@ -215,36 +221,33 @@ def hur_weak_test(pair: PseudoSpinPair, rho: HermitianOperator,
     return HurWeakReport(m11, m22, comm_mean, lhs, rhs, margin, margin < -tol, tol)
 
 
-def pt_of_operator(op: HermitianOperator, bip: Bipartition) -> HermitianOperator:
-    """Partial transpose of an observable.
+def certify(rho: HermitianOperator, bip: Bipartition,
+            tol: float = VIOLATION_TOL, normalize: bool = False) -> Certificate:
+    """The one certify pass for a state and bipartition.
 
-    Same machinery as the state-side map; exposed so a PT-form certificate
-    <O>_{rho^PT} can be re-expressed as <O^PT>_rho for laboratory use.
+    One partial transpose and one eigensolve of rho^PT (see pt_spectrum),
+    then the pair on the largest eigenvector and the most negative one (the
+    smallest when the state is PPT) and the SR report over rho^PT.
     """
-    return partial_transpose(op, bip)
+    rho_pt, spectrum, verdict = pt_spectrum(rho, bip, tol, normalize)
+    pair = build_pseudospin(
+        spectrum.vector(verdict.chosen_positive_index),
+        spectrum.vector(verdict.chosen_negative_index),
+        dims=rho.dims,
+    )
+    report = sr_moments(pair.h1, pair.h2, rho_pt, tol)
+    return Certificate(rho_pt, spectrum, verdict, pair, report)
 
 
 def sr_pt_test(rho: HermitianOperator, bip: Bipartition,
                tol: float = VIOLATION_TOL, normalize: bool = False):
     """Full certification workflow for a state and bipartition.
 
-    Diagonalizes rho^PT, pairs the largest eigenvalue with the most negative
-    one (with the smallest when the state is PPT) and evaluates the SR
-    certificate over rho^PT.  Returns (NptVerdict, PseudoSpinPair, SRReport);
-    the report is violated exactly when the state is NPT.
+    Returns (NptVerdict, PseudoSpinPair, SRReport) of the certify pass; the
+    report is violated exactly when the state is NPT.
     """
-    spectrum, verdict = classify_npt(rho, bip, tol=tol, normalize=normalize)
-    pair = build_pseudospin(
-        spectrum.vector(verdict.chosen_positive_index),
-        spectrum.vector(verdict.chosen_negative_index),
-        dims=rho.dims,
-    )
-    rho_pt = partial_transpose(rho, bip)
-    if normalize:
-        tr = rho_pt.trace()
-        rho_pt = validate_hermitian(rho_pt.matrix / tr, rho_pt.dims, rho_pt.tolerance)
-    report = sr_moments(pair.h1, pair.h2, rho_pt, tol)
-    return verdict, pair, report
+    cert = certify(rho, bip, tol, normalize)
+    return cert.verdict, cert.pair, cert.report
 
 
 def witness_from_eigvec(v2, lambda2: float, bip: Bipartition,
@@ -394,40 +397,33 @@ def ghz_pair(dims=(2, 2, 2)) -> PseudoSpinPair:
 # JSON certificate payload (schema shared by the CLI).
 # ---------------------------------------------------------------------------
 
+def witness_entry(rho: HermitianOperator, bip: Bipartition, spectrum: Spectrum,
+                  verdict: NptVerdict) -> dict | None:
+    """JSON witness block {matrix, trace_value} built from the most negative
+    eigenvector of rho^PT; None when the state is not NPT."""
+    if not verdict.is_npt:
+        return None
+    idx = verdict.chosen_negative_index
+    wit = witness_from_eigvec(spectrum.vector(idx), float(spectrum.eigenvalues[idx]),
+                              bip, rho.dims)
+    return {"matrix": matrix_payload(wit.w), "trace_value": witness_value(wit, rho)}
+
+
 def certificate_payload(rho: HermitianOperator, bip: Bipartition,
                         tol: float = VIOLATION_TOL) -> dict:
     """Full certificate for one state and bipartition as a JSON-ready dict."""
-    from .hermitian import matrix_payload  # local import to keep module DAG flat
-
-    spectrum, verdict = classify_npt(rho, bip, tol=tol)
-    pair = build_pseudospin(
-        spectrum.vector(verdict.chosen_positive_index),
-        spectrum.vector(verdict.chosen_negative_index),
-        dims=rho.dims,
-    )
-    rho_pt = partial_transpose(rho, bip)
-    rep = sr_moments(pair.h1, pair.h2, rho_pt, tol)
-    weak = hur_weak_test(pair, rho_pt, tol=tol)
-    witness_entry = None
-    if verdict.is_npt:
-        lam2 = float(spectrum.eigenvalues[verdict.chosen_negative_index])
-        wit = witness_from_eigvec(
-            spectrum.vector(verdict.chosen_negative_index), lam2, bip, rho.dims
-        )
-        witness_entry = {
-            "matrix": matrix_payload(wit.w),
-            "trace_value": witness_value(wit, rho),
-        }
-    lam1 = float(spectrum.eigenvalues[verdict.chosen_positive_index])
-    lam2 = float(spectrum.eigenvalues[verdict.chosen_negative_index])
+    cert = certify(rho, bip, tol)
+    verdict, rep, w = cert.verdict, cert.report, cert.spectrum.eigenvalues
+    weak = hur_weak_test(cert.pair, cert.rho_pt, tol=tol)
     return {
         "verdict": "violated" if rep.violated else "satisfied",
         "is_npt": verdict.is_npt,
-        "pt_eigenvalues": [float(x) for x in spectrum.eigenvalues],
-        "chosen_pair": {"lambda1": lam1, "lambda2": lam2},
+        "pt_eigenvalues": [float(x) for x in w],
+        "chosen_pair": {"lambda1": float(w[verdict.chosen_positive_index]),
+                        "lambda2": float(w[verdict.chosen_negative_index])},
         "observables": {
-            "H1": matrix_payload(pair.h1),
-            "H2": matrix_payload(pair.h2),
+            "H1": matrix_payload(cert.pair.h1),
+            "H2": matrix_payload(cert.pair.h2),
         },
         "sr": {"lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin},
         "hur_weak": {
@@ -436,5 +432,5 @@ def certificate_payload(rho: HermitianOperator, bip: Bipartition,
             "margin": weak.margin,
             "violated": weak.violated,
         },
-        "witness": witness_entry,
+        "witness": witness_entry(rho, bip, cert.spectrum, verdict),
     }

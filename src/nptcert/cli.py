@@ -8,6 +8,7 @@ The default margin tolerance can be overridden with NPT_CERTIFY_TOL.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,9 @@ import numpy as np
 
 from . import certificates, cv, states
 from .errors import CertificationError, ParameterOutOfRange, TruncationUnreliable
-from .hermitian import Bipartition, matrix_payload, operator_from_payload
+from .hermitian import (Bipartition, expectation, operator_from_payload, partial_transpose,
+                        projector)
+from .spectral import classify_npt
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -26,7 +29,11 @@ EXIT_TRUNCATION = 3
 
 
 def _default_tol() -> float:
-    return float(os.environ.get("NPT_CERTIFY_TOL", certificates.VIOLATION_TOL))
+    text = os.environ.get("NPT_CERTIFY_TOL", certificates.VIOLATION_TOL)
+    try:
+        return float(text)
+    except ValueError:
+        raise ParameterOutOfRange(f"NPT_CERTIFY_TOL={text!r} is not a number") from None
 
 
 def _parse_value(text: str):
@@ -81,20 +88,31 @@ def _load_cv_state(source: str, cutoff: int):
     return cv.cv_state_from_spec(payload), payload
 
 
-def _emit(payload: dict, out) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text: str, out) -> None:
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        click.echo(text)
+        click.echo(text, nl=False)
 
 
-def _fail(exc: Exception) -> int:
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, TruncationUnreliable):
-        return EXIT_TRUNCATION
-    return EXIT_ERROR
+def _emit(payload: dict, out) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
+def _handle_errors(command):
+    """Turn a library, input or file error anywhere in a subcommand into a
+    one-line message and exit 1 (3 for an unreliable Fock truncation)."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (CertificationError, OSError, KeyError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_TRUNCATION if isinstance(exc, TruncationUnreliable) else EXIT_ERROR)
+
+    return wrapper
 
 
 @click.group()
@@ -108,15 +126,13 @@ def main():
 @click.option("--tol", type=float, default=None, help="Margin tolerance.")
 @click.option("--seed", type=int, default=None, help="Seed for random state specs.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_handle_errors
 def check(source, bipartition, tol, seed, out):
     """Run the full SR certificate for one state and bipartition."""
     tol = _default_tol() if tol is None else tol
-    try:
-        rho = _load_finite_state(source, seed)
-        bip = Bipartition.parse(bipartition, len(rho.dims))
-        payload = certificates.certificate_payload(rho, bip, tol=tol)
-    except (CertificationError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        sys.exit(_fail(exc))
+    rho = _load_finite_state(source, seed)
+    bip = Bipartition.parse(bipartition, len(rho.dims))
+    payload = certificates.certificate_payload(rho, bip, tol=tol)
     payload["config"] = {
         "command": "check", "input": source, "bipartition": bipartition,
         "tol": tol, "seed": seed,
@@ -132,43 +148,32 @@ def check(source, bipartition, tol, seed, out):
 @click.option("--bipartition", default="0,1|2", show_default=True)
 @click.option("--tol", type=float, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_handle_errors
 def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
     """Sweep the mixed-GHZ family and emit CSV columns
     p, lambda_minus, sr_margin, eq8_margin, witness_value."""
     tol = _default_tol() if tol is None else tol
-    try:
-        if not (0.0 <= p_from < p_to <= 1.0):
-            raise ParameterOutOfRange(
-                f"need 0 <= p_from < p_to <= 1, got {p_from}, {p_to}"
-            )
-        if steps < 2:
-            raise ParameterOutOfRange(f"steps = {steps} must be >= 2")
-        bip_probe = Bipartition.parse(bipartition, 3)
-        rows = []
-        for p in np.linspace(p_from, p_to, steps):
-            rho = states.make_ghz_mixed(float(p))
-            verdict, pair, rep = certificates.sr_pt_test(rho, bip_probe, tol=tol)
-            eq8 = certificates.ghz_inequality(*certificates.ghz_correlators(rho))
-            # PT of the minimal-eigenvalue projector, traced against rho;
-            # equals lambda_min whatever its sign.
-            spectrum, _ = certificates.classify_npt(rho, bip_probe, tol=tol)
-            proj = certificates.projector(
-                spectrum.vector(verdict.chosen_negative_index), rho.dims
-            )
-            wval = certificates.expectation(
-                certificates.pt_of_operator(proj, bip_probe), rho
-            )
-            rows.append((float(p), verdict.min_eigenvalue, rep.margin, eq8.margin, wval))
-    except CertificationError as exc:
-        sys.exit(_fail(exc))
+    if not (0.0 <= p_from < p_to <= 1.0):
+        raise ParameterOutOfRange(
+            f"need 0 <= p_from < p_to <= 1, got {p_from}, {p_to}"
+        )
+    if steps < 2:
+        raise ParameterOutOfRange(f"steps = {steps} must be >= 2")
+    bip = Bipartition.parse(bipartition, 3)
+    rows = []
+    for p in np.linspace(p_from, p_to, steps):
+        rho = states.make_ghz_mixed(float(p))
+        cert = certificates.certify(rho, bip, tol=tol)
+        eq8 = certificates.ghz_inequality(*certificates.ghz_correlators(rho))
+        # Laboratory-frame witness Tr{(|v2><v2|)^PT rho} on the minimal-eigenvalue
+        # eigenvector; equals lambda_min whatever its sign.
+        v2 = cert.spectrum.vector(cert.verdict.chosen_negative_index)
+        wval = expectation(partial_transpose(projector(v2, rho.dims), bip), rho)
+        rows.append((float(p), cert.verdict.min_eigenvalue, cert.report.margin,
+                     eq8.margin, wval))
     lines = ["p,lambda_minus,sr_margin,eq8_margin,witness_value"]
     lines += [",".join(repr(x) for x in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write("\n".join(lines) + "\n", out)
     sys.exit(EXIT_OK)
 
 
@@ -178,26 +183,16 @@ def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
 @click.option("--tol", type=float, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_handle_errors
 def witness(source, bipartition, tol, seed, out):
     """Export the entanglement witness built from the most negative PT eigenvector."""
     tol = _default_tol() if tol is None else tol
-    try:
-        rho = _load_finite_state(source, seed)
-        bip = Bipartition.parse(bipartition, len(rho.dims))
-        spectrum, verdict = certificates.classify_npt(rho, bip, tol=tol)
-        entry = None
-        if verdict.is_npt:
-            lam2 = float(spectrum.eigenvalues[verdict.chosen_negative_index])
-            wit = certificates.witness_from_eigvec(
-                spectrum.vector(verdict.chosen_negative_index), lam2, bip, rho.dims
-            )
-            entry = {
-                "matrix": matrix_payload(wit.w),
-                "trace_value": certificates.witness_value(wit, rho),
-                "source_eigenvalue": lam2,
-            }
-    except (CertificationError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        sys.exit(_fail(exc))
+    rho = _load_finite_state(source, seed)
+    bip = Bipartition.parse(bipartition, len(rho.dims))
+    spectrum, verdict = classify_npt(rho, bip, tol=tol)
+    entry = certificates.witness_entry(rho, bip, spectrum, verdict)
+    if entry is not None:
+        entry["source_eigenvalue"] = verdict.min_eigenvalue
     payload = {
         "is_npt": verdict.is_npt,
         "pt_eigenvalues": [float(x) for x in spectrum.eigenvalues],
@@ -242,16 +237,14 @@ def _check_orders(*orders) -> None:
 @click.option("--cutoff", type=int, default=cv.DEFAULT_CUTOFF, show_default=True)
 @click.option("--tol", type=float, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_handle_errors
 def cv_check(source, ineq, m, n, cutoff, tol, out):
     """Evaluate a moment inequality for a two-mode CV state spec."""
     tol = _default_tol() if tol is None else tol
-    try:
-        _check_orders(m, n)
-        rho, spec = _load_cv_state(source, cutoff)
-        runner = cv.ineq10 if ineq == "10" else cv.ineq11
-        rep = runner(rho, m, n, tol=tol)
-    except (CertificationError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        sys.exit(_fail(exc))
+    _check_orders(m, n)
+    rho, spec = _load_cv_state(source, cutoff)
+    runner = cv.ineq10 if ineq == "10" else cv.ineq11
+    rep = runner(rho, m, n, tol=tol)
     payload = _cv_report_payload(rep)
     payload["config"] = {"command": "cv-check", "input": source, "spec": spec,
                          "ineq": ineq, "m": m, "n": n, "cutoff": cutoff, "tol": tol}
@@ -268,19 +261,17 @@ def cv_check(source, ineq, m, n, cutoff, tol, out):
 @click.option("--cutoff", type=int, default=cv.DEFAULT_CUTOFF, show_default=True)
 @click.option("--tol", type=float, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_handle_errors
 def bs_demo(source, theta, m, n, cutoff, tol, out):
     """Pipe a single-mode state and vacuum through a beam splitter, then
     evaluate both moment inequalities on the output."""
     tol = _default_tol() if tol is None else tol
-    try:
-        _check_orders(m, n)
-        rho_in, spec = _load_cv_state(source, cutoff)
-        two_mode = cv.with_vacuum_ancilla(rho_in)
-        result = cv.beam_splitter(two_mode, theta)
-        rep10 = cv.ineq10(result.state, m, n, tol=tol)
-        rep11 = cv.ineq11(result.state, m, n, tol=tol)
-    except (CertificationError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        sys.exit(_fail(exc))
+    _check_orders(m, n)
+    rho_in, spec = _load_cv_state(source, cutoff)
+    two_mode = cv.with_vacuum_ancilla(rho_in)
+    result = cv.beam_splitter(two_mode, theta)
+    rep10 = cv.ineq10(result.state, m, n, tol=tol)
+    rep11 = cv.ineq11(result.state, m, n, tol=tol)
     payload = {
         "unitarity_defect": result.unitarity_defect,
         "ineq10": _cv_report_payload(rep10),
@@ -301,16 +292,14 @@ def bs_demo(source, theta, m, n, cutoff, tol, out):
 @click.option("--q", type=int, default=0, show_default=True)
 @click.option("--cutoff", type=int, default=cv.DEFAULT_CUTOFF, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_handle_errors
 def relation_check(source, m, n, p, q, cutoff, out):
     """Check the partial-transpose moment identity on a two-mode state."""
-    try:
-        for o in (m, n, p, q):
-            if not 0 <= o <= 4:
-                raise ParameterOutOfRange(f"order {o} outside 0..4")
-        rho, spec = _load_cv_state(source, cutoff)
-        res = cv.pt_moment_relation_check(rho, m, n, p, q)
-    except (CertificationError, json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
-        sys.exit(_fail(exc))
+    for o in (m, n, p, q):
+        if not 0 <= o <= 4:
+            raise ParameterOutOfRange(f"order {o} outside 0..4")
+    rho, spec = _load_cv_state(source, cutoff)
+    res = cv.pt_moment_relation_check(rho, m, n, p, q)
     payload = {
         "lhs": [res.lhs.real, res.lhs.imag],
         "rhs": [res.rhs.real, res.rhs.imag],

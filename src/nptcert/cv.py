@@ -510,13 +510,8 @@ def ineq11(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
                               comm_term, cov_term, margin < -tol, tol, diag)
 
 
-def _mode_split() -> Bipartition:
-    return Bipartition(frozenset({0}), 2)
-
-
-def fock_partial_transpose(rho: HermitianOperator) -> HermitianOperator:
-    """Explicit partial transpose on the second mode in the Fock basis."""
-    return partial_transpose(rho, _mode_split())
+# Mode 1 | mode 2: the partial transpose acts on the second mode.
+_MODE_SPLIT = Bipartition(frozenset({0}), 2)
 
 
 @dataclass(frozen=True)
@@ -544,7 +539,7 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: 
     m1 = np.linalg.matrix_power(ad, m) @ np.linalg.matrix_power(a, n)
     m2_lhs = np.linalg.matrix_power(ad, p) @ np.linalg.matrix_power(a, q)
     m2_rhs = np.linalg.matrix_power(ad, q) @ np.linalg.matrix_power(a, p)
-    lhs = _MomentEngine(fock_partial_transpose(rho)).kron_moment(m1, m2_lhs)
+    lhs = _MomentEngine(partial_transpose(rho, _MODE_SPLIT)).kron_moment(m1, m2_lhs)
     rhs = _MomentEngine(rho).kron_moment(m1, m2_rhs)
     return MomentRelationCheck(lhs, rhs, abs(lhs - rhs))
 
@@ -662,7 +657,7 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
         h1, h2 = obs.pair_h1, obs.pair_h2
     else:
         raise ParameterOutOfRange(f"which = {which} must be 10 or 11")
-    generic = sr_moments(h1, h2, fock_partial_transpose(rho))
+    generic = sr_moments(h1, h2, partial_transpose(rho, _MODE_SPLIT))
     return CrosscheckResult(rep.margin, generic.margin,
                             abs(rep.margin - generic.margin), generic)
 

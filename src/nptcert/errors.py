@@ -22,7 +22,7 @@ class UnnormalizedState(CertificationError):
 
 
 class ConvergenceFailure(CertificationError):
-    """Eigensolver exceeded its sweep cap without converging."""
+    """The LAPACK Hermitian eigensolver (eigh) failed to converge."""
 
 
 class NotOrthogonal(CertificationError):

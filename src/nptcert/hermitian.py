@@ -159,8 +159,8 @@ def partial_transpose(rho: HermitianOperator, bip: Bipartition) -> HermitianOper
         perm[s], perm[k + s] = perm[k + s], perm[s]
     out = np.ascontiguousarray(t.transpose(perm).reshape(rho.matrix.shape))
     # the permutation of an exactly Hermitian matrix is exactly Hermitian, so
-    # re-validation is bit-neutral and the involution stays exact
-    return validate_hermitian(out, dims, rho.tolerance)
+    # the result needs no re-validation and the involution stays exact
+    return HermitianOperator(out, dims, rho.tolerance, rho.deviation)
 
 
 def trace_product(a, b) -> complex:

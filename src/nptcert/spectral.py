@@ -1,22 +1,23 @@
 """Hermitian eigendecomposition and NPT classification of partially transposed states.
 
-The eigensolver is a cyclic Jacobi diagonalization with complex Givens
-rotations.  It is deterministic for identical input bits: fixed pair
-ordering, fixed rotation formulas, stable descending sort with ties broken
-by original index.
+The eigensolver is LAPACK's Hermitian driver (``numpy.linalg.eigh``).  Its
+output is put in a canonical form so that reports are reproducible: a stable
+descending sort of the eigenvalues, and a phase on each eigenvector that
+makes its largest-magnitude component real and positive.
+
+``pt_spectrum`` is the spectral half of the one certify pass: a single
+partial transpose and a single eigensolve per (state, bipartition) pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceFailure, UnnormalizedState
-from .hermitian import Bipartition, HermitianOperator, partial_transpose, validate_hermitian
+from .hermitian import Bipartition, HermitianOperator, partial_transpose
 
-MAX_SWEEPS = 100
-OFF_DIAGONAL_RTOL = 1e-13  # threshold on ||offdiag||_F relative to ||M||_F
 NEGATIVITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 
@@ -41,81 +42,33 @@ class NptVerdict:
     chosen_negative_index: int
 
 
-def _off_norm(a: np.ndarray) -> float:
-    # Compute directly from the off-diagonal entries; subtracting squared
-    # norms cancels catastrophically once the matrix is nearly diagonal.
-    off = a - np.diag(np.diagonal(a))
-    return float(np.linalg.norm(off))
+def eig_hermitian(op: HermitianOperator) -> Spectrum:
+    """Diagonalize a HermitianOperator with LAPACK.
 
-
-def eig_hermitian(op: HermitianOperator, max_sweeps: int = MAX_SWEEPS,
-                  rtol: float = OFF_DIAGONAL_RTOL) -> Spectrum:
-    """Diagonalize a HermitianOperator by cyclic Jacobi rotations.
-
-    Raises ConvergenceFailure if the off-diagonal Frobenius norm has not
-    dropped below rtol * ||M||_F after max_sweeps full sweeps.
+    Eigenvalues are sorted descending (stable, so ties keep LAPACK's order)
+    and each eigenvector's largest-magnitude component is made real and
+    positive.  Raises ConvergenceFailure when LAPACK does not converge.
     """
-    m = op.matrix
-    n = m.shape[0]
-    a = np.array(m, dtype=np.complex128)
-    v = np.eye(n, dtype=np.complex128)
-    fro = float(np.linalg.norm(m))
-    if fro == 0.0 or n == 1:
-        w = np.diagonal(a).real.copy()
-        return Spectrum(w, v)
-    thresh = rtol * fro
-    # A pair below this cannot by itself keep the off-norm above threshold.
-    pair_skip = thresh / n
-    for sweep in range(max_sweeps + 1):
-        if _off_norm(a) <= thresh:
-            break
-        if sweep == max_sweeps:
-            raise ConvergenceFailure(
-                f"Jacobi did not converge in {max_sweeps} sweeps (dim {n})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= pair_skip:
-                    continue
-                # Factor the 2x2 block rotation as a phase times a real
-                # Jacobi rotation zeroing the (p,q) entry.
-                phase = np.conj(apq / mag)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - (phase * s) * colq
-                a[:, q] = s * colp + (phase * c) * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - (np.conj(phase) * s) * rowq
-                a[q, :] = s * rowp + (np.conj(phase) * c) * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - (phase * s) * vq
-                v[:, q] = s * vp + (phase * c) * vq
-    w = np.diagonal(a).real.copy()
+    try:
+        w, v = np.linalg.eigh(op.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigh failed on dim {op.dim}: {exc}") from exc
     order = np.argsort(-w, kind="stable")
-    return Spectrum(w[order], np.ascontiguousarray(v[:, order]))
+    w, v = w[order], v[:, order]
+    cols = np.arange(v.shape[1])
+    pivot = np.argmax(np.abs(v), axis=0)
+    top = v[pivot, cols]
+    v = v * (np.abs(top) / top)
+    v[pivot, cols] = np.abs(top)  # exactly real, whatever the rounding of the product
+    return Spectrum(w, v)
 
 
-def classify_npt(rho: HermitianOperator, bip: Bipartition,
-                 tol: float = NEGATIVITY_TOL, normalize: bool = False):
-    """Spectrum of rho^PT together with an NPT verdict.
+def pt_spectrum(rho: HermitianOperator, bip: Bipartition,
+                tol: float = NEGATIVITY_TOL, normalize: bool = False):
+    """One partial transpose and one eigensolve: (rho^PT, Spectrum, NptVerdict).
 
     Requires unit trace within 1e-9 unless normalize=True, in which case any
-    positive trace is rescaled away first.
+    positive trace is divided out before the partial transpose.
     """
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
@@ -123,16 +76,24 @@ def classify_npt(rho: HermitianOperator, bip: Bipartition,
             raise UnnormalizedState(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
         if tr <= 0.0:
             raise UnnormalizedState(f"trace {tr!r} is not positive")
-        rho = validate_hermitian(rho.matrix / tr, rho.dims, rho.tolerance)
-    spectrum = eig_hermitian(partial_transpose(rho, bip))
+        # a positive scalar multiple of an exactly Hermitian matrix stays exactly Hermitian
+        rho = replace(rho, matrix=rho.matrix / tr)
+    rho_pt = partial_transpose(rho, bip)
+    spectrum = eig_hermitian(rho_pt)
     w = spectrum.eigenvalues
     min_eig = float(w[-1])
-    count = int(np.sum(w < -tol))
     verdict = NptVerdict(
         is_npt=min_eig < -tol,
         min_eigenvalue=min_eig,
-        negativity_count=count,
+        negativity_count=int(np.sum(w < -tol)),
         chosen_positive_index=0,
         chosen_negative_index=len(w) - 1,
     )
+    return rho_pt, spectrum, verdict
+
+
+def classify_npt(rho: HermitianOperator, bip: Bipartition,
+                 tol: float = NEGATIVITY_TOL, normalize: bool = False):
+    """Spectrum of rho^PT together with an NPT verdict (see pt_spectrum)."""
+    _, spectrum, verdict = pt_spectrum(rho, bip, tol, normalize)
     return spectrum, verdict

@@ -15,7 +15,6 @@ from nptcert.certificates import (
     hur_weak_test,
     sr_moments,
     sr_pt_test,
-    sr_report,
     two_qubit_equivalence,
     witness_from_eigvec,
     witness_value,
@@ -86,7 +85,7 @@ def test_criterion_03_margin_identity():
         m = validate_hermitian(random_unit_trace_hermitian(rng, n), (n,))
         spec = eig_hermitian(m)
         pair = build_pseudospin(spec.vector(0), spec.vector(n - 1), dims=(n,))
-        rep = sr_report(pair, m)
+        rep = sr_moments(pair.h1, pair.h2, m)
         expected = spec.eigenvalues[0] * spec.eigenvalues[-1] / 4.0
         assert abs(rep.margin - expected) <= 1e-10
     _report("[PASS] criterion 3: margin = l1 l2 / 4 on 10^3 random matrices, dims 4-16")
@@ -174,7 +173,7 @@ def test_criterion_06_weak_implies_strong():
     # fixed qubit observables over random unit-trace 2x2 matrices
     for _ in range(2000):
         rho = validate_hermitian(random_unit_trace_hermitian(rng, 2), (2,))
-        srm = sr_report(qubit_pair, rho)
+        srm = sr_moments(qubit_pair.h1, qubit_pair.h2, rho)
         weak = hur_weak_test(qubit_pair, rho)
         if weak.violated:
             assert srm.violated

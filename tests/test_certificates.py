@@ -10,10 +10,8 @@ from nptcert.certificates import (
     ghz_pair,
     hur_weak_test,
     orthogonal_pair_construct,
-    pt_of_operator,
     sr_moments,
     sr_pt_test,
-    sr_report,
     two_qubit_equivalence,
     variance_positivity,
     witness_from_eigvec,
@@ -100,7 +98,7 @@ class TestBuildPseudospin:
 class TestSrReport:
     def test_maximally_mixed_qubit(self):
         pair = build_pseudospin(E0, E1)
-        rep = sr_report(pair, herm(np.eye(2) / 2, (2,)))
+        rep = sr_moments(pair.h1, pair.h2, herm(np.eye(2) / 2, (2,)))
         assert rep.margin == pytest.approx(1 / 16, abs=1e-14)
         assert not rep.violated
 
@@ -131,24 +129,24 @@ class TestSrReport:
                     )[0].T
                 )
             )
-            rep = sr_report(pair, herm(rho, (n,)))
+            rep = sr_moments(pair.h1, pair.h2, herm(rho, (n,)))
             assert rep.margin == pytest.approx(4 * pair.y**2 * lams[0] * lams[1], abs=1e-10)
 
     def test_pure_state_boundary(self):
         pair = build_pseudospin(E0, E1)
-        rep = sr_report(pair, herm(np.diag([1.0, 0.0]), (2,)))
+        rep = sr_moments(pair.h1, pair.h2, herm(np.diag([1.0, 0.0]), (2,)))
         assert rep.margin == pytest.approx(0.0, abs=1e-14)
         assert not rep.violated
 
     def test_requires_unit_trace(self):
         pair = build_pseudospin(E0, E1)
         with pytest.raises(UnnormalizedState):
-            sr_report(pair, herm(np.eye(2), (2,)))
+            sr_moments(pair.h1, pair.h2, herm(np.eye(2), (2,)))
 
     def test_dimension_mismatch(self):
         pair = build_pseudospin(E0, E1)
         with pytest.raises(DimensionMismatch):
-            sr_report(pair, herm(np.eye(4) / 4, (2, 2)))
+            sr_moments(pair.h1, pair.h2, herm(np.eye(4) / 4, (2, 2)))
 
 
 class TestSrPtTest:
@@ -200,7 +198,7 @@ class TestPtOfOperator:
             m[2 * i + j, 2 * ip + jp] = 1.0
             m[2 * ip + jp, 2 * i + j] = 1.0  # keep it Hermitian
             op = herm(m, (2, 2))
-            out = pt_of_operator(op, BIP01)
+            out = partial_transpose(op, BIP01)
             expected = np.zeros((4, 4), dtype=complex)
             expected[2 * i + jp, 2 * ip + j] = 1.0
             expected[2 * ip + j, 2 * i + jp] = 1.0
@@ -208,7 +206,7 @@ class TestPtOfOperator:
 
     def test_diagonal_unchanged(self):
         op = herm(np.diag([1.0, 2.0, 3.0, 4.0]), (2, 2))
-        np.testing.assert_array_equal(pt_of_operator(op, BIP01).matrix, op.matrix)
+        np.testing.assert_array_equal(partial_transpose(op, BIP01).matrix, op.matrix)
 
     def test_laboratory_form(self):
         rng = np.random.default_rng(43)
@@ -218,7 +216,7 @@ class TestPtOfOperator:
             o = herm(random_hermitian(rng, 4), (2, 2))
             rho = herm(random_hermitian(rng, 4), (2, 2))
             lhs = expectation(o, partial_transpose(rho, BIP01))
-            rhs = expectation(pt_of_operator(o, BIP01), rho)
+            rhs = expectation(partial_transpose(o, BIP01), rho)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -249,7 +247,7 @@ class TestHurWeak:
         pair = build_pseudospin(E0, E1)
         for _ in range(200):
             rho = herm(random_unit_trace_hermitian(rng, 2), (2,))
-            srm = sr_report(pair, rho).margin
+            srm = sr_moments(pair.h1, pair.h2, rho).margin
             wkm = hur_weak_test(pair, rho).margin
             assert wkm >= srm - 1e-12
 
@@ -257,7 +255,7 @@ class TestHurWeak:
         # a = b = 1/2, c = 0.6: det < 0 certifies, second moments do not
         rho = herm([[0.5, 0.6], [0.6, 0.5]], (2,))
         pair = build_pseudospin(E0, E1)
-        assert sr_report(pair, rho).violated
+        assert sr_moments(pair.h1, pair.h2, rho).violated
         assert not hur_weak_test(pair, rho).violated
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nptcert import certificates, cli, hermitian, spectral
 from nptcert.cli import main
 from nptcert.hermitian import save_operator
-from nptcert.states import make_bell
+from nptcert.states import make_bell, make_ghz_mixed
 
 
 @pytest.fixture()
@@ -61,6 +62,65 @@ class TestCheck:
                                       "--out", str(out)])
         # margin -1/16 is inside a 0.5 tolerance band, so nothing is certified
         assert result.exit_code == 0
+
+
+class TestErrors:
+    @pytest.mark.parametrize("argv, env", [
+        (["check", "bell:", "--bipartition", "0|1"], {"NPT_CERTIFY_TOL": "abc"}),
+        (["sweep-ghz", "--out", "{missing}/x.csv"], {}),
+        (["check", "bell:", "--bipartition", "0|1", "--out", "{missing}/x.json"], {}),
+    ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir"])
+    def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestOneCertifyPass:
+    """One request, or one sweep grid point, partially transposes rho once and
+    diagonalizes rho^PT once."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = {"pt_inputs": [], "eig": 0}
+        pt, eig = hermitian.partial_transpose, spectral.eig_hermitian
+
+        def counting_pt(op, bip):
+            seen["pt_inputs"].append(op.matrix.copy())
+            return pt(op, bip)
+
+        def counting_eig(op):
+            seen["eig"] += 1
+            return eig(op)
+
+        for module in (spectral, certificates, cli):
+            if getattr(module, "partial_transpose", None) is pt:
+                monkeypatch.setattr(module, "partial_transpose", counting_pt)
+        monkeypatch.setattr(spectral, "eig_hermitian", counting_eig)
+        return seen
+
+    @staticmethod
+    def _pts_of(calls, rho):
+        return sum(np.array_equal(m, rho.matrix) for m in calls["pt_inputs"])
+
+    def test_check(self, runner, bell_file, calls):
+        result = runner.invoke(main, ["check", bell_file, "--bipartition", "0|1"])
+        assert result.exit_code == 2
+        assert calls["eig"] == 1
+        assert self._pts_of(calls, make_bell()) == 1
+
+    def test_sweep_grid_point(self, runner, calls):
+        result = runner.invoke(main, ["sweep-ghz", "--p-from", "0.3", "--p-to", "0.6",
+                                      "--steps", "2"])
+        assert result.exit_code == 0
+        assert calls["eig"] == 2
+        for p in (0.3, 0.6):
+            assert self._pts_of(calls, make_ghz_mixed(p)) == 1
 
 
 class TestSweep:

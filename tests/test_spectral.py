@@ -49,6 +49,9 @@ class TestEigHermitian:
         np.testing.assert_allclose(
             spec.eigenvalues, eigvals_oracle(m.matrix), atol=1e-10
         )
+        # canonical phase: each column's largest-magnitude entry is real and positive
+        top = spec.eigenvectors[np.argmax(np.abs(spec.eigenvectors), axis=0), np.arange(n)]
+        assert np.all(top.imag == 0.0) and np.all(top.real > 0.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(200)
@@ -58,11 +61,15 @@ class TestEigHermitian:
         np.testing.assert_array_equal(s1.eigenvalues, s2.eigenvalues)
         np.testing.assert_array_equal(s1.eigenvectors, s2.eigenvectors)
 
-    def test_sweep_cap(self):
+    def test_lapack_failure_is_convergence_failure(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         rng = np.random.default_rng(201)
         m = validate_hermitian(random_hermitian(rng, 6), (6,))
         with pytest.raises(ConvergenceFailure):
-            eig_hermitian(m, max_sweeps=0)
+            eig_hermitian(m)
 
     def test_zero_matrix(self):
         spec = eig_hermitian(validate_hermitian(np.zeros((3, 3)), (3,)))
