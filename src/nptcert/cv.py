@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .certificates import SRReport, sr_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
 from .hermitian import Bipartition, HermitianOperator, partial_transpose, validate_hermitian
+from .states import FACTORY_TOL, spec_value
 
 DEFAULT_CUTOFF = 30
 TAIL_THRESHOLD = 1e-8
@@ -128,10 +128,27 @@ def _guard(rho: HermitianOperator, order: int, allow_unreliable: bool) -> Trunca
 # State factories
 # ---------------------------------------------------------------------------
 
+# The factories build exactly Hermitian matrices, so they are not validated
+# again: see _outer; a real diagonal is Hermitian, and dividing by a real
+# trace keeps a matrix exactly Hermitian.
+
+def _outer(v: np.ndarray) -> np.ndarray:
+    """|v><v|, exactly Hermitian.
+
+    For real amplitudes np.outer(v, v*) is exact.  numpy may fuse the complex
+    products (FMA), which leaves it Hermitian only to rounding when v has
+    imaginary parts, so then it is symmetrized.
+    """
+    m = np.outer(v, v.conj())
+    if np.any(v.imag):
+        m = (m + m.conj().T) / 2.0
+    return m
+
+
 def _finalize(matrix, space: FockSpace, order: int,
               allow_unreliable: bool) -> HermitianOperator:
-    tr = float(np.trace(matrix).real)
-    rho = validate_hermitian(np.asarray(matrix) / tr, space.dims, tol=1e-12)
+    matrix /= float(np.trace(matrix).real)     # callers pass a fresh matrix
+    rho = HermitianOperator(matrix, space.dims, FACTORY_TOL)
     _guard(rho, order, allow_unreliable)
     return rho
 
@@ -139,7 +156,7 @@ def _finalize(matrix, space: FockSpace, order: int,
 def vacuum(space: FockSpace) -> HermitianOperator:
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[0] = 1.0
-    return validate_hermitian(np.outer(v, v.conj()), space.dims, tol=1e-12)
+    return HermitianOperator(_outer(v), space.dims, FACTORY_TOL)
 
 
 def fock(n: int, space: FockSpace, allow_unreliable: bool = False) -> HermitianOperator:
@@ -149,7 +166,7 @@ def fock(n: int, space: FockSpace, allow_unreliable: bool = False) -> HermitianO
         raise ParameterOutOfRange(f"n = {n} outside 0..{space.cutoff}")
     v = np.zeros(space.dim_per_mode, dtype=np.complex128)
     v[n] = 1.0
-    return _finalize(np.outer(v, v.conj()), space, FACTORY_GUARD_ORDER, allow_unreliable)
+    return _finalize(_outer(v), space, FACTORY_GUARD_ORDER, allow_unreliable)
 
 
 def coherent(alpha: complex, space: FockSpace,
@@ -164,7 +181,7 @@ def coherent(alpha: complex, space: FockSpace,
     for i in range(1, space.dim_per_mode):
         amps[i] = amps[i - 1] * alpha / math.sqrt(i)
     amps /= np.linalg.norm(amps)
-    return _finalize(np.outer(amps, amps.conj()), space, FACTORY_GUARD_ORDER, allow_unreliable)
+    return _finalize(_outer(amps), space, FACTORY_GUARD_ORDER, allow_unreliable)
 
 
 def squeezed_vacuum(r: float, phi: float, space: FockSpace,
@@ -186,7 +203,7 @@ def squeezed_vacuum(r: float, phi: float, space: FockSpace,
         amps[2 * k + 2] = amps[2 * k] * z * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2 * (k + 1))
         k += 1
     amps /= np.linalg.norm(amps)
-    return _finalize(np.outer(amps, amps.conj()), space, FACTORY_GUARD_ORDER, allow_unreliable)
+    return _finalize(_outer(amps), space, FACTORY_GUARD_ORDER, allow_unreliable)
 
 
 def thermal(nbar: float, space: FockSpace,
@@ -214,7 +231,7 @@ def two_mode_squeezed(r: float, space: FockSpace,
     coeff = coeff / np.linalg.norm(coeff)
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[np.arange(d) * d + np.arange(d)] = coeff
-    return _finalize(np.outer(v, v.conj()), space, FACTORY_GUARD_ORDER, allow_unreliable)
+    return _finalize(_outer(v), space, FACTORY_GUARD_ORDER, allow_unreliable)
 
 
 def single_photon_entangled(space: FockSpace) -> HermitianOperator:
@@ -225,7 +242,7 @@ def single_photon_entangled(space: FockSpace) -> HermitianOperator:
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[1] = 1.0 / np.sqrt(2.0)      # |0,1>
     v[d] = 1.0 / np.sqrt(2.0)      # |1,0>
-    return validate_hermitian(np.outer(v, v.conj()), space.dims, tol=1e-12)
+    return HermitianOperator(_outer(v), space.dims, FACTORY_TOL)
 
 
 def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator:
@@ -233,10 +250,11 @@ def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator:
     space = space_of(rho)
     if space.modes != 1:
         raise ParameterOutOfRange("state already has two modes")
-    vac = np.zeros((space.dim_per_mode, space.dim_per_mode), dtype=np.complex128)
-    vac[0, 0] = 1.0
-    return validate_hermitian(np.kron(rho.matrix, vac),
-                              (space.dim_per_mode, space.dim_per_mode), tol=1e-12)
+    d = space.dim_per_mode
+    # rho x |0><0| copies rho onto the n2 = 0 rows and columns: still exactly Hermitian
+    out = np.zeros((d * d, d * d), dtype=np.complex128)
+    out[::d, ::d] = rho.matrix
+    return HermitianOperator(out, (d, d), rho.tolerance, rho.deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +269,28 @@ class BeamSplitterResult:
 
 @lru_cache(maxsize=8)
 def _beam_splitter_unitary(cutoff: int, theta: float):
-    space = FockSpace(2, cutoff)
-    (a1, ad1), (a2, ad2) = ladder_ops(space)
-    generator = theta * (ad1 @ a2 - a1 @ ad2)   # anti-Hermitian by construction
-    u = scipy.linalg.expm(generator)
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(space.total_dim))))
-    return u, defect
+    """Photon-number blocks of U = exp[theta (a1^dag a2 - a1 a2^dag)] and the
+    unitarity defect max |U^dag U - 1|.
+
+    The generator conserves N = n1 + n2, in the truncated space too, so U is
+    block diagonal.  On sector N, over |k, N-k> with k ascending, the
+    generator is real antisymmetric tridiagonal with
+    <k+1, N-k-1| G |k, N-k> = sqrt((k+1)(N-k)); each block is exponentiated
+    through the eigendecomposition of the Hermitian i theta G_N.  Returns
+    [(rows, U_N)]: |k, N-k> sits at flat index N + k*cutoff, so a sector's
+    rows are a strided slice of the two-mode matrix.
+    """
+    blocks, defect = [], 0.0
+    for total in range(2 * cutoff + 1):
+        k = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
+        coupling = np.sqrt((k[:-1] + 1.0) * (total - k[:-1]))
+        gen = np.diag(coupling, -1) - np.diag(coupling, 1)
+        w, v = np.linalg.eigh(1j * theta * gen)
+        # exp(theta G_N) is real orthogonal; the imaginary part is rounding
+        u = ((v * np.exp(-1j * w)) @ v.conj().T).real
+        defect = max(defect, float(np.max(np.abs(u.T @ u - np.eye(len(k))))))
+        blocks.append((slice(total + k[0] * cutoff, total + k[-1] * cutoff + 1, cutoff), u))
+    return blocks, defect
 
 
 def beam_splitter(rho: HermitianOperator, theta: float,
@@ -264,40 +298,66 @@ def beam_splitter(rho: HermitianOperator, theta: float,
     """U rho U^dag with U = exp[theta (a1^dag a2 - a1 a2^dag)].
 
     theta = pi/4 is the 50:50 splitter.  The total photon number is
-    conserved, so the truncation tail is not spread by the map.
+    conserved, so the truncation tail is not spread by the map.  U is applied
+    block by block over the photon-number sectors, never as a dense matrix.
     """
     space = space_of(rho)
     if space.modes != 2:
         raise ParameterOutOfRange("beam splitter acts on two-mode states")
     _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
-    u, defect = _beam_splitter_unitary(space.cutoff, float(theta))
-    out = u @ rho.matrix @ u.conj().T
-    return BeamSplitterResult(validate_hermitian(out, space.dims), defect)
+    blocks, defect = _beam_splitter_unitary(space.cutoff, float(theta))
+
+    def left(m):
+        # U is real, so each block acts on the interleaved (re, im) float view
+        out = np.empty_like(m)
+        src, dst = m.view(np.float64), out.view(np.float64)
+        for rows, u in blocks:
+            dst[rows] = u @ src[rows]
+        return out
+
+    # U (U rho)^T = conj(U rho U^dag): rho^T = conj(rho) and U is real
+    y = left(left(np.ascontiguousarray(rho.matrix, dtype=np.complex128)).T.copy())
+    # U rho U^dag is Hermitian only to rounding: symmetrize once
+    out = np.conj(y)
+    out += y.T
+    out *= 0.5
+    return BeamSplitterResult(HermitianOperator(out, space.dims, rho.tolerance, rho.deviation),
+                              defect)
 
 
 # ---------------------------------------------------------------------------
 # Moment evaluation
 # ---------------------------------------------------------------------------
 
-class _MomentEngine:
-    """Expectations of kron-factored operators without forming full products.
+def _diagonals(m: np.ndarray):
+    """Nonzero diagonals of a square matrix as [(first row, first column, values)]."""
+    rows, cols = np.nonzero(m)
+    return [(max(0, -o), max(0, o), np.diagonal(m, o))
+            for o in np.unique(cols - rows).tolist()]
 
-    For a two-mode state, Tr{rho (M1 x M2)} is contracted against the
-    reshaped density matrix in O(d^4) time and no d^2 x d^2 temporaries.
+
+class _MomentEngine:
+    """Expectations Tr{rho (M1 x M2)} of kron-factored two-mode operators.
+
+    Ladder powers, and the mode factors built from them, have a few nonzero
+    diagonals.  For diagonal o1 of M1 and o2 of M2 the trace picks the
+    entries rho4[i, j, i - o1, j - o2] (rho4 the (d, d, d, d) reshape of
+    rho), so each pair of diagonals costs one O(d^2) gather weighted by the
+    two diagonals, against O(d^4) for a dense contraction.
     """
 
     def __init__(self, rho: HermitianOperator):
-        self.space = space_of(rho)
-        d = self.space.dim_per_mode
-        if self.space.modes == 2:
-            self._r4 = rho.matrix.reshape(d, d, d, d)
-        self._r2 = rho.matrix
+        d = space_of(rho).dim_per_mode
+        self._r4 = rho.matrix.reshape(d, d, d, d)
 
     def kron_moment(self, m1: np.ndarray, m2: np.ndarray) -> complex:
-        return complex(np.einsum("ijkl,ki,lj->", self._r4, m1, m2, optimize=True))
-
-    def moment(self, m: np.ndarray) -> complex:
-        return complex(np.einsum("ij,ji->", self._r2, m))
+        total = 0j
+        for k0, i0, w1 in _diagonals(m1):
+            t = np.arange(len(w1))[:, None]
+            for l0, j0, w2 in _diagonals(m2):
+                s = np.arange(len(w2))
+                total += w1 @ self._r4[i0 + t, j0 + s, k0 + t, l0 + s] @ w2
+        return complex(total)
 
 
 @lru_cache(maxsize=16)
@@ -521,6 +581,13 @@ class MomentRelationCheck:
     defect: float
 
 
+def _dense_kron_moment(rho: HermitianOperator, m1: np.ndarray, m2: np.ndarray) -> complex:
+    """Tr{rho (M1 x M2)} by a dense O(d^4) contraction, independent of _MomentEngine."""
+    d = m1.shape[0]
+    return complex(np.einsum("ijkl,ki,lj->", rho.matrix.reshape(d, d, d, d), m1, m2,
+                             optimize=True))
+
+
 def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: int,
                              allow_unreliable: bool = False) -> MomentRelationCheck:
     """Compare <a1^dag^m a1^n a2^dag^p a2^q> over rho^PT against the
@@ -539,8 +606,8 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: 
     m1 = np.linalg.matrix_power(ad, m) @ np.linalg.matrix_power(a, n)
     m2_lhs = np.linalg.matrix_power(ad, p) @ np.linalg.matrix_power(a, q)
     m2_rhs = np.linalg.matrix_power(ad, q) @ np.linalg.matrix_power(a, p)
-    lhs = _MomentEngine(partial_transpose(rho, _MODE_SPLIT)).kron_moment(m1, m2_lhs)
-    rhs = _MomentEngine(rho).kron_moment(m1, m2_rhs)
+    lhs = _dense_kron_moment(partial_transpose(rho, _MODE_SPLIT), m1, m2_lhs)
+    rhs = _dense_kron_moment(rho, m1, m2_rhs)
     return MomentRelationCheck(lhs, rhs, abs(lhs - rhs))
 
 
@@ -675,17 +742,18 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
     one = FockSpace(1, cutoff)
     two = FockSpace(2, cutoff)
     if family == "coherent":
-        return coherent(complex(spec["alpha"]), one, allow)
+        return coherent(complex(spec_value(spec, "alpha")), one, allow)
     if family == "fock":
-        return fock(int(spec["n"]), one, allow)
+        return fock(int(spec_value(spec, "n")), one, allow)
     if family == "squeezed_vacuum":
-        return squeezed_vacuum(float(spec["r"]), float(spec.get("phi", 0.0)), one, allow)
+        return squeezed_vacuum(float(spec_value(spec, "r")), float(spec.get("phi", 0.0)),
+                               one, allow)
     if family == "thermal":
-        return thermal(float(spec["nbar"]), one, allow)
+        return thermal(float(spec_value(spec, "nbar")), one, allow)
     if family == "vacuum":
         return vacuum(one)
     if family == "two_mode_squeezed":
-        return two_mode_squeezed(float(spec["r"]), two, allow)
+        return two_mode_squeezed(float(spec_value(spec, "r")), two, allow)
     if family == "single_photon_entangled":
         return single_photon_entangled(two)
     raise ParameterOutOfRange(f"unknown CV state family {family!r}")

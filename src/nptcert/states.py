@@ -97,6 +97,15 @@ def make_product(dims, seed) -> HermitianOperator:
     return random_separable(dims, terms=1, seed=seed)
 
 
+def spec_value(spec: dict, key: str):
+    """spec[key]; a missing key is a ParameterOutOfRange naming the family."""
+    try:
+        return spec[key]
+    except KeyError:
+        raise ParameterOutOfRange(
+            f"spec for family {spec.get('family')!r} is missing {key!r}") from None
+
+
 _FAMILIES = {
     "ghz_mixed", "bell", "werner", "single_photon_entangled",
     "random_density", "random_separable", "product",
@@ -113,17 +122,17 @@ def state_from_spec(spec: dict) -> HermitianOperator:
     if family not in _FAMILIES:
         raise ParameterOutOfRange(f"unknown state family {family!r}")
     if family == "ghz_mixed":
-        return make_ghz_mixed(float(spec["p"]))
+        return make_ghz_mixed(float(spec_value(spec, "p")))
     if family == "bell":
         return make_bell()
     if family == "werner":
-        return make_werner(float(spec["p"]))
+        return make_werner(float(spec_value(spec, "p")))
     if family == "single_photon_entangled":
         return make_single_photon_entangled()
     if family == "random_density":
-        return random_density(int(spec["dim"]), spec.get("seed", 0),
+        return random_density(int(spec_value(spec, "dim")), spec.get("seed", 0),
                               dims=spec.get("dims"))
     if family == "random_separable":
-        return random_separable(spec["dims"], int(spec.get("terms", 4)),
+        return random_separable(spec_value(spec, "dims"), int(spec.get("terms", 4)),
                                 spec.get("seed", 0))
-    return make_product(spec["dims"], spec.get("seed", 0))
+    return make_product(spec_value(spec, "dims"), spec.get("seed", 0))

@@ -1,7 +1,7 @@
 """Independent oracles used to freeze expected values.
 
-Everything here is deliberately coded against numpy/scipy primitives and
-plain index bookkeeping, not against the library's own code paths.
+Everything here is deliberately coded against numpy primitives and plain
+index bookkeeping, not against the library's own code paths.
 """
 
 import numpy as np
@@ -133,3 +133,14 @@ def coherent_vector(alpha, cutoff):
     for k in range(1, cutoff + 1):
         amps[k] = amps[k - 1] * alpha / np.sqrt(k)
     return amps / np.linalg.norm(amps)
+
+
+def bs_unitary_oracle(cutoff, theta):
+    """Dense truncated exp[theta (a1^dag a2 - a1 a2^dag)] from the
+    eigendecomposition of the full two-mode generator."""
+    a = destroy_oracle(cutoff)
+    eye = np.eye(cutoff + 1)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    gen = a1.conj().T @ a2 - a1 @ a2.conj().T
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T

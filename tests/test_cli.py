@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nptcert import certificates, cli, hermitian, spectral
+from nptcert import certificates, cli, cv, hermitian, spectral, states
 from nptcert.cli import main
 from nptcert.hermitian import save_operator
 from nptcert.states import make_bell, make_ghz_mixed
@@ -79,6 +83,26 @@ class TestErrors:
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv, key", [
+        (["cv-check", "two_mode_squeezed"], "r"),
+        (["check", "werner", "--bipartition", "0|1"], "p"),
+        (["bs-demo", "--input", "coherent"], "alpha"),
+    ], ids=["cv-check", "check", "bs-demo"])
+    def test_missing_spec_key(self, runner, argv, key):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: spec for family ")
+        assert f"is missing {key!r}" in lines[0]
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c",
+                    "import nptcert.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
 
 
 class TestOneCertifyPass:
@@ -238,6 +262,26 @@ class TestCvCommands:
                                       "--out", str(out)])
         assert result.exit_code == 0
         assert json.loads(out.read_text())["defect"] < 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        ["bs-demo", "--input", "squeezed_vacuum:r=0.1", "--cutoff", "12"],
+        ["cv-check", "two_mode_squeezed:r=0.3", "--cutoff", "12"],
+        ["cv-check", "single_photon_entangled", "--ineq", "11", "--cutoff", "12"],
+    ], ids=["bs-demo", "cv-check-tms", "cv-check-spe"])
+    def test_library_states_not_revalidated(self, runner, monkeypatch, argv):
+        shapes = []
+        original = hermitian.validate_hermitian
+
+        def counting(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+
+        for module in (hermitian, states, cv):
+            if getattr(module, "validate_hermitian", None) is original:
+                monkeypatch.setattr(module, "validate_hermitian", counting)
+        result = runner.invoke(main, argv)
+        assert result.exit_code in (0, 2)
+        assert (13 * 13, 13 * 13) not in shapes
 
     def test_report_echoes_config(self, runner, tmp_path):
         out = tmp_path / "cv.json"

@@ -4,7 +4,8 @@ import pytest
 from nptcert import cv
 from nptcert.errors import ParameterOutOfRange, TruncationUnreliable
 from nptcert.hermitian import validate_hermitian
-from oracles import bs_fock1_output, coherent_vector, mancini_margin
+from oracles import (bs_fock1_output, bs_unitary_oracle, coherent_vector, mancini_margin,
+                     random_density_oracle, random_hermitian)
 
 SP1 = cv.FockSpace(1, 30)
 SP2 = cv.FockSpace(2, 30)
@@ -164,6 +165,71 @@ class TestBeamSplitter:
     def test_needs_two_modes(self):
         with pytest.raises(ParameterOutOfRange):
             cv.beam_splitter(cv.fock(1, SMALL1), np.pi / 4)
+
+
+class TestSectorBeamSplitter:
+    """The block-diagonal unitary against the dense truncated one."""
+
+    @pytest.mark.parametrize("cutoff", [3, 10, 20])
+    @pytest.mark.parametrize("theta", [0.37, np.pi / 4, 1.3])
+    def test_blocks_match_dense_unitary(self, cutoff, theta):
+        blocks, defect = cv._beam_splitter_unitary(cutoff, theta)
+        d = cutoff + 1
+        flat = np.arange(d * d)
+        u = np.zeros((d * d, d * d))
+        for rows, block in blocks:
+            u[np.ix_(flat[rows], flat[rows])] = block
+        # the sectors tile the space; those with N > cutoff are truncated, the
+        # top one down to |cutoff, cutoff> alone
+        np.testing.assert_array_equal(np.sort(np.concatenate([flat[r] for r, _ in blocks])), flat)
+        assert len(blocks) == 2 * cutoff + 1 and blocks[-1][1].shape == (1, 1)
+        assert np.max(np.abs(u - bs_unitary_oracle(cutoff, theta))) <= 1e-12
+        assert defect <= 1e-12
+
+    @pytest.mark.parametrize("cutoff", [3, 10])
+    def test_random_full_rank_state_matches_dense(self, cutoff):
+        d = cutoff + 1
+        rng = np.random.default_rng(cutoff)
+        rho = validate_hermitian(random_density_oracle(rng, d * d), (d, d))
+        theta = 0.37
+        out = cv.beam_splitter(rho, theta, allow_unreliable=True).state.matrix
+        u = bs_unitary_oracle(cutoff, theta)
+        assert np.max(np.abs(out - u @ rho.matrix @ u.conj().T)) <= 1e-12
+        np.testing.assert_array_equal(out, out.conj().T)
+
+
+class TestExactHermitian:
+    """Library-built Fock matrices skip validation, so they must be exactly Hermitian."""
+
+    def test_factories_and_maps(self):
+        built = [
+            cv.coherent(0.4 - 0.3j, SP1), cv.squeezed_vacuum(0.3, 0.8, SP1),
+            cv.fock(2, SP1), cv.thermal(0.4, SP1), cv.vacuum(SP2),
+            cv.two_mode_squeezed(0.4, SP2), cv.single_photon_entangled(SP2),
+            cv.with_vacuum_ancilla(cv.coherent(0.5 + 0.2j, SP1)),
+            cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.3, 0.8, SP1)),
+                             0.37).state,
+        ]
+        for rho in built:
+            np.testing.assert_array_equal(rho.matrix, rho.matrix.conj().T)
+
+
+class TestBandedMoments:
+    """kron_moment sums over pairs of diagonals; the dense einsum is the oracle."""
+
+    @pytest.mark.parametrize("cutoff", [10, 30])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_against_dense_einsum(self, cutoff, order):
+        d = cutoff + 1
+        h = random_hermitian(np.random.default_rng(cutoff + order), d * d)
+        engine = cv._MomentEngine(validate_hermitian(h, (d, d)))
+        r4 = h.reshape(d, d, d, d)
+        factors = list(cv._mode_factors(cutoff, order).values())
+        factors.append(np.eye(d, dtype=np.complex128))
+        for m1 in factors:
+            for m2 in factors:
+                ref = np.einsum("ijkl,ki,lj->", r4, m1, m2)
+                assert abs(engine.kron_moment(m1, m2) - ref) <= 1e-12 * abs(ref)
 
 
 class TestIneq10:
