@@ -37,10 +37,9 @@ from .hermitian import (
     trace_product,
     validate_hermitian,
 )
-from .spectral import NptVerdict, Spectrum, pt_spectrum
+from .spectral import TRACE_TOL, NptVerdict, Spectrum, pt_spectrum
 
 VIOLATION_TOL = 1e-10
-TRACE_TOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
 
 # Margin of the printed three-qubit inequality divided by the margin of the
@@ -70,6 +69,8 @@ class SRReport:
 
     var_h1: float
     var_h2: float
+    second_moment_h1: float  # <H1^2>
+    second_moment_h2: float  # <H2^2>
     commutator_mean: float   # |<[H1,H2]>|
     sym_covariance: float    # <dH1 dH2 + dH2 dH1>
     lhs: float
@@ -195,7 +196,7 @@ def sr_moments(h1: HermitianOperator, h2: HermitianOperator,
     lhs = var1 * var2
     rhs = comm_mean ** 2 / 4.0 + sym_cov ** 2 / 4.0
     margin = lhs - rhs
-    return SRReport(var1, var2, comm_mean, sym_cov, lhs, rhs, margin,
+    return SRReport(var1, var2, m11, m22, comm_mean, sym_cov, lhs, rhs, margin,
                     margin < -tol, tol)
 
 
@@ -206,19 +207,12 @@ def hur_weak_test(pair: PseudoSpinPair, rho: HermitianOperator,
     Its margin never sits below the SR margin on the same inputs, so a weak
     violation implies an SR violation.
     """
-    if pair.h1.dim != rho.dim:
-        raise DimensionMismatch(f"observable dim {pair.h1.dim} vs state dim {rho.dim}")
-    _require_state_like(rho)
-    r = rho.matrix
-    p1 = r @ pair.h1.matrix
-    p2 = r @ pair.h2.matrix
-    m11 = float(trace_product(p1, pair.h1.matrix).real)
-    m22 = float(trace_product(p2, pair.h2.matrix).real)
-    comm_mean = abs(trace_product(p1, pair.h2.matrix) - trace_product(p2, pair.h1.matrix))
-    lhs = m11 * m22
-    rhs = comm_mean ** 2 / 4.0
+    rep = sr_moments(pair.h1, pair.h2, rho, tol)
+    lhs = rep.second_moment_h1 * rep.second_moment_h2
+    rhs = rep.commutator_mean ** 2 / 4.0
     margin = lhs - rhs
-    return HurWeakReport(m11, m22, comm_mean, lhs, rhs, margin, margin < -tol, tol)
+    return HurWeakReport(rep.second_moment_h1, rep.second_moment_h2, rep.commutator_mean,
+                         lhs, rhs, margin, margin < -tol, tol)
 
 
 def certify(rho: HermitianOperator, bip: Bipartition,
@@ -274,7 +268,8 @@ def variance_positivity(rho_pt: HermitianOperator, spectrum: Spectrum,
     When rho_pt has at least two eigenvalues below -tol, an observable pair
     built on the two most negative eigenvectors has second moment
     |alpha|^2 (l_a + l_b) < 0, hence a negative variance.  Returns the
-    flagged (observable, variance) entries, empty otherwise.
+    flagged (observable, variance) entries, empty otherwise.  rho_pt must
+    have unit trace, as for sr_moments.
     """
     w = spectrum.eigenvalues
     negatives = np.where(w < -tol)[0]
@@ -283,14 +278,9 @@ def variance_positivity(rho_pt: HermitianOperator, spectrum: Spectrum,
     # eigenvalues are sorted descending, so the last two are the most negative
     i_a, i_b = int(negatives[-1]), int(negatives[-2])
     pair = build_pseudospin(spectrum.vector(i_b), spectrum.vector(i_a), dims=rho_pt.dims)
-    flags = []
-    for h in (pair.h1, pair.h2):
-        e = expectation(h, rho_pt)
-        m2 = float(trace_product(rho_pt.matrix @ h.matrix, h.matrix).real)
-        var = m2 - e * e
-        if var < 0.0:
-            flags.append((h, var))
-    return flags
+    rep = sr_moments(pair.h1, pair.h2, rho_pt, tol)
+    candidates = [(pair.h1, rep.var_h1), (pair.h2, rep.var_h2)]
+    return [(h, var) for h, var in candidates if var < 0.0]
 
 
 def orthogonal_pair_construct(rho_pt: HermitianOperator, v1, v2,

@@ -42,10 +42,7 @@ def _parse_value(text: str):
             return cast(text)
         except ValueError:
             continue
-    try:
-        return complex(text)
-    except ValueError:
-        return text
+    return text
 
 
 def _parse_spec(text: str) -> dict:

@@ -26,9 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificates import SRReport, sr_moments
+from .certificates import VIOLATION_TOL, SRReport, sr_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
-from .hermitian import Bipartition, HermitianOperator, partial_transpose, validate_hermitian
+from .hermitian import (Bipartition, HermitianOperator, partial_transpose, trace_product,
+                        validate_hermitian)
 from .states import FACTORY_TOL, spec_value
 
 DEFAULT_CUTOFF = 30
@@ -36,7 +37,6 @@ TAIL_THRESHOLD = 1e-8
 # Factories guard the first-order workflow (moments reach 2 levels above the
 # state support at m = 1); each operation re-checks at its own depth.
 FACTORY_GUARD_ORDER = 2
-VIOLATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -81,17 +81,6 @@ def space_of(rho: HermitianOperator) -> FockSpace:
 def destroy(cutoff: int) -> np.ndarray:
     """Single-mode annihilation matrix: <k-1| a |k> = sqrt(k)."""
     return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=np.float64)), k=1).astype(np.complex128)
-
-
-def ladder_ops(space: FockSpace):
-    """Per-mode (a, a^dag) embedded in the full space."""
-    a = destroy(space.cutoff)
-    ad = a.conj().T
-    if space.modes == 1:
-        return [(a, ad)]
-    eye = np.eye(space.dim_per_mode, dtype=np.complex128)
-    return [(np.kron(a, eye), np.kron(ad, eye)),
-            (np.kron(eye, a), np.kron(eye, ad))]
 
 
 def mode_populations(rho: HermitianOperator) -> np.ndarray:
@@ -375,101 +364,6 @@ def _mode_factors(cutoff: int, m: int):
             "a_ad": am @ adm, "ad_a": adm @ am}
 
 
-@dataclass(frozen=True, eq=False)
-class CvObservableSet:
-    """Full-space observables of orders (m, n); members built on demand."""
-
-    space: FockSpace
-    m: int
-    n: int
-
-    def _f1(self):
-        return _mode_factors(self.space.cutoff, self.m)
-
-    def _f2(self):
-        return _mode_factors(self.space.cutoff, self.n)
-
-    def _eye(self):
-        return np.eye(self.space.dim_per_mode, dtype=np.complex128)
-
-    def _op(self, matrix) -> HermitianOperator:
-        return validate_hermitian(matrix, self.space.dims, tol=1e-9)
-
-    @property
-    def x1(self) -> HermitianOperator:
-        return self._op(np.kron(self._f1()["x"], self._eye()))
-
-    @property
-    def y1(self) -> HermitianOperator:
-        return self._op(np.kron(self._f1()["y"], self._eye()))
-
-    @property
-    def x2(self) -> HermitianOperator:
-        return self._op(np.kron(self._eye(), self._f2()["x"]))
-
-    @property
-    def y2(self) -> HermitianOperator:
-        return self._op(np.kron(self._eye(), self._f2()["y"]))
-
-    @property
-    def h1(self) -> HermitianOperator:
-        return self._op(np.kron(self._f1()["x"], self._eye())
-                        + np.kron(self._eye(), self._f2()["x"]))
-
-    @property
-    def h2_sum(self) -> HermitianOperator:
-        return self._op(np.kron(self._f1()["y"], self._eye())
-                        + np.kron(self._eye(), self._f2()["y"]))
-
-    @property
-    def h2_tilde(self) -> HermitianOperator:
-        return self._op(np.kron(self._f1()["y"], self._eye())
-                        - np.kron(self._eye(), self._f2()["y"]))
-
-    @property
-    def c1(self) -> HermitianOperator:
-        return self._op(np.kron(self._f1()["c"], self._eye()))
-
-    @property
-    def c2(self) -> HermitianOperator:
-        return self._op(np.kron(self._eye(), self._f2()["c"]))
-
-    @property
-    def x_mn(self) -> HermitianOperator:
-        b_dag = np.kron(self._f1()["ad"], self._f2()["a"])
-        return self._op(b_dag + b_dag.conj().T)
-
-    @property
-    def y_mn(self) -> HermitianOperator:
-        b_dag = np.kron(self._f1()["ad"], self._f2()["a"])
-        return self._op(-1j * (b_dag - b_dag.conj().T))
-
-    @property
-    def pair_h1(self) -> HermitianOperator:
-        a_dag = np.kron(self._f1()["ad"], self._f2()["ad"])
-        return self._op(a_dag + a_dag.conj().T)
-
-    @property
-    def pair_h2(self) -> HermitianOperator:
-        a_dag = np.kron(self._f1()["ad"], self._f2()["ad"])
-        return self._op(-1j * (a_dag - a_dag.conj().T))
-
-    @property
-    def comm_pair(self) -> HermitianOperator:
-        """[a1^m a2^n, a1^dag^m a2^dag^n] as a (diagonal) full-space matrix."""
-        f1, f2 = self._f1(), self._f2()
-        comm = np.kron(f1["a_ad"], f2["a_ad"]) - np.kron(f1["ad_a"], f2["ad_a"])
-        return self._op(comm)
-
-
-def observable_set(space: FockSpace, m: int, n: int) -> CvObservableSet:
-    if space.modes != 2:
-        raise ParameterOutOfRange("observable sets are two-mode objects")
-    if m < 1 or n < 1:
-        raise ParameterOutOfRange(f"orders m = {m}, n = {n} must be >= 1")
-    return CvObservableSet(space, m, n)
-
-
 @dataclass(frozen=True)
 class CvInequalityReport:
     inequality: str
@@ -636,18 +530,11 @@ def _normal_ordered_variance(rho: HermitianOperator, terms) -> float:
     the level of exponent pairs (daggers simply add), and only moments
     <a^dag^j a^k> of the truncated state are evaluated numerically.
     """
-    space = space_of(rho)
-    a = destroy(space.cutoff)
-    ad = a.conj().T
-    powers_a = {}
-    powers_ad = {}
+    cutoff = space_of(rho).cutoff
 
     def mom(jdag: int, ka: int) -> complex:
-        if jdag not in powers_ad:
-            powers_ad[jdag] = np.linalg.matrix_power(ad, jdag)
-        if ka not in powers_a:
-            powers_a[ka] = np.linalg.matrix_power(a, ka)
-        return complex(np.einsum("ij,ji->", rho.matrix, powers_ad[jdag] @ powers_a[ka]))
+        op = _mode_factors(cutoff, jdag)["ad"] @ _mode_factors(cutoff, ka)["a"]
+        return trace_product(rho.matrix, op)
 
     mean = sum(c * mom(jd, ka) for c, jd, ka in terms)
     square = 0.0 + 0.0j
@@ -713,15 +600,30 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
 
     The two margins agree to rounding because the printed forms are exactly
     the PT-mapped moments of the generic pair in the truncated space.
+    Raises ParameterOutOfRange for a one-mode state, an order below 1 or a
+    `which` other than 10 and 11.
     """
     space = space_of(rho)
-    obs = observable_set(space, m, n)
+    if space.modes != 2:
+        raise ParameterOutOfRange("the crosscheck needs a two-mode state")
+    if m < 1 or n < 1:
+        raise ParameterOutOfRange(f"orders m = {m}, n = {n} must be >= 1")
+    f1 = _mode_factors(space.cutoff, m)
+    f2 = _mode_factors(space.cutoff, n)
+    eye = np.eye(space.dim_per_mode, dtype=np.complex128)
+
+    def observable(matrix) -> HermitianOperator:
+        return validate_hermitian(matrix, space.dims, tol=1e-9)
+
     if which == 10:
         rep = ineq10(rho, m, n, allow_unreliable=allow_unreliable)
-        h1, h2 = obs.h1, obs.h2_sum
+        h1 = observable(np.kron(f1["x"], eye) + np.kron(eye, f2["x"]))  # X1 + X2
+        h2 = observable(np.kron(f1["y"], eye) + np.kron(eye, f2["y"]))  # Y1 + Y2
     elif which == 11:
         rep = ineq11(rho, m, n, allow_unreliable=allow_unreliable)
-        h1, h2 = obs.pair_h1, obs.pair_h2
+        b_dag = np.kron(f1["ad"], f2["ad"])  # a1^dag^m a2^dag^n
+        h1 = observable(b_dag + b_dag.conj().T)
+        h2 = observable(-1j * (b_dag - b_dag.conj().T))
     else:
         raise ParameterOutOfRange(f"which = {which} must be 10 or 11")
     generic = sr_moments(h1, h2, partial_transpose(rho, _MODE_SPLIT))

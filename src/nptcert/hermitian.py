@@ -120,12 +120,6 @@ def validate_hermitian(matrix, dims, tol: float = HERMITICITY_TOL) -> HermitianO
     return HermitianOperator(sym, dims, tol, deviation)
 
 
-def identity(dims, scale: float = 1.0) -> HermitianOperator:
-    dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
-    return HermitianOperator(np.eye(n, dtype=np.complex128) * scale, dims)
-
-
 def projector(vector, dims=None) -> HermitianOperator:
     """Rank-one projector |v><v| (the vector is normalized first)."""
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
@@ -211,7 +205,7 @@ def matrix_payload(op: HermitianOperator) -> dict:
     flat = op.matrix.reshape(-1)
     return {
         "dims": list(op.dims),
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
+        "matrix": np.stack((flat.real, flat.imag), axis=-1).tolist(),
     }
 
 

@@ -73,7 +73,9 @@ class TestErrors:
         (["check", "bell:", "--bipartition", "0|1"], {"NPT_CERTIFY_TOL": "abc"}),
         (["sweep-ghz", "--out", "{missing}/x.csv"], {}),
         (["check", "bell:", "--bipartition", "0|1", "--out", "{missing}/x.json"], {}),
-    ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir"])
+        (["bs-demo", "--input", "coherent:alpha=abc", "--cutoff", "12"], {}),
+    ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir",
+            "bad-complex-value"])
     def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -282,6 +284,18 @@ class TestCvCommands:
         result = runner.invoke(main, argv)
         assert result.exit_code in (0, 2)
         assert (13 * 13, 13 * 13) not in shapes
+
+    def test_complex_spec_value_compact_and_json(self, runner):
+        # a complex value stays a string in the spec and coherent() casts it
+        reports = []
+        for source in ("coherent:alpha=0.3+0.2j", '{"family": "coherent", "alpha": "0.3+0.2j"}'):
+            result = runner.invoke(main, ["bs-demo", "--input", source, "--cutoff", "12"])
+            assert result.exit_code in (0, 2), result.output
+            report = json.loads(result.stdout)
+            assert report["config"].pop("input") == source
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["spec"]["alpha"] == "0.3+0.2j"
 
     def test_report_echoes_config(self, runner, tmp_path):
         out = tmp_path / "cv.json"

@@ -43,13 +43,6 @@ class TestLadderOps:
         expected[n_c, n_c] = -n_c
         np.testing.assert_allclose(comm, expected, atol=1e-13)
 
-    def test_two_mode_embedding(self):
-        (a1, ad1), (a2, ad2) = cv.ladder_ops(cv.FockSpace(2, 3))
-        assert a1.shape == (16, 16)
-        # a1 and a2 commute, [a1, a2^dag] = 0
-        np.testing.assert_allclose(a1 @ a2 - a2 @ a1, np.zeros((16, 16)), atol=1e-14)
-        np.testing.assert_allclose(a1 @ ad2 - ad2 @ a1, np.zeros((16, 16)), atol=1e-14)
-
 
 class TestNormalOrderTerms:
     def test_single_boson(self):
@@ -382,12 +375,14 @@ class TestCrosscheck:
             res = cv.cv_pipeline_crosscheck(out, 2, 2, which)
             assert res.defect < 1e-7
 
-    def test_observable_set_hermitian(self):
-        obs = cv.observable_set(SMALL2, 2, 1)
-        for member in (obs.x1, obs.y1, obs.x2, obs.y2, obs.h1, obs.h2_sum,
-                       obs.h2_tilde, obs.c1, obs.c2, obs.x_mn, obs.y_mn,
-                       obs.pair_h1, obs.pair_h2, obs.comm_pair):
-            np.testing.assert_array_equal(member.matrix, member.matrix.conj().T)
+    @pytest.mark.parametrize("rho, m, which", [
+        (cv.vacuum(SMALL2), 0, 10),
+        (cv.vacuum(SMALL1), 1, 10),
+        (cv.vacuum(SMALL2), 1, 12),
+    ], ids=["order-zero", "one-mode", "which-12"])
+    def test_rejects_bad_input(self, rho, m, which):
+        with pytest.raises(ParameterOutOfRange):
+            cv.cv_pipeline_crosscheck(rho, m, 1, which)
 
     def test_mancini_oracle_reduction(self):
         # HUR variant of the quadrature inequality = 4 x the standard-units
