@@ -2,13 +2,16 @@
 export witnesses and reports.
 
 Exit codes: 0 = separability condition satisfied (no certificate),
-2 = violation certified, 1 = error, 3 = unreliable Fock truncation.
+2 = violation certified (for relation-check: the defect exceeds
+RELATION_RTOL * max(1, |lhs|, |rhs|)), 1 = error, 3 = unreliable Fock
+truncation.
 The default margin tolerance can be overridden with NPT_CERTIFY_TOL.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import sys
@@ -26,6 +29,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATED = 2
 EXIT_TRUNCATION = 3
+
+RELATION_RTOL = 1e-8    # relation-check's bound on |lhs - rhs|, relative
 
 
 def _default_tol() -> float:
@@ -93,19 +98,72 @@ def _write(text: str, out) -> None:
         click.echo(text, nl=False)
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for a tree
+    of dicts with string keys, lists, tuples and JSON scalars.
+
+    With an indent, CPython's json falls back to its pure-Python encoder,
+    which visits each float of a matrix block in turn; here a list of floats
+    or of [float, float] pairs is written in one pass (see _float_rows).
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
+                 for key, value in sorted(obj.items())]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _float_rows(obj, inner)
+        if body is None:
+            body = ",\n".join([inner + _json_text(item, inner) for item in obj])
+        return "[\n" + body + f"\n{indent}]"
+    return json.dumps(obj)
+
+
+def _float_rows(items, inner: str):
+    """The ",\n"-joined rows of a list of finite floats or of [float, float]
+    pairs at indent `inner`, or None for any other list.
+
+    float.__repr__ is the float text json writes for finite values; the
+    type test is exact, so bools, ints and float subclasses take the
+    generic path.
+    """
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        flat, row = items, inner + "%s"
+    elif kinds == {list} and set(map(len, items)) == {2}:
+        flat = list(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) != {float}:
+            return None
+        deeper = inner + "  "
+        row = f"{inner}[\n{deeper}%s,\n{deeper}%s\n{inner}]"
+    else:
+        return None
+    text = ",\n".join([row] * len(items)) % tuple(map(float.__repr__, flat))
+    # repr writes nan and inf where json writes NaN and Infinity; no finite
+    # float's repr, and nothing else in the rows, contains the letter n
+    return None if "n" in text else text
+
+
 def _emit(payload: dict, out) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _write(_json_text(payload) + "\n", out)
 
 
 def _handle_errors(command):
     """Turn a library, input or file error anywhere in a subcommand into a
-    one-line message and exit 1 (3 for an unreliable Fock truncation)."""
+    one-line message and exit 1 (3 for an unreliable Fock truncation).
+    A spec value of the wrong type (a list for `p`, null for `dims`) raises
+    TypeError, an infinite count (`n=inf`) OverflowError."""
 
     @functools.wraps(command)
     def wrapper(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except (CertificationError, OSError, KeyError, ValueError) as exc:
+        except (CertificationError, OSError, KeyError, ValueError, TypeError,
+                OverflowError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_TRUNCATION if isinstance(exc, TruncationUnreliable) else EXIT_ERROR)
 
@@ -291,7 +349,8 @@ def bs_demo(source, theta, m, n, cutoff, tol, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_handle_errors
 def relation_check(source, m, n, p, q, cutoff, out):
-    """Check the partial-transpose moment identity on a two-mode state."""
+    """Check the partial-transpose moment identity on a two-mode state;
+    exit 2 when its defect exceeds RELATION_RTOL * max(1, |lhs|, |rhs|)."""
     for o in (m, n, p, q):
         if not 0 <= o <= 4:
             raise ParameterOutOfRange(f"order {o} outside 0..4")
@@ -305,7 +364,8 @@ def relation_check(source, m, n, p, q, cutoff, out):
                    "m": m, "n": n, "p": p, "q": q, "cutoff": cutoff},
     }
     _emit(payload, out)
-    sys.exit(EXIT_OK)
+    bound = RELATION_RTOL * max(1.0, abs(res.lhs), abs(res.rhs))
+    sys.exit(EXIT_VIOLATED if res.defect > bound else EXIT_OK)
 
 
 if __name__ == "__main__":

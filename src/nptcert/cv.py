@@ -30,7 +30,7 @@ from .certificates import VIOLATION_TOL, SRReport, sr_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
 from .hermitian import (Bipartition, HermitianOperator, partial_transpose, trace_product,
                         validate_hermitian)
-from .states import FACTORY_TOL, spec_value
+from .states import FACTORY_TOL, check_spec_keys, spec_value
 
 DEFAULT_CUTOFF = 30
 TAIL_THRESHOLD = 1e-8
@@ -167,9 +167,14 @@ def coherent(alpha: complex, space: FockSpace,
         raise ParameterOutOfRange(f"alpha = {alpha!r} is not finite")
     amps = np.zeros(space.dim_per_mode, dtype=np.complex128)
     amps[0] = 1.0
-    for i in range(1, space.dim_per_mode):
-        amps[i] = amps[i - 1] * alpha / math.sqrt(i)
-    amps /= np.linalg.norm(amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, space.dim_per_mode):
+            amps[i] = amps[i - 1] * alpha / math.sqrt(i)
+        norm = np.linalg.norm(amps)
+    if not np.isfinite(norm):
+        raise ParameterOutOfRange(
+            f"|alpha| = {abs(alpha):.3g} overflows the amplitudes at cutoff {space.cutoff}")
+    amps /= norm
     return _finalize(_outer(amps), space, FACTORY_GUARD_ORDER, allow_unreliable)
 
 
@@ -635,10 +640,26 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
 # CV state specs (CLI surface)
 # ---------------------------------------------------------------------------
 
+# The keys each family reads; every family also takes "cutoff" and
+# "allow_unreliable".
+_CV_FAMILIES = {
+    "coherent": {"alpha"},
+    "fock": {"n"},
+    "squeezed_vacuum": {"r", "phi"},
+    "thermal": {"nbar"},
+    "vacuum": set(),
+    "two_mode_squeezed": {"r"},
+    "single_photon_entangled": set(),
+}
+
+
 def cv_state_from_spec(spec: dict) -> HermitianOperator:
     """Build a CV state from a spec such as
     {"family": "squeezed_vacuum", "r": 0.5, "phi": 0, "cutoff": 30}."""
     family = spec.get("family")
+    if family not in _CV_FAMILIES:
+        raise ParameterOutOfRange(f"unknown CV state family {family!r}")
+    check_spec_keys(spec, _CV_FAMILIES[family] | {"cutoff", "allow_unreliable"})
     cutoff = int(spec.get("cutoff", DEFAULT_CUTOFF))
     allow = bool(spec.get("allow_unreliable", False))
     one = FockSpace(1, cutoff)
@@ -656,6 +677,4 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
         return vacuum(one)
     if family == "two_mode_squeezed":
         return two_mode_squeezed(float(spec_value(spec, "r")), two, allow)
-    if family == "single_photon_entangled":
-        return single_photon_entangled(two)
-    raise ParameterOutOfRange(f"unknown CV state family {family!r}")
+    return single_photon_entangled(two)

@@ -106,9 +106,26 @@ def spec_value(spec: dict, key: str):
             f"spec for family {spec.get('family')!r} is missing {key!r}") from None
 
 
+def check_spec_keys(spec: dict, allowed: set) -> None:
+    """A key other than "family" and `allowed` is a ParameterOutOfRange
+    naming the family and the key, so a misspelt parameter is not ignored."""
+    unknown = sorted(set(spec) - allowed - {"family"})
+    if unknown:
+        raise ParameterOutOfRange(
+            f"spec for family {spec.get('family')!r} has unknown key "
+            + ", ".join(map(repr, unknown)))
+
+
+# The keys each family reads; every family also takes "seed", which the
+# CLI's --seed adds to any spec.
 _FAMILIES = {
-    "ghz_mixed", "bell", "werner", "single_photon_entangled",
-    "random_density", "random_separable", "product",
+    "ghz_mixed": {"p"},
+    "bell": set(),
+    "werner": {"p"},
+    "single_photon_entangled": set(),
+    "random_density": {"dim", "dims"},
+    "random_separable": {"dims", "terms"},
+    "product": {"dims"},
 }
 
 
@@ -121,6 +138,7 @@ def state_from_spec(spec: dict) -> HermitianOperator:
     family = spec.get("family")
     if family not in _FAMILIES:
         raise ParameterOutOfRange(f"unknown state family {family!r}")
+    check_spec_keys(spec, _FAMILIES[family] | {"seed"})
     if family == "ghz_mixed":
         return make_ghz_mixed(float(spec_value(spec, "p")))
     if family == "bell":

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from nptcert import certificates, cli, cv, hermitian, spectral, states
 from nptcert.cli import main
@@ -97,6 +99,80 @@ class TestErrors:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: spec for family ")
         assert f"is missing {key!r}" in lines[0]
+
+    @pytest.mark.parametrize("argv, family, key", [
+        (["check", "werner:p=0.5,R=0.5", "--bipartition", "0|1"], "werner", "R"),
+        (["check", '{"family": "bell", "p": 0.5}', "--bipartition", "0|1"], "bell", "p"),
+        (["witness", '{"family": "random_density", "dim": 4, "dims": [2, 2], "terms": 3}',
+          "--bipartition", "0|1"],
+         "random_density", "terms"),
+        (["cv-check", "two_mode_squeezed:r=0.3,phi=0.1"], "two_mode_squeezed", "phi"),
+        (["bs-demo", "--input", '{"family": "fock", "n": 1, "alpha": 1}'], "fock", "alpha"),
+        (["relation-check", "vacuum:seed=3"], "vacuum", "seed"),
+    ], ids=["check-compact", "check-json", "witness", "cv-check", "bs-demo",
+            "relation-check"])
+    def test_unknown_spec_key(self, runner, argv, family, key):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        lines = result.stderr.splitlines()
+        assert lines == [f"error: spec for family {family!r} has unknown key {key!r}"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "bell", "--seed", "3", "--bipartition", "0|1"],
+        ["check", "ghz_mixed:p=0.5,seed=1", "--bipartition", "0,1|2"],
+        ["cv-check", "two_mode_squeezed:r=0.3,cutoff=12,allow_unreliable=0"],
+        ["bs-demo", "--input", "squeezed_vacuum:r=0.1,phi=0.2,cutoff=12"],
+    ], ids=["seed-option", "seed-key", "cv-check-cutoff-allow", "bs-demo-phi-cutoff"])
+    def test_injected_and_read_keys_allowed(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code in (0, 2), result.output
+
+
+# The keys each family accepts; spec_strings adds "R", "p" and "r" and random keys.
+SPEC_FAMILIES = {
+    "ghz_mixed": ["p", "seed"], "bell": ["seed"], "werner": ["p"],
+    "single_photon_entangled": [], "random_density": ["dim", "dims", "seed"],
+    "random_separable": ["dims", "terms", "seed"], "product": ["dims", "seed"],
+    "coherent": ["alpha", "cutoff"], "fock": ["n", "cutoff"],
+    "squeezed_vacuum": ["r", "phi", "cutoff", "allow_unreliable"],
+    "thermal": ["nbar", "cutoff"], "vacuum": ["cutoff"], "two_mode_squeezed": ["r", "cutoff"],
+}
+# Small magnitudes only: a spec's dim, dims or cutoff sets the size of the
+# matrices built.
+spec_numbers = st.one_of(st.integers(-2, 9), st.floats(-2.0, 2.0),
+                         st.sampled_from([math.nan, math.inf, -math.inf, 1e300]))
+spec_words = st.one_of(st.sampled_from(["0.3+0.2j", "1e400", "nan", "0x10", "1_0", "[2,2]"]),
+                       st.text(max_size=8))
+spec_values = st.one_of(spec_numbers, spec_words, st.none(), st.booleans(),
+                        st.lists(st.integers(-1, 4), max_size=3))
+
+
+@st.composite
+def spec_strings(draw):
+    family = draw(st.sampled_from(sorted(SPEC_FAMILIES)) | st.text(max_size=6))
+    keys = st.sampled_from(SPEC_FAMILIES.get(family, []) + ["R", "p", "r"]) | st.text(max_size=4)
+    if draw(st.booleans()):
+        items = draw(st.dictionaries(keys, spec_numbers | spec_words, max_size=4))
+        return family + ":" + ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
+                                       for k, v in items.items())
+    items = draw(st.dictionaries(keys, spec_values, max_size=4))
+    return json.dumps({"family": family, **items})
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(source=spec_strings() | st.text(max_size=30),
+       command=st.sampled_from(["check", "cv-check"]),
+       bip=st.sampled_from(["0|1", "0,1|2"]))
+def test_fuzzed_specs_exit_cleanly(source, command, bip):
+    # "--" keeps a source that starts with "-" from being read as an option
+    argv = (["check", "--bipartition", bip, "--", source] if command == "check"
+            else ["cv-check", "--cutoff", "8", "--", source])
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert result.exit_code in (0, 1, 2, 3)
+    if result.exit_code in (1, 3):
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, result.stderr)
 
 
 def test_cli_import_does_not_load_scipy():
@@ -264,6 +340,18 @@ class TestCvCommands:
                                       "--out", str(out)])
         assert result.exit_code == 0
         assert json.loads(out.read_text())["defect"] < 1e-8
+
+    @pytest.mark.parametrize("lhs, defect, code", [
+        (1.0, 2.0, 2), (100.0, 0.9e-6, 0), (100.0, 1.1e-6, 2), (0.0, 0.9e-8, 0),
+    ], ids=["large", "below-relative", "above-relative", "below-absolute"])
+    def test_relation_check_bound(self, runner, monkeypatch, lhs, defect, code):
+        def fake(rho, m, n, p, q):
+            return cv.MomentRelationCheck(complex(lhs), complex(lhs + defect), defect)
+
+        monkeypatch.setattr(cv, "pt_moment_relation_check", fake)
+        result = runner.invoke(main, ["relation-check", "vacuum", "--cutoff", "4"])
+        assert result.exit_code == code
+        assert json.loads(result.stdout)["defect"] == defect
 
     @pytest.mark.parametrize("argv", [
         ["bs-demo", "--input", "squeezed_vacuum:r=0.1", "--cutoff", "12"],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,10 @@ class TestFactories:
             cv.FockSpace(3, 10)
         with pytest.raises(ParameterOutOfRange):
             cv.FockSpace(1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(ParameterOutOfRange):
+                cv.coherent(1e300, SP1, allow_unreliable=True)
 
     def test_diagnostics_fields(self):
         diag = cv.truncation_diagnostics(cv.fock(1, SP1), order=2)
