@@ -17,10 +17,7 @@ from .errors import (
 from .hermitian import (
     Bipartition,
     HermitianOperator,
-    anticommutator,
-    commutator,
     expectation,
-    load_operator,
     matrix_payload,
     operator_from_payload,
     partial_transpose,

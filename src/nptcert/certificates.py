@@ -30,8 +30,8 @@ from .errors import (
 from .hermitian import (
     Bipartition,
     HermitianOperator,
+    complex_pairs,
     expectation,
-    matrix_payload,
     partial_transpose,
     projector,
     trace_product,
@@ -384,36 +384,50 @@ def ghz_pair(dims=(2, 2, 2)) -> PseudoSpinPair:
 
 
 # ---------------------------------------------------------------------------
-# JSON certificate payload (schema shared by the CLI).
+# JSON certificate payload (schema shared by the CLI).  Schema 2 writes the
+# pair and the witness in factored form, O(d) floats each:
+#   observables: {dims, v1, v2, alpha1, alpha2}
+#   witness:     {dims, vector, bipartition, trace_value}
+# with vectors as [[re, im], ...] and each alpha as [re, im].  The dense
+# matrices are build_pseudospin(v1, v2, alpha1, alpha2, dims) and
+# witness_from_eigvec(vector, lambda2, bipartition, dims).
 # ---------------------------------------------------------------------------
+
+REPORT_SCHEMA = 2
+
 
 def witness_entry(rho: HermitianOperator, bip: Bipartition, spectrum: Spectrum,
                   verdict: NptVerdict) -> dict | None:
-    """JSON witness block {matrix, trace_value} built from the most negative
-    eigenvector of rho^PT; None when the state is not NPT."""
+    """JSON witness block {dims, vector, bipartition, trace_value} of the most
+    negative eigenvector of rho^PT; None when the state is not NPT."""
     if not verdict.is_npt:
         return None
     idx = verdict.chosen_negative_index
-    wit = witness_from_eigvec(spectrum.vector(idx), float(spectrum.eigenvalues[idx]),
-                              bip, rho.dims)
-    return {"matrix": matrix_payload(wit.w), "trace_value": witness_value(wit, rho)}
+    v2 = spectrum.vector(idx)
+    wit = witness_from_eigvec(v2, float(spectrum.eigenvalues[idx]), bip, rho.dims)
+    return {"dims": list(rho.dims), "vector": complex_pairs(v2), "bipartition": str(bip),
+            "trace_value": witness_value(wit, rho)}
 
 
 def certificate_payload(rho: HermitianOperator, bip: Bipartition,
                         tol: float = VIOLATION_TOL) -> dict:
     """Full certificate for one state and bipartition as a JSON-ready dict."""
     cert = certify(rho, bip, tol)
-    verdict, rep, w = cert.verdict, cert.report, cert.spectrum.eigenvalues
-    weak = hur_weak_test(cert.pair, cert.rho_pt, tol=tol)
+    verdict, rep, pair, w = cert.verdict, cert.report, cert.pair, cert.spectrum.eigenvalues
+    weak = hur_weak_test(pair, cert.rho_pt, tol=tol)
     return {
+        "schema": REPORT_SCHEMA,
         "verdict": "violated" if rep.violated else "satisfied",
         "is_npt": verdict.is_npt,
         "pt_eigenvalues": [float(x) for x in w],
         "chosen_pair": {"lambda1": float(w[verdict.chosen_positive_index]),
                         "lambda2": float(w[verdict.chosen_negative_index])},
         "observables": {
-            "H1": matrix_payload(cert.pair.h1),
-            "H2": matrix_payload(cert.pair.h2),
+            "dims": list(rho.dims),
+            "v1": complex_pairs(pair.v1),
+            "v2": complex_pairs(pair.v2),
+            "alpha1": complex_pairs(pair.alpha1),
+            "alpha2": complex_pairs(pair.alpha2),
         },
         "sr": {"lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin},
         "hur_weak": {

@@ -11,7 +11,6 @@ The default margin tolerance can be overridden with NPT_CERTIFY_TOL.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import os
 import sys
@@ -66,13 +65,23 @@ def _parse_spec(text: str) -> dict:
     return spec
 
 
-def _load_finite_state(source: str, seed=None):
-    """State from a matrix/spec file, an inline JSON object, or a compact spec."""
+def _read_payload(source: str) -> dict:
+    """The JSON object in a matrix/spec file, an inline JSON object, or a
+    compact spec."""
     if os.path.exists(source):
         with open(source) as fh:
             payload = json.load(fh)
     else:
         payload = _parse_spec(source)
+    if not isinstance(payload, dict):
+        raise ParameterOutOfRange(
+            f"{source}: expected a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def _load_finite_state(source: str, seed=None):
+    """A finite state from a matrix payload or a state spec (see _read_payload)."""
+    payload = _read_payload(source)
     if "matrix" in payload:
         return operator_from_payload(payload)
     if seed is not None and "seed" not in payload:
@@ -81,11 +90,7 @@ def _load_finite_state(source: str, seed=None):
 
 
 def _load_cv_state(source: str, cutoff: int):
-    if os.path.exists(source):
-        with open(source) as fh:
-            payload = json.load(fh)
-    else:
-        payload = _parse_spec(source)
+    payload = _read_payload(source)
     payload.setdefault("cutoff", cutoff)
     return cv.cv_state_from_spec(payload), payload
 
@@ -98,58 +103,8 @@ def _write(text: str, out) -> None:
         click.echo(text, nl=False)
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, for a tree
-    of dicts with string keys, lists, tuples and JSON scalars.
-
-    With an indent, CPython's json falls back to its pure-Python encoder,
-    which visits each float of a matrix block in turn; here a list of floats
-    or of [float, float] pairs is written in one pass (see _float_rows).
-    """
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(key)}: {_json_text(value, inner)}"
-                 for key, value in sorted(obj.items())]
-        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = _float_rows(obj, inner)
-        if body is None:
-            body = ",\n".join([inner + _json_text(item, inner) for item in obj])
-        return "[\n" + body + f"\n{indent}]"
-    return json.dumps(obj)
-
-
-def _float_rows(items, inner: str):
-    """The ",\n"-joined rows of a list of finite floats or of [float, float]
-    pairs at indent `inner`, or None for any other list.
-
-    float.__repr__ is the float text json writes for finite values; the
-    type test is exact, so bools, ints and float subclasses take the
-    generic path.
-    """
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        flat, row = items, inner + "%s"
-    elif kinds == {list} and set(map(len, items)) == {2}:
-        flat = list(itertools.chain.from_iterable(items))
-        if set(map(type, flat)) != {float}:
-            return None
-        deeper = inner + "  "
-        row = f"{inner}[\n{deeper}%s,\n{deeper}%s\n{inner}]"
-    else:
-        return None
-    text = ",\n".join([row] * len(items)) % tuple(map(float.__repr__, flat))
-    # repr writes nan and inf where json writes NaN and Infinity; no finite
-    # float's repr, and nothing else in the rows, contains the letter n
-    return None if "n" in text else text
-
-
 def _emit(payload: dict, out) -> None:
-    _write(_json_text(payload) + "\n", out)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _handle_errors(command):
@@ -249,6 +204,7 @@ def witness(source, bipartition, tol, seed, out):
     if entry is not None:
         entry["source_eigenvalue"] = verdict.min_eigenvalue
     payload = {
+        "schema": certificates.REPORT_SCHEMA,
         "is_npt": verdict.is_npt,
         "pt_eigenvalues": [float(x) for x in spectrum.eigenvalues],
         "witness": entry,

@@ -33,6 +33,9 @@ from .hermitian import (Bipartition, HermitianOperator, partial_transpose, trace
 from .states import FACTORY_TOL, check_spec_keys, spec_value
 
 DEFAULT_CUTOFF = 30
+# The largest cutoff a spec may ask for, checked before anything is
+# allocated: a two-mode state at cutoff 60 is a 3721 x 3721 matrix (222 MB).
+MAX_CUTOFF = 60
 TAIL_THRESHOLD = 1e-8
 # Factories guard the first-order workflow (moments reach 2 levels above the
 # state support at m = 1); each operation re-checks at its own depth.
@@ -661,6 +664,8 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
         raise ParameterOutOfRange(f"unknown CV state family {family!r}")
     check_spec_keys(spec, _CV_FAMILIES[family] | {"cutoff", "allow_unreliable"})
     cutoff = int(spec.get("cutoff", DEFAULT_CUTOFF))
+    if cutoff > MAX_CUTOFF:
+        raise ParameterOutOfRange(f"cutoff = {cutoff} exceeds {MAX_CUTOFF}")
     allow = bool(spec.get("allow_unreliable", False))
     one = FockSpace(1, cutoff)
     two = FockSpace(2, cutoff)

@@ -180,33 +180,21 @@ def expectation_with_imag(op: HermitianOperator, rho: HermitianOperator):
     return float(t.real), float(t.imag)
 
 
-def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
-    """AB - BA as a plain complex matrix (anti-Hermitian for Hermitian inputs)."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims {a.dim} vs {b.dim}")
-    return a.matrix @ b.matrix - b.matrix @ a.matrix
-
-
-def anticommutator(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """AB + BA, Hermitian for Hermitian inputs."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims {a.dim} vs {b.dim}")
-    m = a.matrix @ b.matrix + b.matrix @ a.matrix
-    return validate_hermitian(m, a.dims, tol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # JSON matrix file format:
 #   {"dims": [d1, ..., dk], "matrix": [[re, im], ...]}
 # with the matrix flattened row-major, length (d1*...*dk)^2.
 # ---------------------------------------------------------------------------
 
+def complex_pairs(z) -> list:
+    """[re, im] of a complex scalar, or [[re, im], ...] of a complex vector:
+    the JSON form of complex numbers in matrix files and reports."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
+
+
 def matrix_payload(op: HermitianOperator) -> dict:
-    flat = op.matrix.reshape(-1)
-    return {
-        "dims": list(op.dims),
-        "matrix": np.stack((flat.real, flat.imag), axis=-1).tolist(),
-    }
+    return {"dims": list(op.dims), "matrix": complex_pairs(op.matrix.reshape(-1))}
 
 
 def operator_from_payload(payload: dict, tol: float = HERMITICITY_TOL) -> HermitianOperator:
@@ -230,9 +218,3 @@ def operator_from_payload(payload: dict, tol: float = HERMITICITY_TOL) -> Hermit
 def save_operator(op: HermitianOperator, path) -> None:
     with open(path, "w") as fh:
         json.dump(matrix_payload(op), fh)
-
-
-def load_operator(path, tol: float = HERMITICITY_TOL) -> HermitianOperator:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return operator_from_payload(payload, tol)

@@ -7,12 +7,18 @@ seed reproduce bit-exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ParameterOutOfRange
 from .hermitian import HermitianOperator, tensor_product, validate_hermitian
 
 FACTORY_TOL = 1e-12
+# Size caps, checked before anything is allocated: a dim-1024 state is a
+# 16 MB matrix, four times the north star's largest (256).
+MAX_DIM = 1024      # total dimension of a random or product state
+MAX_TERMS = 1024    # product terms in a random_separable mixture
 
 
 def _state(matrix, dims) -> HermitianOperator:
@@ -60,8 +66,8 @@ def make_werner(p: float) -> HermitianOperator:
 
 def random_density(dim: int, seed, dims=None) -> HermitianOperator:
     """G G^dag / Tr with G complex Gaussian: a full-rank unit-trace state."""
-    if dim < 2:
-        raise ParameterOutOfRange(f"dim = {dim} must be >= 2")
+    if not 2 <= dim <= MAX_DIM:
+        raise ParameterOutOfRange(f"dim = {dim} outside 2..{MAX_DIM}")
     rng = np.random.default_rng(seed)
     return _random_density_from(rng, dim, dims)
 
@@ -76,13 +82,15 @@ def _random_density_from(rng, dim: int, dims=None) -> HermitianOperator:
 def random_separable(dims, terms: int, seed) -> HermitianOperator:
     """Convex mixture of random product states with Dirichlet-uniform weights."""
     dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise ParameterOutOfRange(f"all subsystem dims must be >= 2, got {dims}")
-    if terms < 1:
-        raise ParameterOutOfRange(f"terms = {terms} must be >= 1")
+    if not dims or any(d < 2 for d in dims):
+        raise ParameterOutOfRange(f"need one or more subsystem dims, all >= 2, got {dims}")
+    total = math.prod(dims)
+    if total > MAX_DIM:
+        raise ParameterOutOfRange(f"total dim {total} of {dims} exceeds {MAX_DIM}")
+    if not 1 <= terms <= MAX_TERMS:
+        raise ParameterOutOfRange(f"terms = {terms} outside 1..{MAX_TERMS}")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(terms))
-    total = int(np.prod(dims))
     rho = np.zeros((total, total), dtype=np.complex128)
     for w in weights:
         factor = _random_density_from(rng, dims[0])

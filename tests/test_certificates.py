@@ -402,12 +402,19 @@ class TestCertificatePayload:
     def test_schema_keys_npt(self):
         payload = certificate_payload(make_bell(), BIP01)
         assert payload["verdict"] == "violated"
-        assert set(payload) >= {"verdict", "is_npt", "pt_eigenvalues",
+        assert set(payload) >= {"schema", "verdict", "is_npt", "pt_eigenvalues",
                                 "chosen_pair", "observables", "sr",
                                 "hur_weak", "witness"}
+        assert payload["schema"] == 2
         assert payload["chosen_pair"]["lambda2"] == pytest.approx(-0.5, abs=1e-12)
         assert set(payload["sr"]) == {"lhs", "rhs", "margin"}
-        assert len(payload["observables"]["H1"]["matrix"]) == 16
+        obs = payload["observables"]
+        assert set(obs) == {"dims", "v1", "v2", "alpha1", "alpha2"}
+        assert obs["dims"] == [2, 2] and len(obs["v1"]) == len(obs["v2"]) == 4
+        assert obs["alpha1"] == [0.5, 0.0] and obs["alpha2"] == [-0.0, -0.5]
+        assert set(payload["witness"]) == {"dims", "vector", "bipartition", "trace_value"}
+        assert payload["witness"]["bipartition"] == "0|1"
+        assert len(payload["witness"]["vector"]) == 4
         assert payload["witness"]["trace_value"] == pytest.approx(-0.5, abs=1e-10)
 
     def test_schema_ppt_has_no_witness(self):

@@ -76,12 +76,16 @@ class TestErrors:
         (["sweep-ghz", "--out", "{missing}/x.csv"], {}),
         (["check", "bell:", "--bipartition", "0|1", "--out", "{missing}/x.json"], {}),
         (["bs-demo", "--input", "coherent:alpha=abc", "--cutoff", "12"], {}),
+        (["check", "{array}", "--bipartition", "0|1"], {}),
+        (["cv-check", "{array}"], {}),
     ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir",
-            "bad-complex-value"])
+            "bad-complex-value", "check-json-array-file", "cv-check-json-array-file"])
     def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        array = tmp_path / "array.json"
+        array.write_text("[1, 2]")
+        argv = [a.format(missing=tmp_path / "missing", array=array) for a in argv]
         result = runner.invoke(main, argv)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -137,14 +141,18 @@ SPEC_FAMILIES = {
     "squeezed_vacuum": ["r", "phi", "cutoff", "allow_unreliable"],
     "thermal": ["nbar", "cutoff"], "vacuum": ["cutoff"], "two_mode_squeezed": ["r", "cutoff"],
 }
-# Small magnitudes only: a spec's dim, dims or cutoff sets the size of the
-# matrices built.
+# A spec's dim, dims, terms or cutoff sets the size of what is built.  Sizes
+# are drawn small, or just above and far above each cap, which the spec
+# readers reject before they allocate anything; a size at a cap would build
+# a 16 MB (dim 1024) or 222 MB (two-mode cutoff 60) matrix.
+over_caps = [states.MAX_DIM + 1, states.MAX_TERMS + 1, cv.MAX_CUTOFF + 1, 10**7]
 spec_numbers = st.one_of(st.integers(-2, 9), st.floats(-2.0, 2.0),
-                         st.sampled_from([math.nan, math.inf, -math.inf, 1e300]))
+                         st.sampled_from([math.nan, math.inf, -math.inf, 1e300] + over_caps))
 spec_words = st.one_of(st.sampled_from(["0.3+0.2j", "1e400", "nan", "0x10", "1_0", "[2,2]"]),
                        st.text(max_size=8))
-spec_values = st.one_of(spec_numbers, spec_words, st.none(), st.booleans(),
-                        st.lists(st.integers(-1, 4), max_size=3))
+spec_dims = st.one_of(st.lists(st.integers(-1, 4), max_size=3),
+                      st.sampled_from([[states.MAX_DIM + 1], [2] * 11, [33, 32], [10**7] * 2]))
+spec_values = st.one_of(spec_numbers, spec_words, st.none(), st.booleans(), spec_dims)
 
 
 @st.composite
@@ -277,13 +285,89 @@ class TestWitnessCommand:
         assert result.exit_code == 2
         report = json.loads(out.read_text())
         assert report["witness"]["trace_value"] == pytest.approx(-0.5, abs=1e-10)
-        assert len(report["witness"]["matrix"]["matrix"]) == 16
+        assert report["schema"] == 2
+        assert len(report["witness"]["vector"]) == 4
+        assert report["witness"]["source_eigenvalue"] == pytest.approx(-0.5, abs=1e-12)
 
     def test_separable_has_no_witness(self, runner):
         result = runner.invoke(main, [
             "witness", '{"family":"random_separable","dims":[2,2],"seed":5}',
             "--bipartition", "0|1"])
         assert result.exit_code == 0
+
+
+def _complex(pairs) -> np.ndarray:
+    """[[re, im], ...] (or one [re, im]) back to complex128, bit for bit."""
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
+
+
+def _bits(op) -> bytes:
+    return np.asarray(hermitian.matrix_payload(op)["matrix"]).tobytes()
+
+
+class TestFactoredReports:
+    """Schema-2 reports write v1, v2, the alphas and the witness vector; the
+    dense matrices rebuilt from a parsed report file equal, bit for bit, the
+    blocks of the certify pass behind it."""
+
+    CASES = [
+        ("bell", "0|1"),
+        ("ghz_mixed:p=0.5", "0,1|2"),
+        ("ghz_mixed:p=0.5", "0,2|1"),
+        ("ghz_mixed:p=0.5", "1,2|0"),
+        ("werner:p=0.8", "0|1"),
+        ('{"family": "random_density", "dim": 8, "dims": [2, 4], "seed": 3}', "0|1"),
+        ('{"family": "random_density", "dim": 8, "dims": [2, 4], "seed": 5}', "0|1"),
+        ('{"family": "random_density", "dim": 16, "dims": [4, 4], "seed": 4}', "0|1"),
+    ]
+
+    @pytest.mark.parametrize("source, cut", CASES,
+                             ids=["bell", "ghz-01|2", "ghz-02|1", "ghz-12|0", "werner",
+                                  "random-2x4-npt", "random-2x4-ppt", "random-4x4"])
+    def test_dense_blocks_rebuild_bit_for_bit(self, runner, tmp_path, source, cut):
+        reports = {}
+        for command in ("check", "witness"):
+            out = tmp_path / f"{command}.json"
+            result = runner.invoke(main, [command, source, "--bipartition", cut,
+                                          "--out", str(out)])
+            assert result.exit_code in (0, 2), result.output
+            reports[command] = json.loads(out.read_text())
+        check, wit = reports["check"], reports["witness"]
+        assert check["schema"] == wit["schema"] == 2
+
+        rho = cli._load_finite_state(source)
+        bip = hermitian.Bipartition.parse(cut, len(rho.dims))
+        cert = certificates.certify(rho, bip)
+
+        obs = check["observables"]
+        pair = certificates.build_pseudospin(_complex(obs["v1"]), _complex(obs["v2"]),
+                                             complex(*obs["alpha1"]), complex(*obs["alpha2"]),
+                                             obs["dims"])
+        assert _bits(pair.h1) == _bits(cert.pair.h1)
+        assert _bits(pair.h2) == _bits(cert.pair.h2)
+
+        if not cert.verdict.is_npt:
+            assert check["witness"] is None and wit["witness"] is None
+            return
+        idx = cert.verdict.chosen_negative_index
+        dense = certificates.witness_from_eigvec(
+            cert.spectrum.vector(idx), float(cert.spectrum.eigenvalues[idx]), bip, rho.dims)
+        for entry, lambda2 in ((check["witness"], check["chosen_pair"]["lambda2"]),
+                               (wit["witness"], wit["witness"]["source_eigenvalue"])):
+            cut_back = hermitian.Bipartition.parse(entry["bipartition"], len(entry["dims"]))
+            rebuilt = certificates.witness_from_eigvec(_complex(entry["vector"]), lambda2,
+                                                       cut_back, entry["dims"])
+            assert _bits(rebuilt.w) == _bits(dense.w)
+            assert entry["trace_value"] == certificates.witness_value(dense, rho)
+
+    def test_dim64_report_under_40kb(self, runner, tmp_path):
+        source = tmp_path / "rho.json"
+        save_operator(states.random_density(64, 5, dims=(8, 8)), source)
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["check", str(source), "--bipartition", "0|1",
+                                      "--out", str(out)])
+        assert result.exit_code in (0, 2), result.output
+        assert out.stat().st_size < 40_000
 
 
 class TestCvCommands:

@@ -126,6 +126,18 @@ class TestFactories:
             with pytest.raises(ParameterOutOfRange):
                 cv.coherent(1e300, SP1, allow_unreliable=True)
 
+    def test_spec_cutoff_cap(self, monkeypatch):
+        assert cv.cv_state_from_spec({"family": "vacuum", "cutoff": cv.MAX_CUTOFF}).dims == (61,)
+
+        def no_space(*args):
+            raise AssertionError("an over-cap cutoff reached FockSpace")
+
+        monkeypatch.setattr(cv, "FockSpace", no_space)
+        for cutoff in (cv.MAX_CUTOFF + 1, 10**7):
+            with pytest.raises(ParameterOutOfRange):
+                cv.cv_state_from_spec({"family": "two_mode_squeezed", "r": 0.3,
+                                       "cutoff": cutoff})
+
     def test_diagnostics_fields(self):
         diag = cv.truncation_diagnostics(cv.fock(1, SP1), order=2)
         assert diag.tail_weight == pytest.approx(0.0, abs=1e-15)

@@ -1,4 +1,5 @@
-"""The CLI's report writer against json.dumps(obj, indent=2, sort_keys=True)."""
+"""Report files are the bytes of json.dumps(obj, indent=2, sort_keys=True)
+plus a trailing newline, for every subcommand that writes JSON."""
 
 import json
 import math
@@ -8,12 +9,22 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from nptcert import states
-from nptcert.cli import _json_text, main
+from nptcert.cli import _emit, main
 from nptcert.hermitian import save_operator
 
 
 def reference(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def assert_plain_encoder_bytes(text: str) -> None:
+    assert text == reference(json.loads(text)) + "\n"
+
+
+def emitted(obj, path) -> str:
+    _emit(obj, path)
+    with open(path) as fh:
+        return fh.read()
 
 
 NAN, INF = math.nan, math.inf
@@ -49,8 +60,8 @@ EDGE_PAYLOADS = {
 
 
 @pytest.mark.parametrize("payload", EDGE_PAYLOADS.values(), ids=EDGE_PAYLOADS.keys())
-def test_edge_payloads(payload):
-    assert _json_text(payload) == reference(payload)
+def test_edge_payloads(tmp_path, payload):
+    assert emitted(payload, tmp_path / "report.json") == reference(payload) + "\n"
 
 
 floats = st.floats(allow_nan=True, allow_infinity=True)
@@ -65,10 +76,15 @@ trees = st.recursive(
 )
 
 
+@pytest.fixture(scope="module")
+def report_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reports") / "report.json"
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(trees)
-def test_matches_json_dumps_on_json_like_trees(tree):
-    assert _json_text(tree) == reference(tree)
+def test_matches_json_dumps_on_json_like_trees(report_path, tree):
+    assert emitted(tree, report_path) == reference(tree) + "\n"
 
 
 @pytest.mark.parametrize("dim, dims", [(4, (2, 2)), (16, (4, 4)), (64, (8, 8))])
@@ -80,5 +96,16 @@ def test_report_files_equal_json_dumps(tmp_path, command, dim, dims):
     result = CliRunner().invoke(main, [command, str(source), "--bipartition", "0|1",
                                        "--out", str(out)])
     assert result.exit_code in (0, 2), result.output
-    text = out.read_text()
-    assert text == reference(json.loads(text)) + "\n"
+    assert_plain_encoder_bytes(out.read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv-check", "two_mode_squeezed:r=0.3", "--cutoff", "12"],
+    ["bs-demo", "--input", "squeezed_vacuum:r=0.1", "--cutoff", "12"],
+    ["relation-check", "two_mode_squeezed:r=0.3", "--cutoff", "12"],
+], ids=["cv-check", "bs-demo", "relation-check"])
+def test_cv_report_files_equal_json_dumps(tmp_path, argv):
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, argv + ["--out", str(out)])
+    assert result.exit_code in (0, 2), result.output
+    assert_plain_encoder_bytes(out.read_text())

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from nptcert import states
 from nptcert.errors import ParameterOutOfRange
 from nptcert.hermitian import Bipartition, partial_transpose
 from nptcert.spectral import classify_npt
 from nptcert.states import (
+    MAX_DIM,
+    MAX_TERMS,
     make_bell,
     make_ghz_mixed,
     make_product,
@@ -124,3 +127,19 @@ class TestStateSpec:
     def test_unknown_family(self):
         with pytest.raises(ParameterOutOfRange):
             state_from_spec({"family": "cat"})
+
+    def test_size_caps(self, monkeypatch):
+        assert state_from_spec({"family": "product", "dims": [2] * 10}).dim == MAX_DIM
+
+        def no_rng(seed):
+            raise AssertionError("an over-cap spec reached the random generator")
+
+        monkeypatch.setattr(states.np.random, "default_rng", no_rng)
+        for spec in ({"family": "random_density", "dim": MAX_DIM + 1},
+                     {"family": "random_density", "dim": 10**7, "dims": [10**7]},
+                     {"family": "product", "dims": [2] * 11},
+                     {"family": "product", "dims": []},
+                     {"family": "random_separable", "dims": [33, 32]},
+                     {"family": "random_separable", "dims": [2, 2], "terms": MAX_TERMS + 1}):
+            with pytest.raises(ParameterOutOfRange):
+                state_from_spec(spec)
