@@ -30,7 +30,7 @@ from .certificates import VIOLATION_TOL, SRReport, sr_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
 from .hermitian import (Bipartition, HermitianOperator, partial_transpose, trace_product,
                         validate_hermitian)
-from .states import FACTORY_TOL, check_spec_keys, spec_value
+from .states import FACTORY_TOL, check_spec_keys, spec_int, spec_value
 
 DEFAULT_CUTOFF = 30
 # The largest cutoff a spec may ask for, checked before anything is
@@ -121,34 +121,37 @@ def _guard(rho: HermitianOperator, order: int, allow_unreliable: bool) -> Trunca
 # ---------------------------------------------------------------------------
 
 # The factories build exactly Hermitian matrices, so they are not validated
-# again: see _outer; a real diagonal is Hermitian, and dividing by a real
+# again: see _pure; a real diagonal is Hermitian, and dividing by a real
 # trace keeps a matrix exactly Hermitian.
 
-def _outer(v: np.ndarray) -> np.ndarray:
-    """|v><v|, exactly Hermitian.
+def _pure(v: np.ndarray, space: FockSpace, allow_unreliable: bool = False,
+          guard: bool = True) -> HermitianOperator:
+    """|v><v| / <v|v>, exactly Hermitian, written on the support of v only.
 
-    For real amplitudes np.outer(v, v*) is exact.  numpy may fuse the complex
-    products (FMA), which leaves it Hermitian only to rounding when v has
-    imaginary parts, so then it is symmetrized.
+    The outer product, the trace division and, when v has imaginary parts,
+    the symmetrization act on the support block alone; the rest of the
+    matrix is zeros.  For real amplitudes np.outer(w, w*) is exact.  numpy
+    may fuse the complex products (FMA), which leaves it Hermitian only to
+    rounding when w has imaginary parts, so then the block is symmetrized.
     """
-    m = np.outer(v, v.conj())
-    if np.any(v.imag):
-        m = (m + m.conj().T) / 2.0
-    return m
-
-
-def _finalize(matrix, space: FockSpace, order: int,
-              allow_unreliable: bool) -> HermitianOperator:
-    matrix /= float(np.trace(matrix).real)     # callers pass a fresh matrix
+    idx = np.flatnonzero(v)
+    w = v[idx]
+    block = np.outer(w, w.conj())
+    if np.any(w.imag):
+        block = (block + block.conj().T) / 2.0
+    block /= float(np.trace(block).real)
+    matrix = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
+    matrix[np.ix_(idx, idx)] = block
     rho = HermitianOperator(matrix, space.dims, FACTORY_TOL)
-    _guard(rho, order, allow_unreliable)
+    if guard:
+        _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
     return rho
 
 
 def vacuum(space: FockSpace) -> HermitianOperator:
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[0] = 1.0
-    return HermitianOperator(_outer(v), space.dims, FACTORY_TOL)
+    return _pure(v, space, guard=False)
 
 
 def fock(n: int, space: FockSpace, allow_unreliable: bool = False) -> HermitianOperator:
@@ -158,7 +161,7 @@ def fock(n: int, space: FockSpace, allow_unreliable: bool = False) -> HermitianO
         raise ParameterOutOfRange(f"n = {n} outside 0..{space.cutoff}")
     v = np.zeros(space.dim_per_mode, dtype=np.complex128)
     v[n] = 1.0
-    return _finalize(_outer(v), space, FACTORY_GUARD_ORDER, allow_unreliable)
+    return _pure(v, space, allow_unreliable)
 
 
 def coherent(alpha: complex, space: FockSpace,
@@ -178,7 +181,7 @@ def coherent(alpha: complex, space: FockSpace,
         raise ParameterOutOfRange(
             f"|alpha| = {abs(alpha):.3g} overflows the amplitudes at cutoff {space.cutoff}")
     amps /= norm
-    return _finalize(_outer(amps), space, FACTORY_GUARD_ORDER, allow_unreliable)
+    return _pure(amps, space, allow_unreliable)
 
 
 def squeezed_vacuum(r: float, phi: float, space: FockSpace,
@@ -200,7 +203,7 @@ def squeezed_vacuum(r: float, phi: float, space: FockSpace,
         amps[2 * k + 2] = amps[2 * k] * z * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2 * (k + 1))
         k += 1
     amps /= np.linalg.norm(amps)
-    return _finalize(_outer(amps), space, FACTORY_GUARD_ORDER, allow_unreliable)
+    return _pure(amps, space, allow_unreliable)
 
 
 def thermal(nbar: float, space: FockSpace,
@@ -212,8 +215,11 @@ def thermal(nbar: float, space: FockSpace,
         raise ParameterOutOfRange(f"nbar = {nbar!r} must be finite and >= 0")
     k = np.arange(space.dim_per_mode, dtype=np.float64)
     weights = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar) if nbar > 0 else (k == 0).astype(float)
-    return _finalize(np.diag(weights.astype(np.complex128)), space,
-                     FACTORY_GUARD_ORDER, allow_unreliable)
+    m = np.diag(weights.astype(np.complex128))
+    m /= float(np.trace(m).real)
+    rho = HermitianOperator(m, space.dims, FACTORY_TOL)
+    _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
+    return rho
 
 
 def two_mode_squeezed(r: float, space: FockSpace,
@@ -228,7 +234,7 @@ def two_mode_squeezed(r: float, space: FockSpace,
     coeff = coeff / np.linalg.norm(coeff)
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[np.arange(d) * d + np.arange(d)] = coeff
-    return _finalize(_outer(v), space, FACTORY_GUARD_ORDER, allow_unreliable)
+    return _pure(v, space, allow_unreliable)
 
 
 def single_photon_entangled(space: FockSpace) -> HermitianOperator:
@@ -239,7 +245,7 @@ def single_photon_entangled(space: FockSpace) -> HermitianOperator:
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[1] = 1.0 / np.sqrt(2.0)      # |0,1>
     v[d] = 1.0 / np.sqrt(2.0)      # |1,0>
-    return HermitianOperator(_outer(v), space.dims, FACTORY_TOL)
+    return _pure(v, space, guard=False)
 
 
 def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator:
@@ -483,20 +489,15 @@ class MomentRelationCheck:
     defect: float
 
 
-def _dense_kron_moment(rho: HermitianOperator, m1: np.ndarray, m2: np.ndarray) -> complex:
-    """Tr{rho (M1 x M2)} by a dense O(d^4) contraction, independent of _MomentEngine."""
-    d = m1.shape[0]
-    return complex(np.einsum("ijkl,ki,lj->", rho.matrix.reshape(d, d, d, d), m1, m2,
-                             optimize=True))
-
-
 def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: int,
                              allow_unreliable: bool = False) -> MomentRelationCheck:
     """Compare <a1^dag^m a1^n a2^dag^p a2^q> over rho^PT against the
     index-swapped moment <a1^dag^m a1^n a2^dag^q a2^p> over rho.
 
-    Both sides are computed independently: the left by an explicit Fock-basis
-    partial transpose, the right by reordering the mode-2 exponents.
+    The left side reads an explicit Fock-basis partial transpose of rho, the
+    right side rho itself with the mode-2 exponents swapped.  Each mode
+    operator has one nonzero diagonal, so each side is one banded O(d^2)
+    gather (_MomentEngine); tests/oracles.py holds the dense contraction.
     """
     space = space_of(rho)
     if space.modes != 2:
@@ -508,8 +509,8 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: 
     m1 = np.linalg.matrix_power(ad, m) @ np.linalg.matrix_power(a, n)
     m2_lhs = np.linalg.matrix_power(ad, p) @ np.linalg.matrix_power(a, q)
     m2_rhs = np.linalg.matrix_power(ad, q) @ np.linalg.matrix_power(a, p)
-    lhs = _dense_kron_moment(partial_transpose(rho, _MODE_SPLIT), m1, m2_lhs)
-    rhs = _dense_kron_moment(rho, m1, m2_rhs)
+    lhs = _MomentEngine(partial_transpose(rho, _MODE_SPLIT)).kron_moment(m1, m2_lhs)
+    rhs = _MomentEngine(rho).kron_moment(m1, m2_rhs)
     return MomentRelationCheck(lhs, rhs, abs(lhs - rhs))
 
 
@@ -663,7 +664,7 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
     if family not in _CV_FAMILIES:
         raise ParameterOutOfRange(f"unknown CV state family {family!r}")
     check_spec_keys(spec, _CV_FAMILIES[family] | {"cutoff", "allow_unreliable"})
-    cutoff = int(spec.get("cutoff", DEFAULT_CUTOFF))
+    cutoff = spec_int(spec.get("cutoff", DEFAULT_CUTOFF), "cutoff")
     if cutoff > MAX_CUTOFF:
         raise ParameterOutOfRange(f"cutoff = {cutoff} exceeds {MAX_CUTOFF}")
     allow = bool(spec.get("allow_unreliable", False))
@@ -672,7 +673,7 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
     if family == "coherent":
         return coherent(complex(spec_value(spec, "alpha")), one, allow)
     if family == "fock":
-        return fock(int(spec_value(spec, "n")), one, allow)
+        return fock(spec_int(spec_value(spec, "n"), "n"), one, allow)
     if family == "squeezed_vacuum":
         return squeezed_vacuum(float(spec_value(spec, "r")), float(spec.get("phi", 0.0)),
                                one, allow)

@@ -114,6 +114,22 @@ def spec_value(spec: dict, key: str):
             f"spec for family {spec.get('family')!r} is missing {key!r}") from None
 
 
+def spec_int(value, name: str) -> int:
+    """A spec's size or count as an int.  A bool or a non-integral number is
+    a ParameterOutOfRange, so 4.7 or true is not truncated to 4 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ParameterOutOfRange(f"{name} = {value!r} is not an integer")
+    return int(value)
+
+
+def spec_dims(spec: dict) -> list:
+    """spec["dims"] as a list of ints, each read by spec_int."""
+    dims = spec_value(spec, "dims")
+    if not isinstance(dims, list):
+        raise ParameterOutOfRange(f"dims = {dims!r} is not a list")
+    return [spec_int(d, "dims entry") for d in dims]
+
+
 def check_spec_keys(spec: dict, allowed: set) -> None:
     """A key other than "family" and `allowed` is a ParameterOutOfRange
     naming the family and the key, so a misspelt parameter is not ignored."""
@@ -156,9 +172,9 @@ def state_from_spec(spec: dict) -> HermitianOperator:
     if family == "single_photon_entangled":
         return make_single_photon_entangled()
     if family == "random_density":
-        return random_density(int(spec_value(spec, "dim")), spec.get("seed", 0),
-                              dims=spec.get("dims"))
+        return random_density(spec_int(spec_value(spec, "dim"), "dim"), spec.get("seed", 0),
+                              dims=None if spec.get("dims") is None else spec_dims(spec))
     if family == "random_separable":
-        return random_separable(spec_value(spec, "dims"), int(spec.get("terms", 4)),
+        return random_separable(spec_dims(spec), spec_int(spec.get("terms", 4), "terms"),
                                 spec.get("seed", 0))
-    return make_product(spec_value(spec, "dims"), spec.get("seed", 0))
+    return make_product(spec_dims(spec), spec.get("seed", 0))

@@ -144,3 +144,21 @@ def bs_unitary_oracle(cutoff, theta):
     gen = a1.conj().T @ a2 - a1 @ a2.conj().T
     w, v = np.linalg.eigh(1j * gen)
     return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
+def pure_state_oracle(v):
+    """Dense |v><v| / Tr: the full outer product, symmetrized when v has
+    imaginary parts, divided by its trace."""
+    m = np.outer(v, v.conj())
+    if np.any(v.imag):
+        m = (m + m.conj().T) / 2.0
+    return m / np.trace(m).real
+
+
+def dense_kron_moment_oracle(matrix, m1, m2, pt=False):
+    """Tr{rho (M1 x M2)} for a two-mode rho by a dense O(d^4) contraction;
+    with pt, Tr{rho^PT (M1 x M2)} with the transpose on mode 2 folded into
+    the indices: rho^PT[(i, j), (k, l)] = rho[(i, l), (k, j)]."""
+    d = m1.shape[0]
+    return complex(np.einsum("ilkj,ki,lj->" if pt else "ijkl,ki,lj->",
+                             matrix.reshape(d, d, d, d), m1, m2, optimize=True))

@@ -78,13 +78,24 @@ class TestErrors:
         (["bs-demo", "--input", "coherent:alpha=abc", "--cutoff", "12"], {}),
         (["check", "{array}", "--bipartition", "0|1"], {}),
         (["cv-check", "{array}"], {}),
+        (["check", '{{"family": "random_separable", "dims": [2, 2], "terms": 1.5}}',
+          "--bipartition", "0|1"], {}),
+        (["witness", '{{"family": "random_density", "dim": 4.7, "dims": [2, 2]}}',
+          "--bipartition", "0|1"], {}),
+        (["check", '{{"family": "product", "dims": [2, 2.5]}}', "--bipartition", "0|1"], {}),
+        (["cv-check", "two_mode_squeezed:r=0.3,cutoff=12.9"], {}),
+        (["cv-check", '{{"family": "two_mode_squeezed", "r": 0.3, "cutoff": true}}'], {}),
+        (["bs-demo", "--input", "fock:n=1.7", "--cutoff", "12"], {}),
     ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir",
-            "bad-complex-value", "check-json-array-file", "cv-check-json-array-file"])
+            "bad-complex-value", "check-json-array-file", "cv-check-json-array-file",
+            "non-integral-terms", "non-integral-dim", "non-integral-dims-entry",
+            "non-integral-cutoff", "bool-cutoff", "non-integral-n"])
     def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         array = tmp_path / "array.json"
         array.write_text("[1, 2]")
+        # str.format fills the paths; "{{" and "}}" stand for JSON braces
         argv = [a.format(missing=tmp_path / "missing", array=array) for a in argv]
         result = runner.invoke(main, argv)
         assert result.exit_code == 1
@@ -146,11 +157,15 @@ SPEC_FAMILIES = {
 # readers reject before they allocate anything; a size at a cap would build
 # a 16 MB (dim 1024) or 222 MB (two-mode cutoff 60) matrix.
 over_caps = [states.MAX_DIM + 1, states.MAX_TERMS + 1, cv.MAX_CUTOFF + 1, 10**7]
+# Non-integral sizes near working ones: each must exit 1, not be truncated.
+non_integral = [2.5, 4.7, 12.9, 1e-9 + 4]
 spec_numbers = st.one_of(st.integers(-2, 9), st.floats(-2.0, 2.0),
-                         st.sampled_from([math.nan, math.inf, -math.inf, 1e300] + over_caps))
+                         st.sampled_from([math.nan, math.inf, -math.inf, 1e300]
+                                         + over_caps + non_integral))
 spec_words = st.one_of(st.sampled_from(["0.3+0.2j", "1e400", "nan", "0x10", "1_0", "[2,2]"]),
                        st.text(max_size=8))
-spec_dims = st.one_of(st.lists(st.integers(-1, 4), max_size=3),
+spec_dims = st.one_of(st.lists(st.integers(-1, 4) | st.sampled_from([2.0, 2.5, True]),
+                               max_size=3),
                       st.sampled_from([[states.MAX_DIM + 1], [2] * 11, [33, 32], [10**7] * 2]))
 spec_values = st.one_of(spec_numbers, spec_words, st.none(), st.booleans(), spec_dims)
 
@@ -167,6 +182,24 @@ def spec_strings(draw):
     return json.dumps({"family": family, **items})
 
 
+SIZE_KEYS = ("dim", "terms", "cutoff", "n")
+
+
+def _has_non_integral_size(source) -> bool:
+    """Whether a spec holds a bool or a non-integral number for a size."""
+    try:
+        spec = cli._parse_spec(source)
+    except Exception:
+        return False
+    if not isinstance(spec, dict):
+        return False
+    values = [spec.get(key) for key in SIZE_KEYS]
+    if isinstance(spec.get("dims"), list):
+        values += spec["dims"]
+    return any(isinstance(v, bool) or isinstance(v, float) and not v.is_integer()
+               for v in values)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(source=spec_strings() | st.text(max_size=30),
        command=st.sampled_from(["check", "cv-check"]),
@@ -178,6 +211,8 @@ def test_fuzzed_specs_exit_cleanly(source, command, bip):
     result = CliRunner().invoke(main, argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     assert result.exit_code in (0, 1, 2, 3)
+    if _has_non_integral_size(source):
+        assert result.exit_code == 1, argv
     if result.exit_code in (1, 3):
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, result.stderr)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from nptcert import cv
 from nptcert.errors import ParameterOutOfRange, TruncationUnreliable
 from nptcert.hermitian import validate_hermitian
-from oracles import (bs_fock1_output, bs_unitary_oracle, coherent_vector, mancini_margin,
-                     random_density_oracle, random_hermitian)
+from oracles import (bs_fock1_output, bs_unitary_oracle, coherent_vector,
+                     dense_kron_moment_oracle, destroy_oracle, mancini_margin,
+                     pure_state_oracle, random_density_oracle, random_hermitian)
 
 SP1 = cv.FockSpace(1, 30)
 SP2 = cv.FockSpace(2, 30)
@@ -209,6 +211,60 @@ class TestSectorBeamSplitter:
         np.testing.assert_array_equal(out, out.conj().T)
 
 
+# Every pure-state factory at a given cutoff; coherent and squeezed states
+# may carry tail weight at cutoff 3, which the guard would refuse.
+PURE_FACTORIES = {
+    "coherent-real": lambda c: cv.coherent(0.7, cv.FockSpace(1, c), True),
+    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, cv.FockSpace(1, c), True),
+    "squeezed-phi0": lambda c: cv.squeezed_vacuum(0.3, 0.0, cv.FockSpace(1, c), True),
+    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, cv.FockSpace(1, c), True),
+    "fock": lambda c: cv.fock(2, cv.FockSpace(1, c), True),
+    "vacuum-one-mode": lambda c: cv.vacuum(cv.FockSpace(1, c)),
+    "vacuum-two-mode": lambda c: cv.vacuum(cv.FockSpace(2, c)),
+    "two_mode_squeezed": lambda c: cv.two_mode_squeezed(0.4, cv.FockSpace(2, c), True),
+    "single_photon_entangled": lambda c: cv.single_photon_entangled(cv.FockSpace(2, c)),
+}
+
+
+class TestSupportFactories:
+    """The pure-state factories write |v><v| / Tr on the support of v only;
+    the dense outer product, symmetrized and divided by its trace, is the
+    oracle."""
+
+    @staticmethod
+    def assert_matches_dense(m, v):
+        assert np.max(np.abs(m - pure_state_oracle(v))) <= 4.5e-16
+        assert not np.any(m[~np.outer(v != 0, v != 0)])
+        np.testing.assert_array_equal(m, m.conj().T)
+        assert abs(np.trace(m).real - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("cutoff", [3, 10, 30])
+    @pytest.mark.parametrize("name", list(PURE_FACTORIES))
+    def test_factory_matches_dense_oracle(self, monkeypatch, name, cutoff):
+        seen = []
+        pure = cv._pure
+
+        def spy(v, *args, **kwargs):
+            seen.append(v.copy())
+            return pure(v, *args, **kwargs)
+
+        monkeypatch.setattr(cv, "_pure", spy)
+        rho = PURE_FACTORIES[name](cutoff)
+        assert len(seen) == 1
+        self.assert_matches_dense(rho.matrix, seen[0])
+
+    @pytest.mark.parametrize("complex_amps", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unnormalized_sparse_vector(self, seed, complex_amps):
+        rng = np.random.default_rng(seed)
+        space = cv.FockSpace(2, 6)
+        v = 3.0 * rng.standard_normal(space.total_dim) * (rng.random(space.total_dim) < 0.3)
+        if complex_amps:
+            v = v + 2j * rng.standard_normal(space.total_dim) * (v != 0)
+        rho = cv._pure(v.astype(np.complex128), space, guard=False)
+        self.assert_matches_dense(rho.matrix, v)
+
+
 class TestExactHermitian:
     """Library-built Fock matrices skip validation, so they must be exactly Hermitian."""
 
@@ -340,6 +396,54 @@ class TestPtMomentRelation:
         assert res.defect < 1e-8
         res2 = cv.pt_moment_relation_check(rho, 2, 1, 1, 2)
         assert res2.defect < 1e-8
+
+    @staticmethod
+    def dense_sides(rho, m, n, p, q):
+        """lhs, rhs and the lhs over rho instead of rho^PT, each by a dense
+        d^4 contraction."""
+        a = destroy_oracle(rho.dims[0] - 1)
+        ad = a.conj().T
+        mp = np.linalg.matrix_power
+        m1 = mp(ad, m) @ mp(a, n)
+        return (dense_kron_moment_oracle(rho.matrix, m1, mp(ad, p) @ mp(a, q), pt=True),
+                dense_kron_moment_oracle(rho.matrix, m1, mp(ad, q) @ mp(a, p)),
+                dense_kron_moment_oracle(rho.matrix, m1, mp(ad, p) @ mp(a, q)))
+
+    @pytest.mark.parametrize("cutoff", [6, 12])
+    def test_random_states_match_dense_oracle(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        d = cutoff + 1
+        rho = validate_hermitian(random_density_oracle(rng, d * d), (d, d), tol=1e-12)
+        orders = rng.integers(0, 5, size=(24, 4)).tolist() + [[1, 1, 1, 0], [0, 2, 4, 1]]
+        for m, n, p, q in orders:
+            res = cv.pt_moment_relation_check(rho, m, n, p, q, allow_unreliable=True)
+            lhs, rhs, lhs_without_pt = self.dense_sides(rho, m, n, p, q)
+            np.testing.assert_allclose(res.lhs, lhs, rtol=1e-12)
+            np.testing.assert_allclose(res.rhs, rhs, rtol=1e-12)
+            if p != q:
+                # the comparison sees an lhs that skips the partial transpose
+                assert abs(lhs_without_pt - lhs) > 1e-9 * abs(lhs)
+
+    @pytest.mark.parametrize("state", ["two_mode_squeezed", "single_photon_entangled"])
+    def test_pure_states_cutoff30_match_dense_oracle(self, state):
+        rho = (cv.two_mode_squeezed(0.3, SP2) if state == "two_mode_squeezed"
+               else cv.single_photon_entangled(SP2))
+        for m, n, p, q in [(1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (2, 1, 1, 2),
+                           (2, 2, 1, 1), (1, 2, 3, 0)]:
+            res = cv.pt_moment_relation_check(rho, m, n, p, q)
+            lhs, rhs, _ = self.dense_sides(rho, m, n, p, q)
+            np.testing.assert_allclose(res.lhs, lhs, rtol=1e-12)
+            np.testing.assert_allclose(res.rhs, rhs, rtol=1e-12)
+
+    def test_allocates_about_one_partial_transpose(self):
+        rho = cv.two_mode_squeezed(0.3, SP2)
+        tracemalloc.start()
+        try:
+            cv.pt_moment_relation_check(rho, 2, 1, 1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * rho.matrix.nbytes
 
 
 class TestNonclassicality:
