@@ -162,7 +162,7 @@ def build_pseudospin(v1, v2, alpha1: complex = 0.5, alpha2: complex = -0.5j,
     return PseudoSpinPair(h1, h2, alpha1, alpha2, x, y, v1.copy(), v2.copy())
 
 
-def _require_state_like(rho: HermitianOperator) -> None:
+def require_state_like(rho: HermitianOperator) -> None:
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise UnnormalizedState(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
@@ -179,16 +179,18 @@ def sr_moments(h1: HermitianOperator, h2: HermitianOperator,
         raise DimensionMismatch(
             f"observable dims {h1.dim}, {h2.dim} vs state dim {rho.dim}"
         )
-    _require_state_like(rho)
+    require_state_like(rho)
     r = rho.matrix
     p1 = r @ h1.matrix
     p2 = r @ h2.matrix
-    e1 = float(np.trace(p1).real)
-    e2 = float(np.trace(p2).real)
-    m11 = float(trace_product(p1, h1.matrix).real)
-    m22 = float(trace_product(p2, h2.matrix).real)
-    m12 = trace_product(p1, h2.matrix)  # <H1 H2>, generally complex
-    m21 = trace_product(p2, h1.matrix)
+    return sr_from_moments(float(np.trace(p1).real), float(np.trace(p2).real),
+                           float(trace_product(p1, h1.matrix).real),
+                           float(trace_product(p2, h2.matrix).real),
+                           trace_product(p1, h2.matrix), trace_product(p2, h1.matrix), tol)
+
+
+def sr_from_moments(e1, e2, m11, m22, m12, m21, tol: float = VIOLATION_TOL) -> SRReport:
+    """The SR report from <H1>, <H2>, <H1^2>, <H2^2> (real), <H1 H2> and <H2 H1>."""
     var1 = m11 - e1 * e1
     var2 = m22 - e2 * e2
     comm_mean = abs(m12 - m21)
@@ -314,7 +316,7 @@ def two_qubit_equivalence(rho: HermitianOperator,
     """
     if rho.dims != (2,):
         raise DimensionMismatch(f"expected a single-qubit operator, got dims {rho.dims}")
-    _require_state_like(rho)
+    require_state_like(rho)
     e0 = np.array([1.0, 0.0], dtype=np.complex128)
     e1 = np.array([0.0, 1.0], dtype=np.complex128)
     pair = build_pseudospin(e0, e1, dims=(2,))

@@ -12,6 +12,9 @@ the fixed beam-splitter generator theta * (a1^dag a2 - a1 a2^dag) maps onto
 the (X1 + X2, Y1 - Y2) observable pair.  The two-mode squeezed factory uses
 Fock amplitudes proportional to (-tanh r)^k, which squeezes that same pair.
 
+States.  A PureFockState keeps its amplitudes for the moments and the
+truncation guard; its d^2 x d^2 ``matrix`` is built only when read.
+
 Truncation.  An operator of raising order j evaluated on a state is exact
 when the state carries no weight on the top j levels of either mode; the
 reliability guard bounds the total population at levels >= cutoff - order
@@ -22,15 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .certificates import VIOLATION_TOL, SRReport, sr_moments
+from .certificates import VIOLATION_TOL, SRReport, require_state_like, sr_from_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
-from .hermitian import (Bipartition, HermitianOperator, partial_transpose, trace_product,
-                        validate_hermitian)
-from .states import FACTORY_TOL, check_spec_keys, spec_int, spec_value
+from .hermitian import Bipartition, HermitianOperator, partial_transpose, spec_int, trace_product
+from .states import FACTORY_TOL, check_spec_keys, spec_value
 
 DEFAULT_CUTOFF = 30
 # The largest cutoff a spec may ask for, checked before anything is
@@ -89,7 +91,10 @@ def destroy(cutoff: int) -> np.ndarray:
 def mode_populations(rho: HermitianOperator) -> np.ndarray:
     """Per-mode number-state populations, shape (modes, cutoff+1)."""
     space = space_of(rho)
-    diag = np.real(np.diagonal(rho.matrix))
+    if isinstance(rho, PureFockState):  # rho.matrix's diagonal, by the same operations
+        diag = (rho.amplitudes * rho.amplitudes.conj() / rho.trace()).real
+    else:
+        diag = np.real(np.diagonal(rho.matrix))
     if space.modes == 1:
         return diag.reshape(1, -1)
     d = space.dim_per_mode
@@ -121,40 +126,58 @@ def _guard(rho: HermitianOperator, order: int, allow_unreliable: bool) -> Trunca
 # ---------------------------------------------------------------------------
 
 # The factories build exactly Hermitian matrices, so they are not validated
-# again: see _pure; a real diagonal is Hermitian, and dividing by a real
-# trace keeps a matrix exactly Hermitian.
+# again: see PureFockState.matrix; thermal's real diagonal is Hermitian, and
+# dividing by a real trace keeps a matrix exactly Hermitian.
+
+@dataclass(frozen=True, eq=False)
+class PureFockState:
+    """|v><v| for unit-norm amplitudes v; the dense ``matrix`` is built when
+    first read."""
+
+    amplitudes: np.ndarray
+    dims: tuple
+    tolerance: float = FACTORY_TOL
+    deviation: float = 0.0
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def trace(self) -> float:
+        # <v|v> over the support, summed as np.trace sums the dense diagonal
+        w = self.amplitudes[np.flatnonzero(self.amplitudes)]
+        return float((w * w.conj()).sum().real)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """|v><v| / Tr on the support of v, zeros elsewhere; numpy may fuse
+        complex products (FMA), so a complex block is symmetrized."""
+        idx = np.flatnonzero(self.amplitudes)
+        w = self.amplitudes[idx]
+        block = np.outer(w, w.conj())
+        if np.any(w.imag):
+            block = (block + block.conj().T) / 2.0
+        block /= self.trace()
+        matrix = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        matrix[np.ix_(idx, idx)] = block
+        return matrix
+
 
 def _pure(v: np.ndarray, space: FockSpace, allow_unreliable: bool = False,
-          guard: bool = True) -> HermitianOperator:
-    """|v><v| / <v|v>, exactly Hermitian, written on the support of v only.
-
-    The outer product, the trace division and, when v has imaginary parts,
-    the symmetrization act on the support block alone; the rest of the
-    matrix is zeros.  For real amplitudes np.outer(w, w*) is exact.  numpy
-    may fuse the complex products (FMA), which leaves it Hermitian only to
-    rounding when w has imaginary parts, so then the block is symmetrized.
-    """
-    idx = np.flatnonzero(v)
-    w = v[idx]
-    block = np.outer(w, w.conj())
-    if np.any(w.imag):
-        block = (block + block.conj().T) / 2.0
-    block /= float(np.trace(block).real)
-    matrix = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
-    matrix[np.ix_(idx, idx)] = block
-    rho = HermitianOperator(matrix, space.dims, FACTORY_TOL)
+          guard: bool = True) -> PureFockState:
+    rho = PureFockState(v, space.dims)
     if guard:
         _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
     return rho
 
 
-def vacuum(space: FockSpace) -> HermitianOperator:
+def vacuum(space: FockSpace) -> PureFockState:
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[0] = 1.0
     return _pure(v, space, guard=False)
 
 
-def fock(n: int, space: FockSpace, allow_unreliable: bool = False) -> HermitianOperator:
+def fock(n: int, space: FockSpace, allow_unreliable: bool = False) -> PureFockState:
     if space.modes != 1:
         raise ParameterOutOfRange("fock factory builds single-mode states")
     if not 0 <= n <= space.cutoff:
@@ -165,7 +188,7 @@ def fock(n: int, space: FockSpace, allow_unreliable: bool = False) -> HermitianO
 
 
 def coherent(alpha: complex, space: FockSpace,
-             allow_unreliable: bool = False) -> HermitianOperator:
+             allow_unreliable: bool = False) -> PureFockState:
     """|alpha> with amplitudes alpha^k / sqrt(k!), renormalized after truncation."""
     if space.modes != 1:
         raise ParameterOutOfRange("coherent factory builds single-mode states")
@@ -185,7 +208,7 @@ def coherent(alpha: complex, space: FockSpace,
 
 
 def squeezed_vacuum(r: float, phi: float, space: FockSpace,
-                    allow_unreliable: bool = False) -> HermitianOperator:
+                    allow_unreliable: bool = False) -> PureFockState:
     """Squeezed vacuum with <a^2> = e^{i phi} sinh(r) cosh(r).
 
     Even-level amplitudes follow the recurrence
@@ -223,7 +246,7 @@ def thermal(nbar: float, space: FockSpace,
 
 
 def two_mode_squeezed(r: float, space: FockSpace,
-                      allow_unreliable: bool = False) -> HermitianOperator:
+                      allow_unreliable: bool = False) -> PureFockState:
     """Two-mode squeezed vacuum, amplitudes c_k = (-tanh r)^k / cosh r on |k,k>."""
     if space.modes != 2:
         raise ParameterOutOfRange("two_mode_squeezed needs a two-mode space")
@@ -237,7 +260,7 @@ def two_mode_squeezed(r: float, space: FockSpace,
     return _pure(v, space, allow_unreliable)
 
 
-def single_photon_entangled(space: FockSpace) -> HermitianOperator:
+def single_photon_entangled(space: FockSpace) -> PureFockState:
     """(|01> + |10>)/sqrt(2) embedded in the truncated two-mode space."""
     if space.modes != 2:
         raise ParameterOutOfRange("single_photon_entangled needs a two-mode space")
@@ -342,18 +365,23 @@ def _diagonals(m: np.ndarray):
 class _MomentEngine:
     """Expectations Tr{rho (M1 x M2)} of kron-factored two-mode operators.
 
-    Ladder powers, and the mode factors built from them, have a few nonzero
-    diagonals.  For diagonal o1 of M1 and o2 of M2 the trace picks the
-    entries rho4[i, j, i - o1, j - o2] (rho4 the (d, d, d, d) reshape of
-    rho), so each pair of diagonals costs one O(d^2) gather weighted by the
-    two diagonals, against O(d^4) for a dense contraction.
+    A pure state gives <V, M1 V M2^T>, V the (d, d) reshape of its
+    amplitudes.  A dense rho is read by banded gathers.  Ladder powers, and
+    the mode factors built from them, have a few nonzero diagonals.  For
+    diagonal o1 of M1 and o2 of M2 the trace picks the entries
+    rho4[i, j, i - o1, j - o2] (rho4 the (d, d, d, d) reshape of rho), so
+    each pair of diagonals costs one O(d^2) gather weighted by the two
+    diagonals, against O(d^4) for a dense contraction.
     """
 
     def __init__(self, rho: HermitianOperator):
         d = space_of(rho).dim_per_mode
-        self._r4 = rho.matrix.reshape(d, d, d, d)
+        self._v = rho.amplitudes.reshape(d, d) if isinstance(rho, PureFockState) else None
+        self._r4 = rho.matrix.reshape(d, d, d, d) if self._v is None else None
 
     def kron_moment(self, m1: np.ndarray, m2: np.ndarray) -> complex:
+        if self._v is not None:
+            return complex(np.vdot(self._v, m1 @ self._v @ m2.T))
         total = 0j
         for k0, i0, w1 in _diagonals(m1):
             t = np.arange(len(w1))[:, None]
@@ -395,6 +423,17 @@ class CvInequalityReport:
     diagnostics: TruncationDiagnostics
 
 
+def _cv_report(inequality, m, n, var1, var2, shift, comm, cov_half, tol, diag):
+    """(Var1 + shift)(Var2 + shift) >= comm^2 + cov_half^2, its HUR variant
+    (no covariance term) and sum form (Var1 + Var2 + 2 shift >= 2|comm|)."""
+    lhs = (var1 + shift) * (var2 + shift)
+    comm_term, cov_term = comm ** 2, cov_half ** 2
+    margin = lhs - (comm_term + cov_term)
+    return CvInequalityReport(inequality, m, n, lhs, comm_term + cov_term, margin,
+                              lhs - comm_term, var1 + var2 + 2.0 * shift - 2.0 * abs(comm),
+                              comm_term, cov_term, margin < -tol, tol, diag)
+
+
 def ineq10(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
            allow_unreliable: bool = False) -> CvInequalityReport:
     """Quadrature-type separability test of orders (m, n), moments over rho.
@@ -408,11 +447,9 @@ def ineq10(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
     if space.modes != 2:
         raise ParameterOutOfRange("inequality 10 needs a two-mode state")
     diag = _guard(rho, 2 * max(m, n), allow_unreliable)
-    f1 = _mode_factors(space.cutoff, m)
-    f2 = _mode_factors(space.cutoff, n)
+    f1, f2 = _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n)
     eye = np.eye(space.dim_per_mode, dtype=np.complex128)
-    eng = _MomentEngine(rho)
-    km = eng.kron_moment
+    km = _MomentEngine(rho).kron_moment
 
     e1 = (km(f1["x"], eye) + km(eye, f2["x"])).real
     e2 = (km(f1["y"], eye) - km(eye, f2["y"])).real
@@ -422,18 +459,8 @@ def ineq10(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
             - 2.0 * km(f1["x"], f2["y"]) + 2.0 * km(f1["y"], f2["x"])).real
     c_mean = (km(f1["c"], eye) + km(eye, f2["c"])).real
 
-    var1 = m11 - e1 * e1
-    var2 = m22 - e2 * e2
-    cov_half = (anti - 2.0 * e1 * e2) / 2.0
-    lhs = var1 * var2
-    comm_term = c_mean ** 2
-    cov_term = cov_half ** 2
-    rhs = comm_term + cov_term
-    margin = lhs - rhs
-    hur_margin = lhs - comm_term
-    sum_margin = var1 + var2 - 2.0 * abs(c_mean)
-    return CvInequalityReport("10", m, n, lhs, rhs, margin, hur_margin, sum_margin,
-                              comm_term, cov_term, margin < -tol, tol, diag)
+    return _cv_report("10", m, n, m11 - e1 * e1, m22 - e2 * e2, 0.0, c_mean,
+                      (anti - 2.0 * e1 * e2) / 2.0, tol, diag)
 
 
 def ineq11(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
@@ -447,10 +474,8 @@ def ineq11(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
     if space.modes != 2:
         raise ParameterOutOfRange("inequality 11 needs a two-mode state")
     diag = _guard(rho, 2 * max(m, n), allow_unreliable)
-    f1 = _mode_factors(space.cutoff, m)
-    f2 = _mode_factors(space.cutoff, n)
-    eng = _MomentEngine(rho)
-    km = eng.kron_moment
+    f1, f2 = _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n)
+    km = _MomentEngine(rho).kron_moment
 
     b_dag_mean = km(f1["ad"], f2["a"])          # <a1^dag^m a2^n>
     e_x = 2.0 * b_dag_mean.real
@@ -464,18 +489,8 @@ def ineq11(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
     c_prod = km(f1["c"], f2["c"]).real
     comm_aa = (km(f1["a_ad"], f2["a_ad"]) - km(f1["ad_a"], f2["ad_a"])).real
 
-    var_x = m_xx - e_x * e_x
-    var_y = m_yy - e_y * e_y
-    cov_half = (anti - 2.0 * e_x * e_y) / 2.0
-    lhs = (var_x + c_prod) * (var_y + c_prod)
-    comm_term = comm_aa ** 2
-    cov_term = cov_half ** 2
-    rhs = comm_term + cov_term
-    margin = lhs - rhs
-    hur_margin = lhs - comm_term
-    sum_margin = var_x + var_y + 2.0 * c_prod - 2.0 * abs(comm_aa)
-    return CvInequalityReport("11", m, n, lhs, rhs, margin, hur_margin, sum_margin,
-                              comm_term, cov_term, margin < -tol, tol, diag)
+    return _cv_report("11", m, n, m_xx - e_x * e_x, m_yy - e_y * e_y, c_prod, comm_aa,
+                      (anti - 2.0 * e_x * e_y) / 2.0, tol, diag)
 
 
 # Mode 1 | mode 2: the partial transpose acts on the second mode.
@@ -494,10 +509,11 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: 
     """Compare <a1^dag^m a1^n a2^dag^p a2^q> over rho^PT against the
     index-swapped moment <a1^dag^m a1^n a2^dag^q a2^p> over rho.
 
-    The left side reads an explicit Fock-basis partial transpose of rho, the
-    right side rho itself with the mode-2 exponents swapped.  Each mode
-    operator has one nonzero diagonal, so each side is one banded O(d^2)
-    gather (_MomentEngine); tests/oracles.py holds the dense contraction.
+    The left side reads an explicit Fock-basis partial transpose of
+    rho.matrix, the right side rho itself (a pure state's amplitudes) with
+    the mode-2 exponents swapped.  Each mode operator has one nonzero
+    diagonal, so a dense side is one banded O(d^2) gather (_MomentEngine);
+    tests/oracles.py holds the dense contraction.
     """
     space = space_of(rho)
     if space.modes != 2:
@@ -608,34 +624,36 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
     over the explicit Fock-basis rho^PT with the generating observable pair.
 
     The two margins agree to rounding because the printed forms are exactly
-    the PT-mapped moments of the generic pair in the truncated space.
-    Raises ParameterOutOfRange for a one-mode state, an order below 1 or a
-    `which` other than 10 and 11.
+    the PT-mapped moments of the generic pair in the truncated space.  The
+    pair is written as lists of terms c (M1 x M2), so its moments are sums
+    of banded kron_moment terms (tests/oracles.py holds the dense Kronecker
+    form).  Raises ParameterOutOfRange for a one-mode state, an order below
+    1 or a `which` other than 10 and 11.
     """
-    space = space_of(rho)
-    if space.modes != 2:
-        raise ParameterOutOfRange("the crosscheck needs a two-mode state")
     if m < 1 or n < 1:
         raise ParameterOutOfRange(f"orders m = {m}, n = {n} must be >= 1")
-    f1 = _mode_factors(space.cutoff, m)
-    f2 = _mode_factors(space.cutoff, n)
-    eye = np.eye(space.dim_per_mode, dtype=np.complex128)
-
-    def observable(matrix) -> HermitianOperator:
-        return validate_hermitian(matrix, space.dims, tol=1e-9)
-
-    if which == 10:
-        rep = ineq10(rho, m, n, allow_unreliable=allow_unreliable)
-        h1 = observable(np.kron(f1["x"], eye) + np.kron(eye, f2["x"]))  # X1 + X2
-        h2 = observable(np.kron(f1["y"], eye) + np.kron(eye, f2["y"]))  # Y1 + Y2
-    elif which == 11:
-        rep = ineq11(rho, m, n, allow_unreliable=allow_unreliable)
-        b_dag = np.kron(f1["ad"], f2["ad"])  # a1^dag^m a2^dag^n
-        h1 = observable(b_dag + b_dag.conj().T)
-        h2 = observable(-1j * (b_dag - b_dag.conj().T))
-    else:
+    if which not in (10, 11):
         raise ParameterOutOfRange(f"which = {which} must be 10 or 11")
-    generic = sr_moments(h1, h2, partial_transpose(rho, _MODE_SPLIT))
+    rep = (ineq10 if which == 10 else ineq11)(rho, m, n, allow_unreliable=allow_unreliable)
+    space = space_of(rho)
+    f1, f2 = _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n)
+    if which == 10:
+        eye = np.eye(space.dim_per_mode, dtype=np.complex128)
+        h1 = [(1, f1["x"], eye), (1, eye, f2["x"])]                 # X1 + X2
+        h2 = [(1, f1["y"], eye), (1, eye, f2["y"])]                 # Y1 + Y2
+    else:  # B = a1^m a2^n
+        h1 = [(1, f1["ad"], f2["ad"]), (1, f1["a"], f2["a"])]       # B^dag + B
+        h2 = [(-1j, f1["ad"], f2["ad"]), (1j, f1["a"], f2["a"])]    # -i (B^dag - B)
+    rho_pt = partial_transpose(rho, _MODE_SPLIT)
+    require_state_like(rho_pt)
+    km = _MomentEngine(rho_pt).kron_moment
+
+    def mean(p, q=None):  # <P>, or <P Q>, over rho^PT
+        if q is not None:
+            p = [(c * e, a @ g, b @ h) for c, a, b in p for e, g, h in q]
+        return sum(c * km(a, b) for c, a, b in p)
+    generic = sr_from_moments(mean(h1).real, mean(h2).real, mean(h1, h1).real,
+                              mean(h2, h2).real, mean(h1, h2), mean(h2, h1))
     return CrosscheckResult(rep.margin, generic.margin,
                             abs(rep.margin - generic.margin), generic)
 

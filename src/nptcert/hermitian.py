@@ -14,9 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidBipartition, NotHermitian
+from .errors import DimensionMismatch, InvalidBipartition, NotHermitian, ParameterOutOfRange
 
 HERMITICITY_TOL = 1e-9
+
+
+def spec_int(value, name: str) -> int:
+    """A spec's or matrix file's size or count as an int.  A bool or a
+    non-integral number, such as true or 4.7, is a ParameterOutOfRange."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ParameterOutOfRange(f"{name} = {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,7 @@ def validate_hermitian(matrix, dims, tol: float = HERMITICITY_TOL) -> HermitianO
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix shape {m.shape} is not square")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(spec_int(d, "dims entry") for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DimensionMismatch(f"invalid dimension profile {dims}")
     if int(np.prod(dims)) != m.shape[0]:
@@ -199,7 +207,7 @@ def matrix_payload(op: HermitianOperator) -> dict:
 
 def operator_from_payload(payload: dict, tol: float = HERMITICITY_TOL) -> HermitianOperator:
     try:
-        dims = tuple(int(d) for d in payload["dims"])
+        dims = tuple(spec_int(d, "dims entry") for d in payload["dims"])
         entries = payload["matrix"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed matrix payload: {exc}") from exc

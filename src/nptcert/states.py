@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ParameterOutOfRange
-from .hermitian import HermitianOperator, tensor_product, validate_hermitian
+from .hermitian import HermitianOperator, spec_int, tensor_product, validate_hermitian
 
 FACTORY_TOL = 1e-12
 # Size caps, checked before anything is allocated: a dim-1024 state is a
@@ -112,14 +112,6 @@ def spec_value(spec: dict, key: str):
     except KeyError:
         raise ParameterOutOfRange(
             f"spec for family {spec.get('family')!r} is missing {key!r}") from None
-
-
-def spec_int(value, name: str) -> int:
-    """A spec's size or count as an int.  A bool or a non-integral number is
-    a ParameterOutOfRange, so 4.7 or true is not truncated to 4 or 1."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ParameterOutOfRange(f"{name} = {value!r} is not an integer")
-    return int(value)
 
 
 def spec_dims(spec: dict) -> list:

@@ -162,3 +162,35 @@ def dense_kron_moment_oracle(matrix, m1, m2, pt=False):
     d = m1.shape[0]
     return complex(np.einsum("ilkj,ki,lj->" if pt else "ijkl,ki,lj->",
                              matrix.reshape(d, d, d, d), m1, m2, optimize=True))
+
+
+def crosscheck_pair_oracle(cutoff, m, n, which):
+    """The crosscheck's generic pair as dense Kronecker observables: for (10)
+    H1 = X1 + X2 and H2 = Y1 + Y2, for (11) H1 = B^dag + B and
+    H2 = -i (B^dag - B) with B = a1^m a2^n."""
+    a = destroy_oracle(cutoff)
+    ad = a.conj().T
+    mp = np.linalg.matrix_power
+    eye = np.eye(cutoff + 1)
+    if which == 10:
+        x1, x2 = mp(ad, m) + mp(a, m), mp(ad, n) + mp(a, n)
+        y1, y2 = -1j * (mp(ad, m) - mp(a, m)), -1j * (mp(ad, n) - mp(a, n))
+        return np.kron(x1, eye) + np.kron(eye, x2), np.kron(y1, eye) + np.kron(eye, y2)
+    b_dag = np.kron(mp(ad, m), mp(ad, n))
+    return b_dag + b_dag.conj().T, -1j * (b_dag - b_dag.conj().T)
+
+
+def sr_pt_oracle(rho_matrix, h1, h2):
+    """SR quantities of (h1, h2) over the mode-2 partial transpose of a
+    two-mode rho, by dense products."""
+    d = int(round(np.sqrt(rho_matrix.shape[0])))
+    r = rho_matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    p1, p2 = r @ h1, r @ h2
+    e1, e2 = np.trace(p1).real, np.trace(p2).real
+    m12, m21 = np.einsum("ij,ji->", p1, h2), np.einsum("ij,ji->", p2, h1)
+    var1 = np.einsum("ij,ji->", p1, h1).real - e1 ** 2
+    var2 = np.einsum("ij,ji->", p2, h2).real - e2 ** 2
+    comm, cov = abs(m12 - m21), (m12 + m21).real - 2.0 * e1 * e2
+    lhs, rhs = var1 * var2, (comm ** 2 + cov ** 2) / 4.0
+    return {"var_h1": var1, "var_h2": var2, "commutator_mean": comm,
+            "sym_covariance": cov, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs}

@@ -86,17 +86,22 @@ class TestErrors:
         (["cv-check", "two_mode_squeezed:r=0.3,cutoff=12.9"], {}),
         (["cv-check", '{{"family": "two_mode_squeezed", "r": 0.3, "cutoff": true}}'], {}),
         (["bs-demo", "--input", "fock:n=1.7", "--cutoff", "12"], {}),
+        (["check", "{bell_fractional_dims}", "--bipartition", "0|1"], {}),
     ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir",
             "bad-complex-value", "check-json-array-file", "cv-check-json-array-file",
             "non-integral-terms", "non-integral-dim", "non-integral-dims-entry",
-            "non-integral-cutoff", "bool-cutoff", "non-integral-n"])
+            "non-integral-cutoff", "bool-cutoff", "non-integral-n",
+            "matrix-file-non-integral-dims"])
     def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         array = tmp_path / "array.json"
         array.write_text("[1, 2]")
+        bell = tmp_path / "bell.json"
+        bell.write_text(json.dumps(dict(hermitian.matrix_payload(make_bell()), dims=[2.7, 2])))
         # str.format fills the paths; "{{" and "}}" stand for JSON braces
-        argv = [a.format(missing=tmp_path / "missing", array=array) for a in argv]
+        argv = [a.format(missing=tmp_path / "missing", array=array, bell_fractional_dims=bell)
+                for a in argv]
         result = runner.invoke(main, argv)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -182,6 +187,12 @@ def spec_strings(draw):
     return json.dumps({"family": family, **items})
 
 
+# A Bell matrix payload under drawn dims: a non-integral entry must exit 1,
+# not be truncated to a 2 x 2 profile.
+BELL_ENTRIES = hermitian.matrix_payload(make_bell())["matrix"]
+matrix_payloads = spec_dims.map(lambda dims: json.dumps({"dims": dims, "matrix": BELL_ENTRIES}))
+
+
 SIZE_KEYS = ("dim", "terms", "cutoff", "n")
 
 
@@ -201,7 +212,7 @@ def _has_non_integral_size(source) -> bool:
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(source=spec_strings() | st.text(max_size=30),
+@given(source=spec_strings() | matrix_payloads | st.text(max_size=30),
        command=st.sampled_from(["check", "cv-check"]),
        bip=st.sampled_from(["0|1", "0,1|2"]))
 def test_fuzzed_specs_exit_cleanly(source, command, bip):

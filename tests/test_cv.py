@@ -6,10 +6,12 @@ import pytest
 
 from nptcert import cv
 from nptcert.errors import ParameterOutOfRange, TruncationUnreliable
-from nptcert.hermitian import validate_hermitian
+from nptcert.hermitian import HermitianOperator, validate_hermitian
 from oracles import (bs_fock1_output, bs_unitary_oracle, coherent_vector,
-                     dense_kron_moment_oracle, destroy_oracle, mancini_margin,
-                     pure_state_oracle, random_density_oracle, random_hermitian)
+                     crosscheck_pair_oracle, dense_kron_moment_oracle, destroy_oracle,
+                     mancini_margin, pure_state_oracle, random_density_oracle,
+                     random_hermitian, sr_pt_oracle)
+from test_acceptance import _criterion8_states
 
 SP1 = cv.FockSpace(1, 30)
 SP2 = cv.FockSpace(2, 30)
@@ -265,6 +267,50 @@ class TestSupportFactories:
         self.assert_matches_dense(rho.matrix, v)
 
 
+class TestAmplitudePath:
+    """A pure state's moments and populations read its amplitudes; the same
+    calls on its dense matrix, which take the banded gathers, are the
+    reference."""
+
+    @pytest.mark.parametrize("cutoff", [10, 30, 40])
+    @pytest.mark.parametrize("name", ["vacuum-two-mode", "two_mode_squeezed",
+                                      "single_photon_entangled"])
+    def test_inequalities_match_gather_path(self, name, cutoff):
+        rho = PURE_FACTORIES[name](cutoff)
+        dense = validate_hermitian(rho.matrix, rho.dims)
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for ineq in (cv.ineq10, cv.ineq11):
+                    got = ineq(rho, m, n, allow_unreliable=True)
+                    want = ineq(dense, m, n, allow_unreliable=True)
+                    assert abs(got.lhs - want.lhs) <= 1e-12 * abs(want.lhs)
+                    assert abs(got.rhs - want.rhs) <= 1e-12 * abs(want.rhs)
+                    scale = max(1.0, abs(want.lhs), abs(want.rhs))
+                    assert abs(got.margin - want.margin) <= 1e-12 * scale
+                    assert got.violated == want.violated
+
+    def test_cutoff_40_never_builds_the_matrix(self):
+        rho = cv.two_mode_squeezed(0.3, cv.FockSpace(2, 40))
+        tracemalloc.start()
+        try:
+            for m, n in [(1, 1), (2, 3)]:
+                cv.ineq10(rho, m, n)
+                cv.ineq11(rho, m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "matrix" not in vars(rho)
+        assert peak < 1 << 20   # the dense matrix alone is 45 MB
+
+    @pytest.mark.parametrize("cutoff", [3, 10, 30])
+    @pytest.mark.parametrize("name", list(PURE_FACTORIES))
+    def test_populations_match_dense_diagonal(self, name, cutoff):
+        rho = PURE_FACTORIES[name](cutoff)
+        dense = HermitianOperator(rho.matrix, rho.dims)
+        diff = cv.mode_populations(rho) - cv.mode_populations(dense)
+        assert np.max(np.abs(diff)) <= 1e-16
+
+
 class TestExactHermitian:
     """Library-built Fock matrices skip validation, so they must be exactly Hermitian."""
 
@@ -437,6 +483,7 @@ class TestPtMomentRelation:
 
     def test_allocates_about_one_partial_transpose(self):
         rho = cv.two_mode_squeezed(0.3, SP2)
+        rho.matrix  # the lazily built state matrix is not the check's allocation
         tracemalloc.start()
         try:
             cv.pt_moment_relation_check(rho, 2, 1, 1, 2)
@@ -505,6 +552,34 @@ class TestCrosscheck:
     def test_rejects_bad_input(self, rho, m, which):
         with pytest.raises(ParameterOutOfRange):
             cv.cv_pipeline_crosscheck(rho, m, 1, which)
+
+    @staticmethod
+    def assert_generic_matches_oracle(rho, m, n, which):
+        got = cv.cv_pipeline_crosscheck(rho, m, n, which, allow_unreliable=True).generic_report
+        want = sr_pt_oracle(rho.matrix, *crosscheck_pair_oracle(rho.dims[0] - 1, m, n, which))
+        margin_scale = max(1.0, abs(want["lhs"]), abs(want["rhs"]))
+        for key, value in want.items():
+            scale = margin_scale if key == "margin" else max(1.0, abs(value))
+            assert abs(getattr(got, key) - value) <= 1e-12 * scale, (m, n, which, key)
+
+    @pytest.mark.parametrize("cutoff", [4, 8, 12])
+    def test_random_states_match_dense_oracle(self, cutoff):
+        d = cutoff + 1
+        rng = np.random.default_rng(300 + cutoff)
+        rho = validate_hermitian(random_density_oracle(rng, d * d), (d, d), tol=1e-12)
+        for m, n in [(1, 1), (1, 2), (2, 1), (3, 2)]:
+            for which in (10, 11):
+                self.assert_generic_matches_oracle(rho, m, n, which)
+
+    @pytest.fixture(scope="class")
+    def criterion8_states(self):
+        return _criterion8_states()
+
+    @pytest.mark.parametrize("which", [10, 11])
+    @pytest.mark.parametrize("name", ["squeezed x vacuum", "thermal x thermal",
+                                      "coherent x coherent", "fock x fock"])
+    def test_criterion8_states_match_dense_oracle(self, criterion8_states, name, which):
+        self.assert_generic_matches_oracle(criterion8_states[name], 2, 1, which)
 
     def test_mancini_oracle_reduction(self):
         # HUR variant of the quadrature inequality = 4 x the standard-units
