@@ -26,7 +26,7 @@ from .hermitian import (
     tensor_product,
     validate_hermitian,
 )
-from .spectral import NptVerdict, Spectrum, classify_npt, eig_hermitian
+from .spectral import NptVerdict, Spectrum, eig_hermitian, pt_spectrum
 from .certificates import (
     PseudoSpinPair,
     SRReport,
@@ -40,7 +40,6 @@ from .certificates import (
     two_qubit_equivalence,
     variance_positivity,
     witness_from_eigvec,
-    witness_value,
 )
 from .states import (
     make_bell,

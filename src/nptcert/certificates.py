@@ -24,22 +24,22 @@ from .errors import (
     DegenerateCoefficients,
     DimensionMismatch,
     NonNegativeEigenvalue,
+    NotHermitian,
     NotOrthogonal,
     UnnormalizedState,
 )
 from .hermitian import (
     Bipartition,
     HermitianOperator,
+    check_profile,
     complex_pairs,
     expectation,
     partial_transpose,
     projector,
     trace_product,
-    validate_hermitian,
 )
-from .spectral import TRACE_TOL, NptVerdict, Spectrum, pt_spectrum
+from .spectral import TRACE_TOL, VIOLATION_TOL, NptVerdict, Spectrum, pt_spectrum
 
-VIOLATION_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
 
 # Margin of the printed three-qubit inequality divided by the margin of the
@@ -132,9 +132,10 @@ def build_pseudospin(v1, v2, alpha1: complex = 0.5, alpha2: complex = -0.5j,
                      dims=None) -> PseudoSpinPair:
     """Construct the observable pair on two orthonormal vectors.
 
-    Raises NotOrthogonal when the vectors are not orthonormal to 1e-10 and
+    Raises NotOrthogonal when the vectors are not orthonormal to 1e-10,
     DegenerateCoefficients when Im(alpha1 conj(alpha2)) vanishes (the
-    certificate would reduce to 0 >= 0 regardless of the state).
+    certificate would reduce to 0 >= 0 regardless of the state) and
+    NotHermitian for a non-finite input; H1 and H2 are built exactly Hermitian.
     """
     v1 = np.asarray(v1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(v2, dtype=np.complex128).reshape(-1)
@@ -148,6 +149,8 @@ def build_pseudospin(v1, v2, alpha1: complex = 0.5, alpha2: complex = -0.5j,
         raise NotOrthogonal(f"|<v1|v2>| = {overlap:.3e} exceeds {ORTHOGONALITY_TOL}")
     alpha1 = complex(alpha1)
     alpha2 = complex(alpha2)
+    if not all(np.isfinite(z).all() for z in (v1, v2, alpha1, alpha2)):
+        raise NotHermitian("matrix has non-finite entries")
     prod = alpha1 * np.conj(alpha2)
     x = float(prod.real)
     y = float(prod.imag)
@@ -155,10 +158,10 @@ def build_pseudospin(v1, v2, alpha1: complex = 0.5, alpha2: complex = -0.5j,
         raise DegenerateCoefficients(
             f"Im(alpha1 * conj(alpha2)) = 0 for alpha1={alpha1}, alpha2={alpha2}"
         )
-    dims = (len(v1),) if dims is None else tuple(dims)
+    dims = (len(v1),) if dims is None else check_profile(dims, len(v1))
     dyad = np.outer(v1, v2.conj())
-    h1 = validate_hermitian(alpha1 * dyad + np.conj(alpha1) * dyad.conj().T, dims, tol=1e-12)
-    h2 = validate_hermitian(alpha2 * dyad + np.conj(alpha2) * dyad.conj().T, dims, tol=1e-12)
+    h1 = HermitianOperator(alpha1 * dyad + np.conj(alpha1) * dyad.conj().T, dims)
+    h2 = HermitianOperator(alpha2 * dyad + np.conj(alpha2) * dyad.conj().T, dims)
     return PseudoSpinPair(h1, h2, alpha1, alpha2, x, y, v1.copy(), v2.copy())
 
 
@@ -257,10 +260,6 @@ def witness_from_eigvec(v2, lambda2: float, bip: Bipartition,
         raise NonNegativeEigenvalue(f"source eigenvalue {lambda2} is not negative")
     proj = projector(v2, dims)
     return WitnessOperator(partial_transpose(proj, bip), float(lambda2), bip)
-
-
-def witness_value(witness: WitnessOperator, rho: HermitianOperator) -> float:
-    return expectation(witness.w, rho)
 
 
 def variance_positivity(rho_pt: HermitianOperator, spectrum: Spectrum,
@@ -408,7 +407,7 @@ def witness_entry(rho: HermitianOperator, bip: Bipartition, spectrum: Spectrum,
     v2 = spectrum.vector(idx)
     wit = witness_from_eigvec(v2, float(spectrum.eigenvalues[idx]), bip, rho.dims)
     return {"dims": list(rho.dims), "vector": complex_pairs(v2), "bipartition": str(bip),
-            "trace_value": witness_value(wit, rho)}
+            "trace_value": expectation(wit.w, rho)}
 
 
 def certificate_payload(rho: HermitianOperator, bip: Bipartition,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ from . import certificates, cv, states
 from .errors import CertificationError, ParameterOutOfRange, TruncationUnreliable
 from .hermitian import (Bipartition, expectation, operator_from_payload, partial_transpose,
                         projector)
-from .spectral import classify_npt
+from .spectral import pt_spectrum
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -30,14 +31,22 @@ EXIT_VIOLATED = 2
 EXIT_TRUNCATION = 3
 
 RELATION_RTOL = 1e-8    # relation-check's bound on |lhs - rhs|, relative
+# The most grid points sweep-ghz takes, checked before the grid is allocated:
+# at about 1.6 ms a point (2-vCPU VM) the largest sweep takes 16 s and writes
+# 1 MB of CSV, and a p spacing of 1e-4 is far finer than a plot of it shows.
+MAX_STEPS = 10_000
 
 
-def _default_tol() -> float:
-    text = os.environ.get("NPT_CERTIFY_TOL", certificates.VIOLATION_TOL)
+def _tol(tol) -> float:
+    """--tol, else NPT_CERTIFY_TOL, else VIOLATION_TOL: a finite number >= 0."""
+    text = os.environ.get("NPT_CERTIFY_TOL", certificates.VIOLATION_TOL) if tol is None else tol
     try:
-        return float(text)
+        tol = float(text)
     except ValueError:
         raise ParameterOutOfRange(f"NPT_CERTIFY_TOL={text!r} is not a number") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterOutOfRange(f"tolerance {tol!r} is not a finite number >= 0")
+    return tol
 
 
 def _parse_value(text: str):
@@ -139,7 +148,7 @@ def main():
 @_handle_errors
 def check(source, bipartition, tol, seed, out):
     """Run the full SR certificate for one state and bipartition."""
-    tol = _default_tol() if tol is None else tol
+    tol = _tol(tol)
     rho = _load_finite_state(source, seed)
     bip = Bipartition.parse(bipartition, len(rho.dims))
     payload = certificates.certificate_payload(rho, bip, tol=tol)
@@ -162,13 +171,13 @@ def check(source, bipartition, tol, seed, out):
 def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
     """Sweep the mixed-GHZ family and emit CSV columns
     p, lambda_minus, sr_margin, eq8_margin, witness_value."""
-    tol = _default_tol() if tol is None else tol
+    tol = _tol(tol)
     if not (0.0 <= p_from < p_to <= 1.0):
         raise ParameterOutOfRange(
             f"need 0 <= p_from < p_to <= 1, got {p_from}, {p_to}"
         )
-    if steps < 2:
-        raise ParameterOutOfRange(f"steps = {steps} must be >= 2")
+    if not 2 <= steps <= MAX_STEPS:
+        raise ParameterOutOfRange(f"steps = {steps} outside 2..{MAX_STEPS}")
     bip = Bipartition.parse(bipartition, 3)
     rows = []
     for p in np.linspace(p_from, p_to, steps):
@@ -196,10 +205,10 @@ def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
 @_handle_errors
 def witness(source, bipartition, tol, seed, out):
     """Export the entanglement witness built from the most negative PT eigenvector."""
-    tol = _default_tol() if tol is None else tol
+    tol = _tol(tol)
     rho = _load_finite_state(source, seed)
     bip = Bipartition.parse(bipartition, len(rho.dims))
-    spectrum, verdict = classify_npt(rho, bip, tol=tol)
+    _, spectrum, verdict = pt_spectrum(rho, bip, tol=tol)
     entry = certificates.witness_entry(rho, bip, spectrum, verdict)
     if entry is not None:
         entry["source_eigenvalue"] = verdict.min_eigenvalue
@@ -251,7 +260,7 @@ def _check_orders(*orders) -> None:
 @_handle_errors
 def cv_check(source, ineq, m, n, cutoff, tol, out):
     """Evaluate a moment inequality for a two-mode CV state spec."""
-    tol = _default_tol() if tol is None else tol
+    tol = _tol(tol)
     _check_orders(m, n)
     rho, spec = _load_cv_state(source, cutoff)
     runner = cv.ineq10 if ineq == "10" else cv.ineq11
@@ -276,7 +285,7 @@ def cv_check(source, ineq, m, n, cutoff, tol, out):
 def bs_demo(source, theta, m, n, cutoff, tol, out):
     """Pipe a single-mode state and vacuum through a beam splitter, then
     evaluate both moment inequalities on the output."""
-    tol = _default_tol() if tol is None else tol
+    tol = _tol(tol)
     _check_orders(m, n)
     rho_in, spec = _load_cv_state(source, cutoff)
     two_mode = cv.with_vacuum_ancilla(rho_in)

@@ -32,7 +32,7 @@ import numpy as np
 from .certificates import VIOLATION_TOL, SRReport, require_state_like, sr_from_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
 from .hermitian import Bipartition, HermitianOperator, partial_transpose, spec_int, trace_product
-from .states import FACTORY_TOL, check_spec_keys, spec_value
+from .states import check_spec_keys, spec_value
 
 DEFAULT_CUTOFF = 30
 # The largest cutoff a spec may ask for, checked before anything is
@@ -136,7 +136,6 @@ class PureFockState:
 
     amplitudes: np.ndarray
     dims: tuple
-    tolerance: float = FACTORY_TOL
     deviation: float = 0.0
 
     @property
@@ -240,7 +239,7 @@ def thermal(nbar: float, space: FockSpace,
     weights = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar) if nbar > 0 else (k == 0).astype(float)
     m = np.diag(weights.astype(np.complex128))
     m /= float(np.trace(m).real)
-    rho = HermitianOperator(m, space.dims, FACTORY_TOL)
+    rho = HermitianOperator(m, space.dims)
     _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
     return rho
 
@@ -280,7 +279,7 @@ def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator:
     # rho x |0><0| copies rho onto the n2 = 0 rows and columns: still exactly Hermitian
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     out[::d, ::d] = rho.matrix
-    return HermitianOperator(out, (d, d), rho.tolerance, rho.deviation)
+    return HermitianOperator(out, (d, d), rho.deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +346,7 @@ def beam_splitter(rho: HermitianOperator, theta: float,
     out = np.conj(y)
     out += y.T
     out *= 0.5
-    return BeamSplitterResult(HermitianOperator(out, space.dims, rho.tolerance, rho.deviation),
-                              defect)
+    return BeamSplitterResult(HermitianOperator(out, space.dims, rho.deviation), defect)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ JSON matrix files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,16 @@ def spec_int(value, name: str) -> int:
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ParameterOutOfRange(f"{name} = {value!r} is not an integer")
     return int(value)
+
+
+def check_profile(dims, n: int) -> tuple:
+    """dims as a tuple of ints >= 1 with product n, else DimensionMismatch."""
+    dims = tuple(spec_int(d, "dims entry") for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise DimensionMismatch(f"invalid dimension profile {dims}")
+    if math.prod(dims) != n:
+        raise DimensionMismatch(f"profile {dims} has total {math.prod(dims)}, matrix is {n}x{n}")
+    return dims
 
 
 @dataclass(frozen=True)
@@ -77,17 +88,16 @@ class Bipartition:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Validated Hermitian matrix with declared subsystem dimensions.
+    """Exactly Hermitian matrix with declared subsystem dimensions.
 
-    ``matrix`` is exactly Hermitian (symmetrized on construction) and
-    ``deviation`` records how far the raw input was from Hermitian in
-    max-norm.  Unit trace is *not* part of the type; it is checked where
-    an operation requires a state.
+    validate_hermitian symmetrizes outside input and records in ``deviation``
+    its max-norm distance from Hermitian; library code that builds an exactly
+    Hermitian matrix constructs the operator directly.  Unit trace is *not*
+    part of the type; it is checked where an operation requires a state.
     """
 
     matrix: np.ndarray
     dims: tuple
-    tolerance: float = HERMITICITY_TOL
     deviation: float = 0.0
 
     @property
@@ -109,13 +119,7 @@ def validate_hermitian(matrix, dims, tol: float = HERMITICITY_TOL) -> HermitianO
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix shape {m.shape} is not square")
-    dims = tuple(spec_int(d, "dims entry") for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatch(f"invalid dimension profile {dims}")
-    if int(np.prod(dims)) != m.shape[0]:
-        raise DimensionMismatch(
-            f"profile {dims} has total {int(np.prod(dims))}, matrix is {m.shape[0]}x{m.shape[0]}"
-        )
+    dims = check_profile(dims, m.shape[0])
     if not np.isfinite(m).all():
         raise NotHermitian("matrix has non-finite entries")
     deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -125,7 +129,7 @@ def validate_hermitian(matrix, dims, tol: float = HERMITICITY_TOL) -> HermitianO
             f"max |M - M^dag| = {deviation:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
     sym = (m + m.conj().T) / 2.0
-    return HermitianOperator(sym, dims, tol, deviation)
+    return HermitianOperator(sym, dims, deviation)
 
 
 def projector(vector, dims=None) -> HermitianOperator:
@@ -138,9 +142,7 @@ def projector(vector, dims=None) -> HermitianOperator:
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product; the profile is the concatenation of the factors'."""
-    return HermitianOperator(
-        np.kron(a.matrix, b.matrix), a.dims + b.dims, min(a.tolerance, b.tolerance)
-    )
+    return HermitianOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
 def partial_transpose(rho: HermitianOperator, bip: Bipartition) -> HermitianOperator:
@@ -162,7 +164,7 @@ def partial_transpose(rho: HermitianOperator, bip: Bipartition) -> HermitianOper
     out = np.ascontiguousarray(t.transpose(perm).reshape(rho.matrix.shape))
     # the permutation of an exactly Hermitian matrix is exactly Hermitian, so
     # the result needs no re-validation and the involution stays exact
-    return HermitianOperator(out, dims, rho.tolerance, rho.deviation)
+    return HermitianOperator(out, dims, rho.deviation)
 
 
 def trace_product(a, b) -> complex:

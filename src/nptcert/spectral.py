@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceFailure, UnnormalizedState
 from .hermitian import Bipartition, HermitianOperator, partial_transpose
 
-NEGATIVITY_TOL = 1e-10
+VIOLATION_TOL = 1e-10
 TRACE_TOL = 1e-9
 
 
@@ -64,7 +64,7 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
 
 
 def pt_spectrum(rho: HermitianOperator, bip: Bipartition,
-                tol: float = NEGATIVITY_TOL, normalize: bool = False):
+                tol: float = VIOLATION_TOL, normalize: bool = False):
     """One partial transpose and one eigensolve: (rho^PT, Spectrum, NptVerdict).
 
     Requires unit trace within 1e-9 unless normalize=True, in which case any
@@ -90,10 +90,3 @@ def pt_spectrum(rho: HermitianOperator, bip: Bipartition,
         chosen_negative_index=len(w) - 1,
     )
     return rho_pt, spectrum, verdict
-
-
-def classify_npt(rho: HermitianOperator, bip: Bipartition,
-                 tol: float = NEGATIVITY_TOL, normalize: bool = False):
-    """Spectrum of rho^PT together with an NPT verdict (see pt_spectrum)."""
-    _, spectrum, verdict = pt_spectrum(rho, bip, tol, normalize)
-    return spectrum, verdict

@@ -2,7 +2,8 @@
 
 Random generation uses numpy's default_rng (PCG64), which is seedable and
 produces the same stream on every platform, so fixtures built from a fixed
-seed reproduce bit-exactly.
+seed reproduce bit-exactly.  Every factory builds an exactly Hermitian
+matrix and returns it as a HermitianOperator without validating it again.
 """
 
 from __future__ import annotations
@@ -12,17 +13,12 @@ import math
 import numpy as np
 
 from .errors import ParameterOutOfRange
-from .hermitian import HermitianOperator, spec_int, tensor_product, validate_hermitian
+from .hermitian import HermitianOperator, check_profile, spec_int, tensor_product
 
-FACTORY_TOL = 1e-12
 # Size caps, checked before anything is allocated: a dim-1024 state is a
 # 16 MB matrix, four times the north star's largest (256).
 MAX_DIM = 1024      # total dimension of a random or product state
 MAX_TERMS = 1024    # product terms in a random_separable mixture
-
-
-def _state(matrix, dims) -> HermitianOperator:
-    return validate_hermitian(matrix, dims, tol=FACTORY_TOL)
 
 
 def make_ghz_mixed(p: float) -> HermitianOperator:
@@ -32,21 +28,21 @@ def make_ghz_mixed(p: float) -> HermitianOperator:
     ghz = np.zeros(8, dtype=np.complex128)
     ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
     rho = p * np.outer(ghz, ghz.conj()) + (1.0 - p) * np.eye(8) / 8.0
-    return _state(rho, (2, 2, 2))
+    return HermitianOperator(rho, (2, 2, 2))
 
 
 def make_bell() -> HermitianOperator:
     """|Phi+><Phi+| with Phi+ = (|00> + |11>)/sqrt(2)."""
     v = np.zeros(4, dtype=np.complex128)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return _state(np.outer(v, v.conj()), (2, 2))
+    return HermitianOperator(np.outer(v, v.conj()), (2, 2))
 
 
 def make_single_photon_entangled() -> HermitianOperator:
     """(|01> + |10>)/sqrt(2) as a two-qubit density operator."""
     v = np.zeros(4, dtype=np.complex128)
     v[1] = v[2] = 1.0 / np.sqrt(2.0)
-    return _state(np.outer(v, v.conj()), (2, 2))
+    return HermitianOperator(np.outer(v, v.conj()), (2, 2))
 
 
 def make_werner(p: float) -> HermitianOperator:
@@ -61,22 +57,24 @@ def make_werner(p: float) -> HermitianOperator:
     v[1] = 1.0 / np.sqrt(2.0)
     v[2] = -1.0 / np.sqrt(2.0)
     rho = p * np.outer(v, v.conj()) + (1.0 - p) * np.eye(4) / 4.0
-    return _state(rho, (2, 2))
+    return HermitianOperator(rho, (2, 2))
 
 
 def random_density(dim: int, seed, dims=None) -> HermitianOperator:
     """G G^dag / Tr with G complex Gaussian: a full-rank unit-trace state."""
     if not 2 <= dim <= MAX_DIM:
         raise ParameterOutOfRange(f"dim = {dim} outside 2..{MAX_DIM}")
-    rng = np.random.default_rng(seed)
-    return _random_density_from(rng, dim, dims)
+    dims = (dim,) if dims is None else check_profile(dims, dim)
+    return _random_density_from(np.random.default_rng(seed), dims)
 
 
-def _random_density_from(rng, dim: int, dims=None) -> HermitianOperator:
+def _random_density_from(rng, dims: tuple) -> HermitianOperator:
+    dim = math.prod(dims)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return _state(rho, (dim,) if dims is None else tuple(dims))
+    # G G^dag is Hermitian only to rounding
+    return HermitianOperator((rho + rho.conj().T) / 2.0, dims)
 
 
 def random_separable(dims, terms: int, seed) -> HermitianOperator:
@@ -93,11 +91,11 @@ def random_separable(dims, terms: int, seed) -> HermitianOperator:
     weights = rng.dirichlet(np.ones(terms))
     rho = np.zeros((total, total), dtype=np.complex128)
     for w in weights:
-        factor = _random_density_from(rng, dims[0])
+        factor = _random_density_from(rng, dims[:1])
         for d in dims[1:]:
-            factor = tensor_product(factor, _random_density_from(rng, d))
+            factor = tensor_product(factor, _random_density_from(rng, (d,)))
         rho += w * factor.matrix
-    return _state(rho, dims)
+    return HermitianOperator(rho, dims)
 
 
 def make_product(dims, seed) -> HermitianOperator:

@@ -17,10 +17,9 @@ from nptcert.certificates import (
     sr_pt_test,
     two_qubit_equivalence,
     witness_from_eigvec,
-    witness_value,
 )
-from nptcert.hermitian import Bipartition, partial_transpose, validate_hermitian
-from nptcert.spectral import classify_npt, eig_hermitian
+from nptcert.hermitian import Bipartition, expectation, partial_transpose, validate_hermitian
+from nptcert.spectral import eig_hermitian, pt_spectrum
 from nptcert.states import make_ghz_mixed, random_density, random_separable
 from oracles import mancini_margin, random_unit_trace_hermitian
 
@@ -47,7 +46,7 @@ def test_criterion_01_ghz_threshold():
     for p in grid:
         rho = make_ghz_mixed(float(p))
         for bip in GHZ_BIPARTITIONS:
-            spectrum, verdict = classify_npt(rho, bip)
+            _, spectrum, verdict = pt_spectrum(rho, bip)
             assert spectrum.eigenvalues[0] == pytest.approx((1 + 3 * p) / 8, abs=1e-12)
             assert spectrum.eigenvalues[-1] == pytest.approx((1 - 5 * p) / 8, abs=1e-12)
             _, _, rep = sr_pt_test(rho, bip)
@@ -106,7 +105,7 @@ def _reference_witnesses():
         for bip in bips:
             for seed in range(50):
                 rho = random_density(total, 40_000 + seed, dims=dims)
-                spec, verdict = classify_npt(rho, bip)
+                _, spec, verdict = pt_spectrum(rho, bip)
                 if verdict.is_npt:
                     entries.append(witness_from_eigvec(
                         spec.vector(verdict.chosen_negative_index),
@@ -134,7 +133,7 @@ def test_criterion_04_soundness_on_separable():
                 assert rep.margin >= -1e-10
                 assert not rep.violated
             for wit in witnesses[dims]:
-                assert witness_value(wit, rho) >= -1e-10
+                assert expectation(wit.w, rho) >= -1e-10
             count += 1
     assert count == 1000
     _report("[PASS] criterion 4: no SR violation and no negative witness value "
@@ -151,7 +150,7 @@ def test_criterion_05_completeness_on_npt():
         rho = random_density(int(np.prod(dims)), 50_000 + attempts, dims=dims)
         attempts += 1
         bip = Bipartition(frozenset({0}), 2)
-        spec, verdict = classify_npt(rho, bip)
+        _, spec, verdict = pt_spectrum(rho, bip)
         if not verdict.is_npt:
             continue
         _, _, rep = sr_pt_test(rho, bip)
@@ -159,7 +158,7 @@ def test_criterion_05_completeness_on_npt():
         lam2 = verdict.min_eigenvalue
         wit = witness_from_eigvec(spec.vector(verdict.chosen_negative_index),
                                   lam2, bip, dims)
-        assert abs(witness_value(wit, rho) - lam2) <= 1e-10
+        assert abs(expectation(wit.w, rho) - lam2) <= 1e-10
         found += 1
     assert found >= 200, f"only {found} NPT states in {attempts} attempts"
     _report(f"[PASS] criterion 5: {found} NPT states all certified, "
@@ -183,7 +182,7 @@ def test_criterion_06_weak_implies_strong():
     bip = Bipartition(frozenset({0}), 2)
     for seed in range(200):
         rho = random_density(4, 60_000 + seed, dims=(2, 2))
-        spec, verdict = classify_npt(rho, bip)
+        _, spec, verdict = pt_spectrum(rho, bip)
         pair = build_pseudospin(spec.vector(0), spec.vector(3), dims=(2, 2))
         rho_pt = partial_transpose(rho, bip)
         weak = hur_weak_test(pair, rho_pt)

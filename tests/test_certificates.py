@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nptcert.certificates import (
     GHZ_MARGIN_SCALE,
@@ -15,26 +16,29 @@ from nptcert.certificates import (
     two_qubit_equivalence,
     variance_positivity,
     witness_from_eigvec,
-    witness_value,
 )
 from nptcert.errors import (
     ConditionNotMet,
     DegenerateCoefficients,
     DimensionMismatch,
     NonNegativeEigenvalue,
+    NotHermitian,
     NotOrthogonal,
     UnnormalizedState,
 )
 from nptcert.hermitian import (
     Bipartition,
+    expectation,
     partial_transpose,
     validate_hermitian,
 )
-from nptcert.spectral import classify_npt, eig_hermitian
+from nptcert.spectral import eig_hermitian, pt_spectrum
 from nptcert.states import (
     make_bell,
     make_ghz_mixed,
+    make_product,
     make_single_photon_entangled,
+    make_werner,
     random_density,
     random_separable,
 )
@@ -93,6 +97,41 @@ class TestBuildPseudospin:
     def test_rank_at_most_two(self):
         pair = ghz_pair()
         assert np.linalg.matrix_rank(pair.h1.matrix, tol=1e-12) <= 2
+
+    @pytest.mark.parametrize("v1, alpha1, alpha2", [
+        (np.array([np.nan, 0.0]), 0.5, -0.5j),
+        (E0, complex(np.nan, 0.0), -0.5j),
+        (E0, np.inf, -0.5j),
+        (E0, 0.5, complex(0.0, np.inf)),
+    ], ids=["nan-v1", "nan-alpha1", "inf-alpha1", "inf-alpha2"])
+    def test_non_finite_input(self, v1, alpha1, alpha2):
+        # the pair is not validated, so this check alone keeps NaN and inf out
+        with pytest.raises(NotHermitian, match="non-finite"):
+            build_pseudospin(v1, E1, alpha1, alpha2)
+
+    def test_dims_profile_checked(self):
+        assert build_pseudospin(E0, E1, dims=[2.0]).h1.dims == (2,)
+        with pytest.raises(DimensionMismatch):
+            build_pseudospin(E0, E1, dims=(3,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       dims=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+       terms=st.integers(1, 6), default_alphas=st.booleans())
+def test_library_matrices_exactly_hermitian(p, seed, dims, terms, default_alphas):
+    """The factories and the pseudo-spin pair build their matrices as
+    HermitianOperator without validation, so each must be exactly Hermitian."""
+    dim = int(np.prod(dims))
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
+    alphas = () if default_alphas else tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    pair = build_pseudospin(q[:, 0], q[:, 1], *alphas, dims=dims)
+    ops = [make_ghz_mixed(p), make_werner(p), make_bell(), make_single_photon_entangled(),
+           random_density(dim, seed, dims=dims), random_separable(dims, terms, seed),
+           make_product(dims, seed), pair.h1, pair.h2]
+    for op in ops:
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
 
 
 class TestSrReport:
@@ -183,7 +222,7 @@ class TestSrPtTest:
         rng = np.random.default_rng(42)
         for _ in range(30):
             rho = herm(random_density_oracle(rng, 6), (2, 3))
-            spec, verdict = classify_npt(rho, BIP01)
+            _, spec, verdict = pt_spectrum(rho, BIP01)
             _, _, rep = sr_pt_test(rho, BIP01)
             l1 = spec.eigenvalues[0]
             l2 = spec.eigenvalues[-1]
@@ -210,8 +249,6 @@ class TestPtOfOperator:
 
     def test_laboratory_form(self):
         rng = np.random.default_rng(43)
-        from nptcert.hermitian import expectation
-
         for _ in range(20):
             o = herm(random_hermitian(rng, 4), (2, 2))
             rho = herm(random_hermitian(rng, 4), (2, 2))
@@ -226,7 +263,7 @@ class TestHurWeak:
         rng = np.random.default_rng(44)
         for _ in range(20):
             rho = herm(random_density_oracle(rng, 4), (2, 2))
-            spec, verdict = classify_npt(rho, BIP01)
+            _, spec, verdict = pt_spectrum(rho, BIP01)
             pair = build_pseudospin(spec.vector(0), spec.vector(3), dims=(2, 2))
             weak = hur_weak_test(pair, partial_transpose(rho, BIP01))
             l1, l2 = spec.eigenvalues[0], spec.eigenvalues[-1]
@@ -235,7 +272,7 @@ class TestHurWeak:
     def test_ppt_state_nonnegative(self):
         for seed in range(20):
             rho = random_separable((2, 2), terms=2, seed=seed)
-            spec, _ = classify_npt(rho, BIP01)
+            _, spec, _ = pt_spectrum(rho, BIP01)
             pair = build_pseudospin(spec.vector(0), spec.vector(3), dims=(2, 2))
             weak = hur_weak_test(pair, partial_transpose(rho, BIP01))
             assert weak.margin >= -1e-10
@@ -262,23 +299,23 @@ class TestHurWeak:
 class TestWitness:
     def test_bell_witness_value(self):
         rho = make_bell()
-        spec, verdict = classify_npt(rho, BIP01)
+        _, spec, verdict = pt_spectrum(rho, BIP01)
         wit = witness_from_eigvec(spec.vector(3), spec.eigenvalues[-1], BIP01, (2, 2))
-        assert witness_value(wit, rho) == pytest.approx(-0.5, abs=1e-12)
+        assert expectation(wit.w, rho) == pytest.approx(-0.5, abs=1e-12)
 
     def test_unit_trace(self):
         rho = make_bell()
-        spec, _ = classify_npt(rho, BIP01)
+        _, spec, _ = pt_spectrum(rho, BIP01)
         wit = witness_from_eigvec(spec.vector(3), spec.eigenvalues[-1], BIP01, (2, 2))
         assert wit.w.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_nonnegative_on_separable(self):
         rho = make_bell()
-        spec, _ = classify_npt(rho, BIP01)
+        _, spec, _ = pt_spectrum(rho, BIP01)
         wit = witness_from_eigvec(spec.vector(3), spec.eigenvalues[-1], BIP01, (2, 2))
         for seed in range(100):
             sigma = random_separable((2, 2), terms=3, seed=1000 + seed)
-            assert witness_value(wit, sigma) >= -1e-10
+            assert expectation(wit.w, sigma) >= -1e-10
 
     def test_rejects_nonnegative_eigenvalue(self):
         with pytest.raises(NonNegativeEigenvalue):
@@ -287,14 +324,14 @@ class TestWitness:
     def test_linearity_exact(self):
         rng = np.random.default_rng(46)
         rho = make_bell()
-        spec, _ = classify_npt(rho, BIP01)
+        _, spec, _ = pt_spectrum(rho, BIP01)
         wit = witness_from_eigvec(spec.vector(3), spec.eigenvalues[-1], BIP01, (2, 2))
         a = herm(random_density_oracle(rng, 4), (2, 2))
         b = herm(random_density_oracle(rng, 4), (2, 2))
         for mu in (0.0, 0.25, 0.5, 0.9, 1.0):
             mix = herm(mu * a.matrix + (1 - mu) * b.matrix, (2, 2))
-            expected = mu * witness_value(wit, a) + (1 - mu) * witness_value(wit, b)
-            assert witness_value(wit, mix) == pytest.approx(expected, abs=1e-12)
+            expected = mu * expectation(wit.w, a) + (1 - mu) * expectation(wit.w, b)
+            assert expectation(wit.w, mix) == pytest.approx(expected, abs=1e-12)
 
 
 class TestVariancePositivity:
@@ -343,7 +380,7 @@ class TestOrthogonalPair:
     def test_eigenvectors_reduce_to_pt_test(self):
         rho = make_bell()
         rho_pt = partial_transpose(rho, BIP01)
-        spec, verdict = classify_npt(rho, BIP01)
+        _, spec, verdict = pt_spectrum(rho, BIP01)
         _, _, rep = sr_pt_test(rho, BIP01)
         _, rep2 = orthogonal_pair_construct(rho_pt, spec.vector(0), spec.vector(3))
         assert rep2.margin == pytest.approx(rep.margin, abs=1e-12)
@@ -351,7 +388,7 @@ class TestOrthogonalPair:
     def test_rotated_vector_evaluates(self):
         rho = make_bell()
         rho_pt = partial_transpose(rho, BIP01)
-        spec, _ = classify_npt(rho, BIP01)
+        _, spec, _ = pt_spectrum(rho, BIP01)
         v2 = spec.vector(3)
         # rotate v1 inside the positive eigenspace, keeping it orthogonal to v2
         v1 = (spec.vector(0) + spec.vector(1)) / np.sqrt(2)
@@ -361,7 +398,7 @@ class TestOrthogonalPair:
     def test_condition_not_met(self):
         rho = make_bell()
         rho_pt = partial_transpose(rho, BIP01)
-        spec, _ = classify_npt(rho, BIP01)
+        _, spec, _ = pt_spectrum(rho, BIP01)
         with pytest.raises(ConditionNotMet):
             orthogonal_pair_construct(rho_pt, spec.vector(3), spec.vector(0))
 

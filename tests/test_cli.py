@@ -87,11 +87,13 @@ class TestErrors:
         (["cv-check", '{{"family": "two_mode_squeezed", "r": 0.3, "cutoff": true}}'], {}),
         (["bs-demo", "--input", "fock:n=1.7", "--cutoff", "12"], {}),
         (["check", "{bell_fractional_dims}", "--bipartition", "0|1"], {}),
+        (["check", '{{"family": "random_density", "dim": 8, "dims": [3, 3]}}',
+          "--bipartition", "0|1"], {}),
     ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir",
             "bad-complex-value", "check-json-array-file", "cv-check-json-array-file",
             "non-integral-terms", "non-integral-dim", "non-integral-dims-entry",
             "non-integral-cutoff", "bool-cutoff", "non-integral-n",
-            "matrix-file-non-integral-dims"])
+            "matrix-file-non-integral-dims", "dims-not-matching-dim"])
     def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -107,6 +109,31 @@ class TestErrors:
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "bell", "--bipartition", "0|1"],
+        ["witness", "bell", "--bipartition", "0|1"],
+        ["sweep-ghz", "--steps", "2"],
+        ["cv-check", "two_mode_squeezed:r=0.0", "--cutoff", "10"],
+        ["bs-demo", "--input", "fock:n=1", "--cutoff", "10"],
+    ], ids=["check", "witness", "sweep-ghz", "cv-check", "bs-demo"])
+    @pytest.mark.parametrize("option, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-5"), ("--tol", "-1e-300"),
+        ("env", "nan"), ("env", "-inf"), ("env", "-1"),
+    ], ids=["nan", "inf", "negative", "tiny-negative", "env-nan", "env-minus-inf",
+            "env-negative"])
+    def test_bad_tolerance(self, runner, monkeypatch, argv, option, value):
+        # a NaN tolerance certified nothing and a negative one certified a
+        # separable state; either is now an input error
+        if option == "env":
+            monkeypatch.setenv("NPT_CERTIFY_TOL", value)
+        else:
+            argv = argv + [option, value]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: tolerance ")
 
     @pytest.mark.parametrize("argv, key", [
         (["cv-check", "two_mode_squeezed"], "r"),
@@ -318,6 +345,18 @@ class TestSweep:
         result = runner.invoke(main, ["sweep-ghz", "--steps", "1"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("steps", [cli.MAX_STEPS + 1, 10 ** 12])
+    def test_steps_capped_before_the_grid(self, runner, monkeypatch, steps):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        result = runner.invoke(main, ["sweep-ghz", "--steps", str(steps)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.splitlines() == [
+            f"error: steps = {steps} outside 2..{cli.MAX_STEPS}"]
+
     def test_bad_range_rejected(self, runner):
         result = runner.invoke(main, ["sweep-ghz", "--p-from", "0.5", "--p-to", "0.4"])
         assert result.exit_code == 1
@@ -404,7 +443,7 @@ class TestFactoredReports:
             rebuilt = certificates.witness_from_eigvec(_complex(entry["vector"]), lambda2,
                                                        cut_back, entry["dims"])
             assert _bits(rebuilt.w) == _bits(dense.w)
-            assert entry["trace_value"] == certificates.witness_value(dense, rho)
+            assert entry["trace_value"] == hermitian.expectation(dense.w, rho)
 
     def test_dim64_report_under_40kb(self, runner, tmp_path):
         source = tmp_path / "rho.json"
@@ -483,25 +522,31 @@ class TestCvCommands:
         assert result.exit_code == code
         assert json.loads(result.stdout)["defect"] == defect
 
-    @pytest.mark.parametrize("argv", [
-        ["bs-demo", "--input", "squeezed_vacuum:r=0.1", "--cutoff", "12"],
-        ["cv-check", "two_mode_squeezed:r=0.3", "--cutoff", "12"],
-        ["cv-check", "single_photon_entangled", "--ineq", "11", "--cutoff", "12"],
-    ], ids=["bs-demo", "cv-check-tms", "cv-check-spe"])
-    def test_library_states_not_revalidated(self, runner, monkeypatch, argv):
-        shapes = []
+    @pytest.mark.parametrize("argv, expected", [
+        (["bs-demo", "--input", "squeezed_vacuum:r=0.1", "--cutoff", "12"], []),
+        (["cv-check", "two_mode_squeezed:r=0.3", "--cutoff", "12"], []),
+        (["cv-check", "single_photon_entangled", "--ineq", "11", "--cutoff", "12"], []),
+        (["check", "ghz_mixed:p=0.5", "--bipartition", "0,1|2"], [("projector", (8, 8))]),
+        (["check", "{bell_file}", "--bipartition", "0|1"],
+         [("operator_from_payload", (4, 4)), ("projector", (4, 4))]),
+    ], ids=["bs-demo", "cv-check-tms", "cv-check-spe", "check-spec", "check-file"])
+    def test_library_states_not_revalidated(self, runner, monkeypatch, bell_file, argv,
+                                            expected):
+        # (caller, shape) of every validation: only outside input and the
+        # witness projector are validated, never a matrix the library built
+        calls = []
         original = hermitian.validate_hermitian
 
         def counting(matrix, *args, **kwargs):
-            shapes.append(np.shape(matrix))
+            calls.append((sys._getframe(1).f_code.co_name, np.shape(matrix)))
             return original(matrix, *args, **kwargs)
 
-        for module in (hermitian, states, cv):
+        for module in (hermitian, states, cv, certificates):
             if getattr(module, "validate_hermitian", None) is original:
                 monkeypatch.setattr(module, "validate_hermitian", counting)
-        result = runner.invoke(main, argv)
+        result = runner.invoke(main, [a.format(bell_file=bell_file) for a in argv])
         assert result.exit_code in (0, 2)
-        assert (13 * 13, 13 * 13) not in shapes
+        assert calls == expected
 
     def test_complex_spec_value_compact_and_json(self, runner):
         # a complex value stays a string in the spec and coherent() casts it

@@ -3,7 +3,7 @@ import pytest
 
 from nptcert.errors import ConvergenceFailure, UnnormalizedState
 from nptcert.hermitian import Bipartition, tensor_product, validate_hermitian
-from nptcert.spectral import classify_npt, eig_hermitian
+from nptcert.spectral import eig_hermitian, pt_spectrum
 from nptcert.states import make_bell, make_ghz_mixed, random_separable
 from oracles import eigvals_oracle, random_density_oracle, random_hermitian
 
@@ -82,11 +82,11 @@ class TestClassifyNpt:
         a = validate_hermitian(random_density_oracle(rng, 2), (2,))
         b = validate_hermitian(random_density_oracle(rng, 3), (3,))
         rho = tensor_product(a, b)
-        _, verdict = classify_npt(rho, Bipartition(frozenset({0}), 2))
+        _, _, verdict = pt_spectrum(rho, Bipartition(frozenset({0}), 2))
         assert not verdict.is_npt
 
     def test_bell(self):
-        spec, verdict = classify_npt(make_bell(), Bipartition(frozenset({0}), 2))
+        _, spec, verdict = pt_spectrum(make_bell(), Bipartition(frozenset({0}), 2))
         assert verdict.is_npt
         assert verdict.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
         assert verdict.negativity_count == 1
@@ -94,21 +94,21 @@ class TestClassifyNpt:
         assert spec.eigenvalues[verdict.chosen_negative_index] == pytest.approx(-0.5, abs=1e-12)
 
     def test_ghz_threshold_point(self):
-        _, verdict = classify_npt(make_ghz_mixed(0.2), BIP_AB_C)
+        _, _, verdict = pt_spectrum(make_ghz_mixed(0.2), BIP_AB_C)
         assert not verdict.is_npt
 
     def test_unnormalized(self):
         op = validate_hermitian(np.eye(4), (2, 2))
         with pytest.raises(UnnormalizedState):
-            classify_npt(op, Bipartition(frozenset({0}), 2))
-        _, verdict = classify_npt(op, Bipartition(frozenset({0}), 2), normalize=True)
+            pt_spectrum(op, Bipartition(frozenset({0}), 2))
+        _, _, verdict = pt_spectrum(op, Bipartition(frozenset({0}), 2), normalize=True)
         assert not verdict.is_npt
 
     def test_pt_eigenvalue_sum_is_one(self):
         rng = np.random.default_rng(301)
         for _ in range(20):
             rho = validate_hermitian(random_density_oracle(rng, 6), (2, 3))
-            spec, _ = classify_npt(rho, Bipartition(frozenset({0}), 2))
+            _, spec, _ = pt_spectrum(rho, Bipartition(frozenset({0}), 2))
             assert np.sum(spec.eigenvalues) == pytest.approx(1.0, abs=1e-10)
 
     def test_separable_mixtures_never_npt(self):
@@ -117,5 +117,5 @@ class TestClassifyNpt:
         bip = Bipartition(frozenset({0}), 2)
         for trial in range(1000):
             rho = random_separable((2, 2), terms=int(rng.integers(1, 4)), seed=trial)
-            _, verdict = classify_npt(rho, bip)
+            _, _, verdict = pt_spectrum(rho, bip)
             assert not verdict.is_npt, f"trial {trial}: {verdict.min_eigenvalue}"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nptcert import states
-from nptcert.errors import ParameterOutOfRange
+from nptcert.errors import DimensionMismatch, ParameterOutOfRange
 from nptcert.hermitian import Bipartition, partial_transpose
-from nptcert.spectral import classify_npt
+from nptcert.spectral import pt_spectrum
 from nptcert.states import (
     MAX_DIM,
     MAX_TERMS,
@@ -58,7 +58,7 @@ class TestPureFamilies:
         assert w[-1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_single_photon_npt(self):
-        _, verdict = classify_npt(make_single_photon_entangled(), BIP01)
+        _, _, verdict = pt_spectrum(make_single_photon_entangled(), BIP01)
         assert verdict.is_npt
         assert verdict.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
 
@@ -92,7 +92,7 @@ class TestRandomFactories:
         for seed in range(25):
             rho = random_separable((2, 2, 2), terms=3, seed=seed)
             for one in ({0}, {1}, {2}):
-                _, verdict = classify_npt(rho, Bipartition(frozenset(one), 3))
+                _, _, verdict = pt_spectrum(rho, Bipartition(frozenset(one), 3))
                 assert not verdict.is_npt
 
     def test_separable_seed_reproducible(self):
@@ -107,11 +107,14 @@ class TestRandomFactories:
             random_separable((2, 1), terms=2, seed=0)
         with pytest.raises(ParameterOutOfRange):
             random_separable((2, 2), terms=0, seed=0)
+        for dim, dims in ((8, (3, 3)), (4, (-2, -2)), (4, ())):
+            with pytest.raises(DimensionMismatch):
+                random_density(dim, 0, dims=dims)
 
     def test_product_state(self):
         rho = make_product((2, 3), seed=3)
         assert rho.dims == (2, 3)
-        _, verdict = classify_npt(rho, BIP01)
+        _, _, verdict = pt_spectrum(rho, BIP01)
         assert not verdict.is_npt
 
 
