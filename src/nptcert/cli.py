@@ -112,6 +112,10 @@ def _write(text: str, out) -> None:
         click.echo(text, nl=False)
 
 
+def _config(command: str, source: str, **options) -> dict:
+    return {"command": command, "input": source, **options}
+
+
 def _emit(payload: dict, out) -> None:
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
@@ -152,10 +156,7 @@ def check(source, bipartition, tol, seed, out):
     rho = _load_finite_state(source, seed)
     bip = Bipartition.parse(bipartition, len(rho.dims))
     payload = certificates.certificate_payload(rho, bip, tol=tol)
-    payload["config"] = {
-        "command": "check", "input": source, "bipartition": bipartition,
-        "tol": tol, "seed": seed,
-    }
+    payload["config"] = _config("check", source, bipartition=bipartition, tol=tol, seed=seed)
     _emit(payload, out)
     sys.exit(EXIT_VIOLATED if payload["verdict"] == "violated" else EXIT_OK)
 
@@ -217,8 +218,7 @@ def witness(source, bipartition, tol, seed, out):
         "is_npt": verdict.is_npt,
         "pt_eigenvalues": [float(x) for x in spectrum.eigenvalues],
         "witness": entry,
-        "config": {"command": "witness", "input": source,
-                   "bipartition": bipartition, "tol": tol, "seed": seed},
+        "config": _config("witness", source, bipartition=bipartition, tol=tol, seed=seed),
     }
     _emit(payload, out)
     sys.exit(EXIT_VIOLATED if verdict.is_npt else EXIT_OK)
@@ -266,8 +266,8 @@ def cv_check(source, ineq, m, n, cutoff, tol, out):
     runner = cv.ineq10 if ineq == "10" else cv.ineq11
     rep = runner(rho, m, n, tol=tol)
     payload = _cv_report_payload(rep)
-    payload["config"] = {"command": "cv-check", "input": source, "spec": spec,
-                         "ineq": ineq, "m": m, "n": n, "cutoff": cutoff, "tol": tol}
+    payload["config"] = _config("cv-check", source, spec=spec, ineq=ineq, m=m, n=n,
+                                cutoff=cutoff, tol=tol)
     _emit(payload, out)
     sys.exit(EXIT_VIOLATED if rep.violated else EXIT_OK)
 
@@ -296,8 +296,8 @@ def bs_demo(source, theta, m, n, cutoff, tol, out):
         "unitarity_defect": result.unitarity_defect,
         "ineq10": _cv_report_payload(rep10),
         "ineq11": _cv_report_payload(rep11),
-        "config": {"command": "bs-demo", "input": source, "spec": spec,
-                   "theta": theta, "m": m, "n": n, "cutoff": cutoff, "tol": tol},
+        "config": _config("bs-demo", source, spec=spec, theta=theta, m=m, n=n,
+                          cutoff=cutoff, tol=tol),
     }
     _emit(payload, out)
     violated = rep10.violated or rep11.violated
@@ -325,8 +325,7 @@ def relation_check(source, m, n, p, q, cutoff, out):
         "lhs": [res.lhs.real, res.lhs.imag],
         "rhs": [res.rhs.real, res.rhs.imag],
         "defect": res.defect,
-        "config": {"command": "relation-check", "input": source, "spec": spec,
-                   "m": m, "n": n, "p": p, "q": q, "cutoff": cutoff},
+        "config": _config("relation-check", source, spec=spec, m=m, n=n, p=p, q=q, cutoff=cutoff),
     }
     _emit(payload, out)
     bound = RELATION_RTOL * max(1.0, abs(res.lhs), abs(res.rhs))

@@ -13,7 +13,8 @@ the (X1 + X2, Y1 - Y2) observable pair.  The two-mode squeezed factory uses
 Fock amplitudes proportional to (-tanh r)^k, which squeezes that same pair.
 
 States.  A PureFockState keeps its amplitudes for the moments and the
-truncation guard; its d^2 x d^2 ``matrix`` is built only when read.
+truncation guard; its d^2 x d^2 ``matrix`` is built only when read.  The
+vacuum ancilla and the beam splitter map its amplitudes; thermal stays dense.
 
 Truncation.  An operator of raising order j evaluated on a state is exact
 when the state carries no weight on the top j levels of either mode; the
@@ -38,6 +39,8 @@ DEFAULT_CUTOFF = 30
 # The largest cutoff a spec may ask for, checked before anything is
 # allocated: a two-mode state at cutoff 60 is a 3721 x 3721 matrix (222 MB).
 MAX_CUTOFF = 60
+# |theta| cap: the unitarity defect at cutoff 60 is 3.3e-15 up to 1e6, 6.6e-12 at 1e8.
+MAX_THETA = 1e6
 TAIL_THRESHOLD = 1e-8
 # Factories guard the first-order workflow (moments reach 2 levels above the
 # state support at m = 1); each operation re-checks at its own depth.
@@ -270,12 +273,16 @@ def single_photon_entangled(space: FockSpace) -> PureFockState:
     return _pure(v, space, guard=False)
 
 
-def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator:
-    """Extend a single-mode state to two modes with vacuum in the second."""
+def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator | PureFockState:
+    """Extend a single-mode state to two modes, vacuum in the second; a pure state stays pure."""
     space = space_of(rho)
     if space.modes != 1:
         raise ParameterOutOfRange("state already has two modes")
     d = space.dim_per_mode
+    if isinstance(rho, PureFockState):  # v x |0>: v on the n2 = 0 amplitudes
+        w = np.zeros(d * d, dtype=np.complex128)
+        w[::d] = rho.amplitudes
+        return PureFockState(w, (d, d), rho.deviation)
     # rho x |0><0| copies rho onto the n2 = 0 rows and columns: still exactly Hermitian
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     out[::d, ::d] = rho.matrix
@@ -288,7 +295,7 @@ def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class BeamSplitterResult:
-    state: HermitianOperator
+    state: HermitianOperator | PureFockState
     unitarity_defect: float
 
 
@@ -324,11 +331,14 @@ def beam_splitter(rho: HermitianOperator, theta: float,
 
     theta = pi/4 is the 50:50 splitter.  The total photon number is
     conserved, so the truncation tail is not spread by the map.  U is applied
-    block by block over the photon-number sectors, never as a dense matrix.
+    block by block over the photon-number sectors, never as a dense matrix; a
+    PureFockState goes to U|v>.  Raises ParameterOutOfRange unless |theta| <= MAX_THETA.
     """
     space = space_of(rho)
     if space.modes != 2:
         raise ParameterOutOfRange("beam splitter acts on two-mode states")
+    if not abs(theta) <= MAX_THETA:  # nan fails the comparison too
+        raise ParameterOutOfRange(f"theta = {theta} must be finite, |theta| <= {MAX_THETA:g}")
     _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
     blocks, defect = _beam_splitter_unitary(space.cutoff, float(theta))
 
@@ -340,6 +350,9 @@ def beam_splitter(rho: HermitianOperator, theta: float,
             dst[rows] = u @ src[rows]
         return out
 
+    if isinstance(rho, PureFockState):  # U|v>: one column through the same blocks
+        v = left(np.ascontiguousarray(rho.amplitudes, dtype=np.complex128)[:, None])
+        return BeamSplitterResult(PureFockState(v.ravel(), space.dims, rho.deviation), defect)
     # U (U rho)^T = conj(U rho U^dag): rho^T = conj(rho) and U is real
     y = left(left(np.ascontiguousarray(rho.matrix, dtype=np.complex128)).T.copy())
     # U rho U^dag is Hermitian only to rounding: symmetrize once

@@ -497,6 +497,19 @@ class TestCvCommands:
                                       "--m", "5"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e308", "1e15"])
+    def test_bs_demo_theta_out_of_range(self, theta):
+        # a fresh interpreter, so a numpy warning would reach stderr too; 1e15
+        # gave a non-unitary map (defect 0.85) and verdicts with exit 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "nptcert.cli", "bs-demo", "--input",
+                               "fock:n=1", "--cutoff", "5", f"--theta={theta}"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: theta = ")
+
     def test_truncation_exit_code(self, runner):
         result = runner.invoke(main, ["bs-demo", "--input", "coherent:alpha=4.0",
                                       "--cutoff", "12"])

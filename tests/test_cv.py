@@ -212,6 +212,97 @@ class TestSectorBeamSplitter:
         assert np.max(np.abs(out - u @ rho.matrix @ u.conj().T)) <= 1e-12
         np.testing.assert_array_equal(out, out.conj().T)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), 1e308,
+                                       np.nextafter(cv.MAX_THETA, np.inf)])
+    def test_theta_out_of_range(self, theta):
+        with pytest.raises(ParameterOutOfRange, match="theta"):
+            cv.beam_splitter(cv.vacuum(cv.FockSpace(2, 3)), theta)
+
+    def test_theta_cap_keeps_unitarity(self):
+        # the cap was measured at the largest cutoff: the defect is 3.3e-15 there
+        out = cv.beam_splitter(cv.vacuum(cv.FockSpace(2, cv.MAX_CUTOFF)), -cv.MAX_THETA)
+        assert out.unitarity_defect < 1e-14
+
+
+# Single-mode pure inputs of bs-demo; with allow_unreliable, since coherent
+# and squeezed states carry tail weight at cutoff 3.
+BS_INPUTS = {
+    **{f"fock{n}": (lambda c, n=n: cv.fock(n, cv.FockSpace(1, c), True)) for n in range(4)},
+    "coherent-real": lambda c: cv.coherent(0.8, cv.FockSpace(1, c), True),
+    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, cv.FockSpace(1, c), True),
+    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, cv.FockSpace(1, c), True),
+}
+
+
+class TestPureBeamSplitter:
+    """A pure input stays a PureFockState through the vacuum ancilla and the
+    beam splitter; the dense sector path on its matrix and the dense
+    truncated unitary are the references."""
+
+    @staticmethod
+    def both_paths(state, theta):
+        pure = cv.beam_splitter(cv.with_vacuum_ancilla(state), theta, allow_unreliable=True)
+        dense_in = HermitianOperator(state.matrix, state.dims)
+        dense = cv.beam_splitter(cv.with_vacuum_ancilla(dense_in), theta, allow_unreliable=True)
+        assert isinstance(pure.state, cv.PureFockState)
+        assert isinstance(dense.state, HermitianOperator)
+        return pure, dense
+
+    @pytest.mark.parametrize("cutoff", [3, 10, 20])
+    @pytest.mark.parametrize("theta", [0.37, np.pi / 4, 1.3])
+    @pytest.mark.parametrize("name", list(BS_INPUTS))
+    def test_output_matches_dense_path(self, name, theta, cutoff):
+        state = BS_INPUTS[name](cutoff)
+        pure, dense = self.both_paths(state, theta)
+        out = pure.state.matrix
+        assert np.max(np.abs(out - dense.state.matrix)) <= 1e-14
+        np.testing.assert_array_equal(out, out.conj().T)
+        assert pure.unitarity_defect == dense.unitarity_defect
+        u = bs_unitary_oracle(cutoff, theta)
+        vac = np.zeros((cutoff + 1, cutoff + 1))
+        vac[0, 0] = 1.0
+        assert np.max(np.abs(out - u @ np.kron(state.matrix, vac) @ u.conj().T)) <= 1e-12
+
+    # not at cutoff 3: there fock3's sides are rounding of exact zeros
+    @pytest.mark.parametrize("cutoff", [10, 20])
+    @pytest.mark.parametrize("name", list(BS_INPUTS))
+    def test_inequalities_match_dense_path(self, name, cutoff):
+        for theta in (0.37, np.pi / 4, 1.3):
+            pure, dense = self.both_paths(BS_INPUTS[name](cutoff), theta)
+            for m in range(1, 5):
+                for n in range(1, 5):
+                    for ineq in (cv.ineq10, cv.ineq11):
+                        got = ineq(pure.state, m, n, allow_unreliable=True)
+                        want = ineq(dense.state, m, n, allow_unreliable=True)
+                        assert abs(got.lhs - want.lhs) <= 1e-12 * abs(want.lhs)
+                        assert abs(got.rhs - want.rhs) <= 1e-12 * abs(want.rhs)
+                        scale = max(1.0, abs(want.lhs), abs(want.rhs))
+                        assert abs(got.margin - want.margin) <= 1e-12 * scale
+
+    def test_ancilla_puts_the_input_on_n2_zero(self):
+        state = cv.coherent(0.4 - 0.3j, SMALL1)
+        two = cv.with_vacuum_ancilla(state)
+        np.testing.assert_array_equal(two.amplitudes.reshape(13, 13),
+                                      np.outer(state.amplitudes, np.eye(13)[0]))
+        assert two.dims == (13, 13)
+
+    def test_cutoff_40_pipeline_never_builds_the_matrix(self):
+        state = cv.squeezed_vacuum(0.5, 0.3, cv.FockSpace(1, 40))
+        cv._beam_splitter_unitary(40, 0.7)   # the cached blocks, as for a repeated key
+        tracemalloc.start()
+        try:
+            out = cv.beam_splitter(cv.with_vacuum_ancilla(state), 0.7)
+            cv.ineq10(out.state, 1, 1)
+            cv.ineq11(out.state, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "matrix" not in vars(out.state)
+        assert peak < 1 << 20   # a dense output is 45 MB
+        # thermal stays on the dense sector path
+        out = cv.beam_splitter(cv.with_vacuum_ancilla(cv.thermal(0.1, SMALL1)), 0.7)
+        assert isinstance(out.state, HermitianOperator)
+
 
 # Every pure-state factory at a given cutoff; coherent and squeezed states
 # may carry tail weight at cutoff 3, which the guard would refuse.
