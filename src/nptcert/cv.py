@@ -17,9 +17,10 @@ truncation guard; its d^2 x d^2 ``matrix`` is built only when read.  The
 vacuum ancilla and the beam splitter map its amplitudes; thermal stays dense.
 
 Truncation.  An operator of raising order j evaluated on a state is exact
-when the state carries no weight on the top j levels of either mode; the
-reliability guard bounds the total population at levels >= cutoff - order
-and refuses (by default) when it exceeds 1e-8.
+when the state carries no weight on the top j levels of either mode.  The
+factories build states at any cutoff; each operation that reads a state
+guards it at its own order: it bounds the total population at levels
+>= cutoff - order and refuses (by default) when it exceeds 1e-8.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ MAX_CUTOFF = 60
 # |theta| cap: the unitarity defect at cutoff 60 is 3.3e-15 up to 1e6, 6.6e-12 at 1e8.
 MAX_THETA = 1e6
 TAIL_THRESHOLD = 1e-8
-# Factories guard the first-order workflow (moments reach 2 levels above the
-# state support at m = 1); each operation re-checks at its own depth.
-FACTORY_GUARD_ORDER = 2
+# The beam splitter guards its input as the first-order moments of its output
+# do (they reach 2 levels above the state support at m = 1).
+BEAM_SPLITTER_GUARD_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ def mode_populations(rho: HermitianOperator) -> np.ndarray:
     return np.stack([grid.sum(axis=1), grid.sum(axis=0)])
 
 
-def truncation_diagnostics(rho: HermitianOperator,
-                           order: int = FACTORY_GUARD_ORDER) -> TruncationDiagnostics:
+def truncation_diagnostics(rho: HermitianOperator, order: int) -> TruncationDiagnostics:
     """Population at levels >= cutoff - order, summed over modes."""
     space = space_of(rho)
     pops = mode_populations(rho)
@@ -130,7 +130,8 @@ def _guard(rho: HermitianOperator, order: int, allow_unreliable: bool) -> Trunca
 
 # The factories build exactly Hermitian matrices, so they are not validated
 # again: see PureFockState.matrix; thermal's real diagonal is Hermitian, and
-# dividing by a real trace keeps a matrix exactly Hermitian.
+# dividing by a real trace keeps a matrix exactly Hermitian.  They do not
+# guard the truncation: only the operation reading a state knows its order.
 
 @dataclass(frozen=True, eq=False)
 class PureFockState:
@@ -165,32 +166,23 @@ class PureFockState:
         return matrix
 
 
-def _pure(v: np.ndarray, space: FockSpace, allow_unreliable: bool = False,
-          guard: bool = True) -> PureFockState:
-    rho = PureFockState(v, space.dims)
-    if guard:
-        _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
-    return rho
-
-
 def vacuum(space: FockSpace) -> PureFockState:
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[0] = 1.0
-    return _pure(v, space, guard=False)
+    return PureFockState(v, space.dims)
 
 
-def fock(n: int, space: FockSpace, allow_unreliable: bool = False) -> PureFockState:
+def fock(n: int, space: FockSpace) -> PureFockState:
     if space.modes != 1:
         raise ParameterOutOfRange("fock factory builds single-mode states")
     if not 0 <= n <= space.cutoff:
         raise ParameterOutOfRange(f"n = {n} outside 0..{space.cutoff}")
     v = np.zeros(space.dim_per_mode, dtype=np.complex128)
     v[n] = 1.0
-    return _pure(v, space, allow_unreliable)
+    return PureFockState(v, space.dims)
 
 
-def coherent(alpha: complex, space: FockSpace,
-             allow_unreliable: bool = False) -> PureFockState:
+def coherent(alpha: complex, space: FockSpace) -> PureFockState:
     """|alpha> with amplitudes alpha^k / sqrt(k!), renormalized after truncation."""
     if space.modes != 1:
         raise ParameterOutOfRange("coherent factory builds single-mode states")
@@ -206,11 +198,10 @@ def coherent(alpha: complex, space: FockSpace,
         raise ParameterOutOfRange(
             f"|alpha| = {abs(alpha):.3g} overflows the amplitudes at cutoff {space.cutoff}")
     amps /= norm
-    return _pure(amps, space, allow_unreliable)
+    return PureFockState(amps, space.dims)
 
 
-def squeezed_vacuum(r: float, phi: float, space: FockSpace,
-                    allow_unreliable: bool = False) -> PureFockState:
+def squeezed_vacuum(r: float, phi: float, space: FockSpace) -> PureFockState:
     """Squeezed vacuum with <a^2> = e^{i phi} sinh(r) cosh(r).
 
     Even-level amplitudes follow the recurrence
@@ -228,11 +219,10 @@ def squeezed_vacuum(r: float, phi: float, space: FockSpace,
         amps[2 * k + 2] = amps[2 * k] * z * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2 * (k + 1))
         k += 1
     amps /= np.linalg.norm(amps)
-    return _pure(amps, space, allow_unreliable)
+    return PureFockState(amps, space.dims)
 
 
-def thermal(nbar: float, space: FockSpace,
-            allow_unreliable: bool = False) -> HermitianOperator:
+def thermal(nbar: float, space: FockSpace) -> HermitianOperator:
     """Thermal state with mean occupation nbar (diagonal geometric weights)."""
     if space.modes != 1:
         raise ParameterOutOfRange("thermal factory builds single-mode states")
@@ -242,13 +232,10 @@ def thermal(nbar: float, space: FockSpace,
     weights = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar) if nbar > 0 else (k == 0).astype(float)
     m = np.diag(weights.astype(np.complex128))
     m /= float(np.trace(m).real)
-    rho = HermitianOperator(m, space.dims)
-    _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
-    return rho
+    return HermitianOperator(m, space.dims)
 
 
-def two_mode_squeezed(r: float, space: FockSpace,
-                      allow_unreliable: bool = False) -> PureFockState:
+def two_mode_squeezed(r: float, space: FockSpace) -> PureFockState:
     """Two-mode squeezed vacuum, amplitudes c_k = (-tanh r)^k / cosh r on |k,k>."""
     if space.modes != 2:
         raise ParameterOutOfRange("two_mode_squeezed needs a two-mode space")
@@ -259,7 +246,7 @@ def two_mode_squeezed(r: float, space: FockSpace,
     coeff = coeff / np.linalg.norm(coeff)
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[np.arange(d) * d + np.arange(d)] = coeff
-    return _pure(v, space, allow_unreliable)
+    return PureFockState(v, space.dims)
 
 
 def single_photon_entangled(space: FockSpace) -> PureFockState:
@@ -270,7 +257,7 @@ def single_photon_entangled(space: FockSpace) -> PureFockState:
     v = np.zeros(space.total_dim, dtype=np.complex128)
     v[1] = 1.0 / np.sqrt(2.0)      # |0,1>
     v[d] = 1.0 / np.sqrt(2.0)      # |1,0>
-    return _pure(v, space, guard=False)
+    return PureFockState(v, space.dims)
 
 
 def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator | PureFockState:
@@ -339,7 +326,7 @@ def beam_splitter(rho: HermitianOperator, theta: float,
         raise ParameterOutOfRange("beam splitter acts on two-mode states")
     if not abs(theta) <= MAX_THETA:  # nan fails the comparison too
         raise ParameterOutOfRange(f"theta = {theta} must be finite, |theta| <= {MAX_THETA:g}")
-    _guard(rho, FACTORY_GUARD_ORDER, allow_unreliable)
+    _guard(rho, BEAM_SPLITTER_GUARD_ORDER, allow_unreliable)
     blocks, defect = _beam_splitter_unitary(space.cutoff, float(theta))
 
     def left(m):
@@ -445,6 +432,21 @@ def _cv_report(inequality, m, n, var1, var2, shift, comm, cov_half, tol, diag):
                               comm_term, cov_term, margin < -tol, tol, diag)
 
 
+def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int,
+                       allow_unreliable: bool):
+    """What ineq10 and ineq11 read: the guard's diagnostics at order
+    2 max(m, n), the mode factors of orders m and n and the moment engine.
+    Raises ParameterOutOfRange for a one-mode state and UnnormalizedState
+    unless rho has unit trace."""
+    space = space_of(rho)
+    if space.modes != 2:
+        raise ParameterOutOfRange(f"inequality {which} needs a two-mode state")
+    require_state_like(rho)
+    diag = _guard(rho, 2 * max(m, n), allow_unreliable)
+    return (diag, _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n),
+            _MomentEngine(rho).kron_moment)
+
+
 def ineq10(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
            allow_unreliable: bool = False) -> CvInequalityReport:
     """Quadrature-type separability test of orders (m, n), moments over rho.
@@ -454,13 +456,8 @@ def ineq10(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
     variant drops the covariance term; the sum form replaces the product of
     variances by their sum against 2|<C1+C2>|.
     """
-    space = space_of(rho)
-    if space.modes != 2:
-        raise ParameterOutOfRange("inequality 10 needs a two-mode state")
-    diag = _guard(rho, 2 * max(m, n), allow_unreliable)
-    f1, f2 = _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n)
-    eye = np.eye(space.dim_per_mode, dtype=np.complex128)
-    km = _MomentEngine(rho).kron_moment
+    diag, f1, f2, km = _inequality_inputs("10", rho, m, n, allow_unreliable)
+    eye = np.eye(len(f1["a"]), dtype=np.complex128)
 
     e1 = (km(f1["x"], eye) + km(eye, f2["x"])).real
     e2 = (km(f1["y"], eye) - km(eye, f2["y"])).real
@@ -481,12 +478,7 @@ def ineq11(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
     (Var X_mn + <C1 C2>)(Var Y_mn + <C1 C2>) >= <[a1^m a2^n, h.c.]>^2 + cov_S^2
     with X_mn = a1^dag^m a2^n + h.c. and Y_mn = -i(a1^dag^m a2^n - h.c.).
     """
-    space = space_of(rho)
-    if space.modes != 2:
-        raise ParameterOutOfRange("inequality 11 needs a two-mode state")
-    diag = _guard(rho, 2 * max(m, n), allow_unreliable)
-    f1, f2 = _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n)
-    km = _MomentEngine(rho).kron_moment
+    diag, f1, f2, km = _inequality_inputs("11", rho, m, n, allow_unreliable)
 
     b_dag_mean = km(f1["ad"], f2["a"])          # <a1^dag^m a2^n>
     e_x = 2.0 * b_dag_mean.real
@@ -639,7 +631,8 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
     pair is written as lists of terms c (M1 x M2), so its moments are sums
     of banded kron_moment terms (tests/oracles.py holds the dense Kronecker
     form).  Raises ParameterOutOfRange for a one-mode state, an order below
-    1 or a `which` other than 10 and 11.
+    1 or a `which` other than 10 and 11, UnnormalizedState unless rho has
+    unit trace.
     """
     if m < 1 or n < 1:
         raise ParameterOutOfRange(f"orders m = {m}, n = {n} must be >= 1")
@@ -655,9 +648,8 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
     else:  # B = a1^m a2^n
         h1 = [(1, f1["ad"], f2["ad"]), (1, f1["a"], f2["a"])]       # B^dag + B
         h2 = [(-1j, f1["ad"], f2["ad"]), (1j, f1["a"], f2["a"])]    # -i (B^dag - B)
-    rho_pt = partial_transpose(rho, _MODE_SPLIT)
-    require_state_like(rho_pt)
-    km = _MomentEngine(rho_pt).kron_moment
+    # ineq10/ineq11 checked rho's unit trace, which the partial transpose keeps
+    km = _MomentEngine(partial_transpose(rho, _MODE_SPLIT)).kron_moment
 
     def mean(p, q=None):  # <P>, or <P Q>, over rho^PT
         if q is not None:
@@ -673,8 +665,7 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
 # CV state specs (CLI surface)
 # ---------------------------------------------------------------------------
 
-# The keys each family reads; every family also takes "cutoff" and
-# "allow_unreliable".
+# The keys each family reads; every family also takes "cutoff".
 _CV_FAMILIES = {
     "coherent": {"alpha"},
     "fock": {"n"},
@@ -692,24 +683,22 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
     family = spec.get("family")
     if family not in _CV_FAMILIES:
         raise ParameterOutOfRange(f"unknown CV state family {family!r}")
-    check_spec_keys(spec, _CV_FAMILIES[family] | {"cutoff", "allow_unreliable"})
+    check_spec_keys(spec, _CV_FAMILIES[family] | {"cutoff"})
     cutoff = spec_int(spec.get("cutoff", DEFAULT_CUTOFF), "cutoff")
     if cutoff > MAX_CUTOFF:
         raise ParameterOutOfRange(f"cutoff = {cutoff} exceeds {MAX_CUTOFF}")
-    allow = bool(spec.get("allow_unreliable", False))
     one = FockSpace(1, cutoff)
     two = FockSpace(2, cutoff)
     if family == "coherent":
-        return coherent(complex(spec_value(spec, "alpha")), one, allow)
+        return coherent(complex(spec_value(spec, "alpha")), one)
     if family == "fock":
-        return fock(spec_int(spec_value(spec, "n"), "n"), one, allow)
+        return fock(spec_int(spec_value(spec, "n"), "n"), one)
     if family == "squeezed_vacuum":
-        return squeezed_vacuum(float(spec_value(spec, "r")), float(spec.get("phi", 0.0)),
-                               one, allow)
+        return squeezed_vacuum(float(spec_value(spec, "r")), float(spec.get("phi", 0.0)), one)
     if family == "thermal":
-        return thermal(float(spec_value(spec, "nbar")), one, allow)
+        return thermal(float(spec_value(spec, "nbar")), one)
     if family == "vacuum":
         return vacuum(one)
     if family == "two_mode_squeezed":
-        return two_mode_squeezed(float(spec_value(spec, "r")), two, allow)
+        return two_mode_squeezed(float(spec_value(spec, "r")), two)
     return single_photon_entangled(two)

@@ -133,11 +133,16 @@ def validate_hermitian(matrix, dims, tol: float = HERMITICITY_TOL) -> HermitianO
 
 
 def projector(vector, dims=None) -> HermitianOperator:
-    """Rank-one projector |v><v| (the vector is normalized first)."""
+    """Rank-one projector |v><v| (the vector is normalized first), stored as
+    validate_hermitian stores M = v v^dag: (M + M^dag)/2, exactly Hermitian.
+    Raises NotHermitian unless the normalized vector is finite."""
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     v = v / np.linalg.norm(v)
-    dims = (len(v),) if dims is None else tuple(dims)
-    return validate_hermitian(np.outer(v, v.conj()), dims, tol=1e-12)
+    dims = check_profile((len(v),) if dims is None else dims, len(v))
+    if not np.isfinite(v).all():
+        raise NotHermitian("projector vector is zero or not finite")
+    m = np.outer(v, v.conj())
+    return HermitianOperator((m + m.conj().T) / 2.0, dims)
 
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
@@ -207,7 +212,7 @@ def matrix_payload(op: HermitianOperator) -> dict:
     return {"dims": list(op.dims), "matrix": complex_pairs(op.matrix.reshape(-1))}
 
 
-def operator_from_payload(payload: dict, tol: float = HERMITICITY_TOL) -> HermitianOperator:
+def operator_from_payload(payload: dict) -> HermitianOperator:
     try:
         dims = tuple(spec_int(d, "dims entry") for d in payload["dims"])
         entries = payload["matrix"]
@@ -222,7 +227,7 @@ def operator_from_payload(payload: dict, tol: float = HERMITICITY_TOL) -> Hermit
         flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed matrix entry: {exc}") from exc
-    return validate_hermitian(flat.reshape(n, n), dims, tol)
+    return validate_hermitian(flat.reshape(n, n), dims)
 
 
 def save_operator(op: HermitianOperator, path) -> None:

@@ -156,8 +156,10 @@ class TestErrors:
         (["cv-check", "two_mode_squeezed:r=0.3,phi=0.1"], "two_mode_squeezed", "phi"),
         (["bs-demo", "--input", '{"family": "fock", "n": 1, "alpha": 1}'], "fock", "alpha"),
         (["relation-check", "vacuum:seed=3"], "vacuum", "seed"),
+        (["cv-check", "two_mode_squeezed:r=0.3,cutoff=12,allow_unreliable=0"],
+         "two_mode_squeezed", "allow_unreliable"),
     ], ids=["check-compact", "check-json", "witness", "cv-check", "bs-demo",
-            "relation-check"])
+            "relation-check", "cv-check-allow-unreliable"])
     def test_unknown_spec_key(self, runner, argv, family, key):
         result = runner.invoke(main, argv)
         assert result.exit_code == 1
@@ -167,9 +169,9 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["check", "bell", "--seed", "3", "--bipartition", "0|1"],
         ["check", "ghz_mixed:p=0.5,seed=1", "--bipartition", "0,1|2"],
-        ["cv-check", "two_mode_squeezed:r=0.3,cutoff=12,allow_unreliable=0"],
+        ["cv-check", "two_mode_squeezed:r=0.3,cutoff=12"],
         ["bs-demo", "--input", "squeezed_vacuum:r=0.1,phi=0.2,cutoff=12"],
-    ], ids=["seed-option", "seed-key", "cv-check-cutoff-allow", "bs-demo-phi-cutoff"])
+    ], ids=["seed-option", "seed-key", "cv-check-cutoff", "bs-demo-phi-cutoff"])
     def test_injected_and_read_keys_allowed(self, runner, argv):
         result = runner.invoke(main, argv)
         assert result.exit_code in (0, 2), result.output
@@ -181,7 +183,7 @@ SPEC_FAMILIES = {
     "single_photon_entangled": [], "random_density": ["dim", "dims", "seed"],
     "random_separable": ["dims", "terms", "seed"], "product": ["dims", "seed"],
     "coherent": ["alpha", "cutoff"], "fock": ["n", "cutoff"],
-    "squeezed_vacuum": ["r", "phi", "cutoff", "allow_unreliable"],
+    "squeezed_vacuum": ["r", "phi", "cutoff"],
     "thermal": ["nbar", "cutoff"], "vacuum": ["cutoff"], "two_mode_squeezed": ["r", "cutoff"],
 }
 # A spec's dim, dims, terms or cutoff sets the size of what is built.  Sizes
@@ -514,6 +516,45 @@ class TestCvCommands:
         result = runner.invoke(main, ["bs-demo", "--input", "coherent:alpha=4.0",
                                       "--cutoff", "12"])
         assert result.exit_code == 3
+        assert result.stderr.splitlines() == [
+            "error: tail weight 7.758e-01 at order 2 exceeds 1e-08"]
+
+    @pytest.mark.parametrize("argv", [
+        ["cv-check", "two_mode_squeezed:r=2.0", "--cutoff", "10"],
+        ["cv-check", "two_mode_squeezed:r=0.4", "--cutoff", "10", "--m", "2"],
+        ["bs-demo", "--input", "thermal:nbar=5", "--cutoff", "10"],
+        ["relation-check", "two_mode_squeezed:r=2.0", "--cutoff", "10"],
+    ], ids=["cv-check", "cv-check-order-4", "bs-demo-dense", "relation-check"])
+    def test_operation_guard_exits_3(self, runner, argv):
+        # the factories build the state; the operation refuses it, once
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: tail weight ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cv-check", "thermal:nbar=2", "--cutoff", "10"],
+         "inequality 10 needs a two-mode state"),
+        (["relation-check", "coherent:alpha=2.0", "--cutoff", "10"],
+         "moment relation needs a two-mode state"),
+        (["bs-demo", "--input", "two_mode_squeezed:r=0.8", "--cutoff", "10"],
+         "state already has two modes"),
+    ], ids=["cv-check", "relation-check", "bs-demo"])
+    def test_mode_count_checked_before_the_tail(self, runner, argv, message):
+        # no cutoff serves an input with the wrong number of modes, so that
+        # error (exit 1) comes first, whatever the state's tail weight
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
+    def test_relation_check_order_zero_runs(self, runner):
+        # an order-0 moment reads no level above the state's support
+        result = runner.invoke(main, ["relation-check", "two_mode_squeezed:r=0.4",
+                                      "--cutoff", "10", "--m", "0", "--n", "0",
+                                      "--p", "0", "--q", "0"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["defect"] < 1e-12
 
     def test_relation_check(self, runner, tmp_path):
         out = tmp_path / "rel.json"
@@ -539,14 +580,13 @@ class TestCvCommands:
         (["bs-demo", "--input", "squeezed_vacuum:r=0.1", "--cutoff", "12"], []),
         (["cv-check", "two_mode_squeezed:r=0.3", "--cutoff", "12"], []),
         (["cv-check", "single_photon_entangled", "--ineq", "11", "--cutoff", "12"], []),
-        (["check", "ghz_mixed:p=0.5", "--bipartition", "0,1|2"], [("projector", (8, 8))]),
-        (["check", "{bell_file}", "--bipartition", "0|1"],
-         [("operator_from_payload", (4, 4)), ("projector", (4, 4))]),
+        (["check", "ghz_mixed:p=0.5", "--bipartition", "0,1|2"], []),
+        (["check", "{bell_file}", "--bipartition", "0|1"], [("operator_from_payload", (4, 4))]),
     ], ids=["bs-demo", "cv-check-tms", "cv-check-spe", "check-spec", "check-file"])
     def test_library_states_not_revalidated(self, runner, monkeypatch, bell_file, argv,
                                             expected):
-        # (caller, shape) of every validation: only outside input and the
-        # witness projector are validated, never a matrix the library built
+        # (caller, shape) of every validation: only outside input is
+        # validated, never a matrix the library built
         calls = []
         original = hermitian.validate_hermitian
 

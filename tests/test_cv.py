@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nptcert import cv
-from nptcert.errors import ParameterOutOfRange, TruncationUnreliable
+from nptcert.errors import ParameterOutOfRange, TruncationUnreliable, UnnormalizedState
 from nptcert.hermitian import HermitianOperator, validate_hermitian
 from oracles import (bs_fock1_output, bs_unitary_oracle, coherent_vector,
                      crosscheck_pair_oracle, dense_kron_moment_oracle, destroy_oracle,
@@ -109,10 +109,11 @@ class TestFactories:
             assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_guard(self):
-        with pytest.raises(TruncationUnreliable):
-            cv.coherent(3.0, cv.FockSpace(1, 8))
-        rho = cv.coherent(3.0, cv.FockSpace(1, 8), allow_unreliable=True)
+        # a factory builds a state at any cutoff; the operations reading it
+        # guard it at their own order (TestTruncationGuard)
+        rho = cv.coherent(3.0, cv.FockSpace(1, 8))
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+        assert not cv.truncation_diagnostics(rho, cv.BEAM_SPLITTER_GUARD_ORDER).reliable
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterOutOfRange):
@@ -128,7 +129,7 @@ class TestFactories:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning on the way
             with pytest.raises(ParameterOutOfRange):
-                cv.coherent(1e300, SP1, allow_unreliable=True)
+                cv.coherent(1e300, SP1)
 
     def test_spec_cutoff_cap(self, monkeypatch):
         assert cv.cv_state_from_spec({"family": "vacuum", "cutoff": cv.MAX_CUTOFF}).dims == (61,)
@@ -224,13 +225,14 @@ class TestSectorBeamSplitter:
         assert out.unitarity_defect < 1e-14
 
 
-# Single-mode pure inputs of bs-demo; with allow_unreliable, since coherent
-# and squeezed states carry tail weight at cutoff 3.
+# Single-mode pure inputs of bs-demo; the operations on them take
+# allow_unreliable, since coherent and squeezed states carry tail weight at
+# cutoff 3.
 BS_INPUTS = {
-    **{f"fock{n}": (lambda c, n=n: cv.fock(n, cv.FockSpace(1, c), True)) for n in range(4)},
-    "coherent-real": lambda c: cv.coherent(0.8, cv.FockSpace(1, c), True),
-    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, cv.FockSpace(1, c), True),
-    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, cv.FockSpace(1, c), True),
+    **{f"fock{n}": (lambda c, n=n: cv.fock(n, cv.FockSpace(1, c))) for n in range(4)},
+    "coherent-real": lambda c: cv.coherent(0.8, cv.FockSpace(1, c)),
+    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, cv.FockSpace(1, c)),
+    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, cv.FockSpace(1, c)),
 }
 
 
@@ -305,16 +307,16 @@ class TestPureBeamSplitter:
 
 
 # Every pure-state factory at a given cutoff; coherent and squeezed states
-# may carry tail weight at cutoff 3, which the guard would refuse.
+# may carry tail weight at cutoff 3, which an operation's guard would refuse.
 PURE_FACTORIES = {
-    "coherent-real": lambda c: cv.coherent(0.7, cv.FockSpace(1, c), True),
-    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, cv.FockSpace(1, c), True),
-    "squeezed-phi0": lambda c: cv.squeezed_vacuum(0.3, 0.0, cv.FockSpace(1, c), True),
-    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, cv.FockSpace(1, c), True),
-    "fock": lambda c: cv.fock(2, cv.FockSpace(1, c), True),
+    "coherent-real": lambda c: cv.coherent(0.7, cv.FockSpace(1, c)),
+    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, cv.FockSpace(1, c)),
+    "squeezed-phi0": lambda c: cv.squeezed_vacuum(0.3, 0.0, cv.FockSpace(1, c)),
+    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, cv.FockSpace(1, c)),
+    "fock": lambda c: cv.fock(2, cv.FockSpace(1, c)),
     "vacuum-one-mode": lambda c: cv.vacuum(cv.FockSpace(1, c)),
     "vacuum-two-mode": lambda c: cv.vacuum(cv.FockSpace(2, c)),
-    "two_mode_squeezed": lambda c: cv.two_mode_squeezed(0.4, cv.FockSpace(2, c), True),
+    "two_mode_squeezed": lambda c: cv.two_mode_squeezed(0.4, cv.FockSpace(2, c)),
     "single_photon_entangled": lambda c: cv.single_photon_entangled(cv.FockSpace(2, c)),
 }
 
@@ -335,13 +337,13 @@ class TestSupportFactories:
     @pytest.mark.parametrize("name", list(PURE_FACTORIES))
     def test_factory_matches_dense_oracle(self, monkeypatch, name, cutoff):
         seen = []
-        pure = cv._pure
+        pure = cv.PureFockState
 
-        def spy(v, *args, **kwargs):
+        def spy(v, dims):
             seen.append(v.copy())
-            return pure(v, *args, **kwargs)
+            return pure(v, dims)
 
-        monkeypatch.setattr(cv, "_pure", spy)
+        monkeypatch.setattr(cv, "PureFockState", spy)
         rho = PURE_FACTORIES[name](cutoff)
         assert len(seen) == 1
         self.assert_matches_dense(rho.matrix, seen[0])
@@ -354,7 +356,7 @@ class TestSupportFactories:
         v = 3.0 * rng.standard_normal(space.total_dim) * (rng.random(space.total_dim) < 0.3)
         if complex_amps:
             v = v + 2j * rng.standard_normal(space.total_dim) * (v != 0)
-        rho = cv._pure(v.astype(np.complex128), space, guard=False)
+        rho = cv.PureFockState(v.astype(np.complex128), space.dims)
         self.assert_matches_dense(rho.matrix, v)
 
 
@@ -612,7 +614,7 @@ class TestNonclassicality:
             1.0, rel=1e-5)
 
     def test_reliability_guard(self):
-        hot = cv.thermal(5.0, cv.FockSpace(1, 10), allow_unreliable=True)
+        hot = cv.thermal(5.0, cv.FockSpace(1, 10))
         with pytest.raises(TruncationUnreliable):
             cv.photon_stat_nonclassicality(hot, 2)
 
@@ -685,3 +687,50 @@ class TestCrosscheck:
             rep = cv.ineq10(rho, 1, 1)
             oracle = mancini_margin(rho.matrix, SP2.cutoff)
             assert rep.hur_variant_margin == pytest.approx(4 * oracle, abs=1e-10)
+
+
+# The factories do not guard; each operation reading a state guards it at its
+# own order.  coherent(3.0) at cutoff 8 has mean photon number 9, so every
+# order refuses it; on two modes it is v x |0>.
+HOT = cv.coherent(3.0, cv.FockSpace(1, 8))
+HOT_TWO = cv.with_vacuum_ancilla(HOT)
+GUARDED_OPERATIONS = {
+    "beam_splitter": lambda allow: cv.beam_splitter(HOT_TWO, np.pi / 4, allow),
+    "ineq10": lambda allow: cv.ineq10(HOT_TWO, 1, 1, allow_unreliable=allow),
+    "ineq11": lambda allow: cv.ineq11(HOT_TWO, 1, 1, allow_unreliable=allow),
+    "pt_moment_relation_check":
+        lambda allow: cv.pt_moment_relation_check(HOT_TWO, 1, 1, 1, 0, allow),
+    "amplitude_squeezing": lambda allow: cv.amplitude_squeezing(HOT, 1, 0.0, allow),
+    "photon_stat_nonclassicality": lambda allow: cv.photon_stat_nonclassicality(HOT, 1, allow),
+    "cv_pipeline_crosscheck": lambda allow: cv.cv_pipeline_crosscheck(HOT_TWO, 1, 1, 10, allow),
+}
+
+
+class TestTruncationGuard:
+    @pytest.mark.parametrize("name", list(GUARDED_OPERATIONS))
+    def test_operation_refuses_unless_allowed(self, name):
+        with pytest.raises(TruncationUnreliable, match="at order 2 exceeds"):
+            GUARDED_OPERATIONS[name](False)
+        GUARDED_OPERATIONS[name](True)
+
+
+# |0,1> + |1,0> with amplitudes 3 (|v|^2 = 18), and a dense state of trace 2:
+# the moment engine does not divide by the trace, so both must be refused.
+UNNORMALIZED = {
+    "pure": cv.PureFockState(np.where(np.isin(np.arange(49), [1, 7]), 3.0 + 0j, 0j), (7, 7)),
+    "dense": HermitianOperator(2.0 * cv.single_photon_entangled(cv.FockSpace(2, 6)).matrix,
+                               (7, 7)),
+}
+
+
+class TestUnitTrace:
+    @pytest.mark.parametrize("kind", list(UNNORMALIZED))
+    @pytest.mark.parametrize("run", [
+        lambda rho: cv.ineq10(rho, 1, 1),
+        lambda rho: cv.ineq11(rho, 1, 1),
+        lambda rho: cv.cv_pipeline_crosscheck(rho, 1, 1, 10),
+        lambda rho: cv.cv_pipeline_crosscheck(rho, 1, 1, 11),
+    ], ids=["ineq10", "ineq11", "crosscheck10", "crosscheck11"])
+    def test_refuses_non_unit_trace(self, run, kind):
+        with pytest.raises(UnnormalizedState):
+            run(UNNORMALIZED[kind])

@@ -15,6 +15,7 @@ from nptcert.hermitian import (
     matrix_payload,
     operator_from_payload,
     partial_transpose,
+    projector,
     save_operator,
     tensor_product,
     validate_hermitian,
@@ -66,6 +67,32 @@ class TestValidateHermitian:
         op = validate_hermitian(m, (2,))
         assert op.deviation > 0
         np.testing.assert_array_equal(op.matrix, op.matrix.conj().T)
+
+
+class TestProjector:
+    def test_matches_validated_outer_product(self):
+        # the witness projector is no longer validated; it must still be the
+        # matrix validate_hermitian made of v v^dag, bit for bit
+        rng = np.random.default_rng(5)
+        for d, dims in [(4, (2, 2)), (8, (2, 2, 2)), (12, (3, 4))]:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            u = v / np.linalg.norm(v)
+            want = validate_hermitian(np.outer(u, u.conj()), dims, tol=1e-12)
+            got = projector(v, dims)
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+            assert got.dims == dims
+
+    @pytest.mark.parametrize("vector", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]],
+                             ids=["zero", "nan", "inf"])
+    def test_non_finite_vector(self, vector):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(NotHermitian):
+                projector(vector)
+
+    def test_dims_checked(self):
+        with pytest.raises(DimensionMismatch):
+            projector(np.ones(4), (2, 3))
+        assert projector(np.ones(4)).dims == (4,)
 
 
 class TestTensorProduct:
