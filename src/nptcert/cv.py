@@ -13,8 +13,9 @@ the (X1 + X2, Y1 - Y2) observable pair.  The two-mode squeezed factory uses
 Fock amplitudes proportional to (-tanh r)^k, which squeezes that same pair.
 
 States.  A PureFockState keeps its amplitudes for the moments and the
-truncation guard; its d^2 x d^2 ``matrix`` is built only when read.  The
-vacuum ancilla and the beam splitter map its amplitudes; thermal stays dense.
+truncation guard; its d^2 x d^2 ``matrix`` is built only when read (rho^PT
+is read as a strided view of it, never copied).  The vacuum ancilla and the
+beam splitter map its amplitudes; thermal stays dense.
 
 Truncation.  An operator of raising order j evaluated on a state is exact
 when the state carries no weight on the top j levels of either mode.  The
@@ -33,7 +34,8 @@ import numpy as np
 
 from .certificates import VIOLATION_TOL, SRReport, require_state_like, sr_from_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
-from .hermitian import Bipartition, HermitianOperator, partial_transpose, spec_int, trace_product
+from .hermitian import Bipartition, HermitianOperator, partial_transpose_view, spec_int
+from .hermitian import trace_product
 from .states import check_spec_keys, spec_value
 
 DEFAULT_CUTOFF = 30
@@ -369,13 +371,19 @@ class _MomentEngine:
     diagonal o1 of M1 and o2 of M2 the trace picks the entries
     rho4[i, j, i - o1, j - o2] (rho4 the (d, d, d, d) reshape of rho), so
     each pair of diagonals costs one O(d^2) gather weighted by the two
-    diagonals, against O(d^4) for a dense contraction.
+    diagonals, against O(d^4) for a dense contraction.  With pt, rho4 is the
+    view rho^PT[i, j, k, l] = rho[i, l, k, j] of rho.matrix, a pure state's
+    too: the PT is never copied nor read from amplitudes.
     """
 
-    def __init__(self, rho: HermitianOperator):
-        d = space_of(rho).dim_per_mode
-        self._v = rho.amplitudes.reshape(d, d) if isinstance(rho, PureFockState) else None
-        self._r4 = rho.matrix.reshape(d, d, d, d) if self._v is None else None
+    def __init__(self, rho: HermitianOperator, pt: bool = False):
+        self._v = self._r4 = None
+        if pt:  # mode 1 | mode 2: the partial transpose acts on the second mode
+            self._r4 = partial_transpose_view(rho, Bipartition(frozenset({0}), 2))
+        elif isinstance(rho, PureFockState):
+            self._v = rho.amplitudes.reshape(rho.dims)
+        else:
+            self._r4 = rho.matrix.reshape(rho.dims + rho.dims)
 
     def kron_moment(self, m1: np.ndarray, m2: np.ndarray) -> complex:
         if self._v is not None:
@@ -496,10 +504,6 @@ def ineq11(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
                       (anti - 2.0 * e_x * e_y) / 2.0, tol, diag)
 
 
-# Mode 1 | mode 2: the partial transpose acts on the second mode.
-_MODE_SPLIT = Bipartition(frozenset({0}), 2)
-
-
 @dataclass(frozen=True)
 class MomentRelationCheck:
     lhs: complex
@@ -512,9 +516,9 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: 
     """Compare <a1^dag^m a1^n a2^dag^p a2^q> over rho^PT against the
     index-swapped moment <a1^dag^m a1^n a2^dag^q a2^p> over rho.
 
-    The left side reads an explicit Fock-basis partial transpose of
-    rho.matrix, the right side rho itself (a pure state's amplitudes) with
-    the mode-2 exponents swapped.  Each mode operator has one nonzero
+    The left side reads the explicit Fock-basis PT of rho.matrix as a strided
+    view, never copied; the right side rho itself (a pure state's amplitudes)
+    with the mode-2 exponents swapped.  Each mode operator has one nonzero
     diagonal, so a dense side is one banded O(d^2) gather (_MomentEngine);
     tests/oracles.py holds the dense contraction.
     """
@@ -528,7 +532,7 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: 
     m1 = np.linalg.matrix_power(ad, m) @ np.linalg.matrix_power(a, n)
     m2_lhs = np.linalg.matrix_power(ad, p) @ np.linalg.matrix_power(a, q)
     m2_rhs = np.linalg.matrix_power(ad, q) @ np.linalg.matrix_power(a, p)
-    lhs = _MomentEngine(partial_transpose(rho, _MODE_SPLIT)).kron_moment(m1, m2_lhs)
+    lhs = _MomentEngine(rho, pt=True).kron_moment(m1, m2_lhs)
     rhs = _MomentEngine(rho).kron_moment(m1, m2_rhs)
     return MomentRelationCheck(lhs, rhs, abs(lhs - rhs))
 
@@ -551,17 +555,23 @@ def normal_order_terms(j: int, k: int):
     return terms
 
 
-def _normal_ordered_variance(rho: HermitianOperator, terms) -> float:
-    """<:(Delta B)^2:> for B given as [(coeff, dag_power, a_power), ...].
+def _normal_ordered_variance(witness: str, rho: HermitianOperator, terms, m: int,
+                             allow_unreliable: bool) -> float:
+    """<:(Delta B)^2:> over a one-mode, unit-trace rho, guarded at order 2m,
+    for B of order m given as [(coeff, dag_power, a_power), ...].
 
     Normal ordering is applied symbolically: the square of B is expanded at
     the level of exponent pairs (daggers simply add), and only moments
     <a^dag^j a^k> of the truncated state are evaluated numerically.
     """
-    cutoff = space_of(rho).cutoff
+    space = space_of(rho)
+    if space.modes != 1:
+        raise ParameterOutOfRange(f"{witness} is a single-mode witness")
+    require_state_like(rho)
+    _guard(rho, 2 * m, allow_unreliable)
 
     def mom(jdag: int, ka: int) -> complex:
-        op = _mode_factors(cutoff, jdag)["ad"] @ _mode_factors(cutoff, ka)["a"]
+        op = _mode_factors(space.cutoff, jdag)["ad"] @ _mode_factors(space.cutoff, ka)["a"]
         return trace_product(rho.matrix, op)
 
     mean = sum(c * mom(jd, ka) for c, jd, ka in terms)
@@ -579,34 +589,23 @@ def amplitude_squeezing(rho: HermitianOperator, m: int, phi: float,
     Negative exactly when the state is m-th order amplitude squeezed at
     phase phi; coherent states give 0 at every (m, phi).
     """
-    space = space_of(rho)
-    if space.modes != 1:
-        raise ParameterOutOfRange("amplitude squeezing is a single-mode witness")
-    _guard(rho, 2 * m, allow_unreliable)
     terms = [(np.exp(-1j * phi), 0, m), (np.exp(1j * phi), m, 0)]
-    return _normal_ordered_variance(rho, terms)
+    return _normal_ordered_variance("amplitude squeezing", rho, terms, m, allow_unreliable)
 
 
 def amplitude_squeezing_scan(rho: HermitianOperator, m: int, points: int = 64,
                              allow_unreliable: bool = False):
     """Minimum of the normal-ordered variance over a phase grid."""
-    best_phi, best = 0.0, np.inf
-    for phi in np.linspace(0.0, np.pi, points, endpoint=False):
-        val = amplitude_squeezing(rho, m, float(phi), allow_unreliable)
-        if val < best:
-            best, best_phi = val, float(phi)
-    return best, best_phi
+    grid = np.linspace(0.0, np.pi, points, endpoint=False).tolist()
+    return min(((amplitude_squeezing(rho, m, phi, allow_unreliable), phi) for phi in grid),
+               default=(np.inf, 0.0))
 
 
 def photon_stat_nonclassicality(rho: HermitianOperator, m: int,
                                 allow_unreliable: bool = False) -> float:
     """Normal-ordered variance of a^dag^m a^m:
     <a^dag^2m a^2m> - <a^dag^m a^m>^2; m = 1 is the sub-Poissonian test."""
-    space = space_of(rho)
-    if space.modes != 1:
-        raise ParameterOutOfRange("photon statistics is a single-mode witness")
-    _guard(rho, 2 * m, allow_unreliable)
-    return _normal_ordered_variance(rho, [(1.0, m, m)])
+    return _normal_ordered_variance("photon statistics", rho, [(1.0, m, m)], m, allow_unreliable)
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +627,11 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
 
     The two margins agree to rounding because the printed forms are exactly
     the PT-mapped moments of the generic pair in the truncated space.  The
-    pair is written as lists of terms c (M1 x M2), so its moments are sums
-    of banded kron_moment terms (tests/oracles.py holds the dense Kronecker
-    form).  Raises ParameterOutOfRange for a one-mode state, an order below
-    1 or a `which` other than 10 and 11, UnnormalizedState unless rho has
-    unit trace.
+    pair is written as lists of terms c (M1 x M2), so its moments are sums of
+    banded kron_moment terms over a strided view of rho^PT, never a copy
+    (tests/oracles.py holds the dense Kronecker form).  Raises
+    ParameterOutOfRange for a one-mode state, an order below 1 or a `which`
+    other than 10 and 11, UnnormalizedState unless rho has unit trace.
     """
     if m < 1 or n < 1:
         raise ParameterOutOfRange(f"orders m = {m}, n = {n} must be >= 1")
@@ -649,7 +648,7 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
         h1 = [(1, f1["ad"], f2["ad"]), (1, f1["a"], f2["a"])]       # B^dag + B
         h2 = [(-1j, f1["ad"], f2["ad"]), (1j, f1["a"], f2["a"])]    # -i (B^dag - B)
     # ineq10/ineq11 checked rho's unit trace, which the partial transpose keeps
-    km = _MomentEngine(partial_transpose(rho, _MODE_SPLIT)).kron_moment
+    km = _MomentEngine(rho, pt=True).kron_moment
 
     def mean(p, q=None):  # <P>, or <P Q>, over rho^PT
         if q is not None:

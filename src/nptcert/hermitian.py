@@ -150,26 +150,26 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     return HermitianOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
-def partial_transpose(rho: HermitianOperator, bip: Bipartition) -> HermitianOperator:
-    """Transpose the party-two subsystem indices of a multipartite operator.
-
-    Pure index permutation: trace is preserved exactly and applying the map
-    twice returns the input bit-for-bit.
-    """
-    dims = rho.dims
-    if bip.num_subsystems != len(dims):
+def partial_transpose_view(rho: HermitianOperator, bip: Bipartition) -> np.ndarray:
+    """rho^PT as a strided view of rho.matrix, shape dims + dims: the row
+    and column indices of each party-two subsystem swapped, nothing copied."""
+    dims, k = rho.dims, len(rho.dims)
+    if bip.num_subsystems != k:
         raise InvalidBipartition(
-            f"bipartition is over {bip.num_subsystems} subsystems, operator has {len(dims)}"
+            f"bipartition is over {bip.num_subsystems} subsystems, operator has {k}"
         )
-    k = len(dims)
-    t = rho.matrix.reshape(dims + dims)
     perm = list(range(2 * k))
     for s in bip.party_two:
         perm[s], perm[k + s] = perm[k + s], perm[s]
-    out = np.ascontiguousarray(t.transpose(perm).reshape(rho.matrix.shape))
-    # the permutation of an exactly Hermitian matrix is exactly Hermitian, so
-    # the result needs no re-validation and the involution stays exact
-    return HermitianOperator(out, dims, rho.deviation)
+    return rho.matrix.reshape(dims + dims).transpose(perm)
+
+
+def partial_transpose(rho: HermitianOperator, bip: Bipartition) -> HermitianOperator:
+    """partial_transpose_view made contiguous.  An index permutation keeps the
+    trace exactly, returns the input bit-for-bit when applied twice and keeps
+    an exactly Hermitian matrix exactly Hermitian, so it is not re-validated."""
+    out = np.ascontiguousarray(partial_transpose_view(rho, bip).reshape(rho.matrix.shape))
+    return HermitianOperator(out, rho.dims, rho.deviation)
 
 
 def trace_product(a, b) -> complex:

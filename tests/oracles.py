@@ -180,11 +180,17 @@ def crosscheck_pair_oracle(cutoff, m, n, which):
     return b_dag + b_dag.conj().T, -1j * (b_dag - b_dag.conj().T)
 
 
+def mode2_pt_copy(rho_matrix):
+    """The mode-2 partial transpose of a two-mode (d^2, d^2) matrix as a new
+    contiguous array: rho^PT[(i, j), (k, l)] = rho[(i, l), (k, j)]."""
+    d = int(round(np.sqrt(rho_matrix.shape[0])))
+    return rho_matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+
+
 def sr_pt_oracle(rho_matrix, h1, h2):
     """SR quantities of (h1, h2) over the mode-2 partial transpose of a
     two-mode rho, by dense products."""
-    d = int(round(np.sqrt(rho_matrix.shape[0])))
-    r = rho_matrix.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    r = mode2_pt_copy(rho_matrix)
     p1, p2 = r @ h1, r @ h2
     e1, e2 = np.trace(p1).real, np.trace(p2).real
     m12, m21 = np.einsum("ij,ji->", p1, h2), np.einsum("ij,ji->", p2, h1)
@@ -194,3 +200,54 @@ def sr_pt_oracle(rho_matrix, h1, h2):
     lhs, rhs = var1 * var2, (comm ** 2 + cov ** 2) / 4.0
     return {"var_h1": var1, "var_h2": var2, "commutator_mean": comm,
             "sym_covariance": cov, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs}
+
+
+# ---------------------------------------------------------------------------
+# Copy-based references for the strided partial-transpose view
+# ---------------------------------------------------------------------------
+# These run the library's own banded gather (cv._MomentEngine without pt) on
+# a contiguous copy of rho^PT made by mode2_pt_copy.  Only the way rho^PT is
+# read differs from the library path, so the results must be equal with ==.
+
+def _copied_pt_moment(rho):
+    from nptcert import cv
+    from nptcert.hermitian import HermitianOperator
+    return cv._MomentEngine(HermitianOperator(mode2_pt_copy(rho.matrix), rho.dims)).kron_moment
+
+
+def relation_check_copy_reference(rho, m, n, p, q):
+    """(lhs, rhs, defect) of pt_moment_relation_check with the left side
+    read from a copied rho^PT and the right side from rho itself."""
+    from nptcert import cv
+    a = cv.destroy(rho.dims[0] - 1)
+    ad = a.conj().T
+    mp = np.linalg.matrix_power
+    m1 = mp(ad, m) @ mp(a, n)
+    lhs = _copied_pt_moment(rho)(m1, mp(ad, p) @ mp(a, q))
+    rhs = cv._MomentEngine(rho).kron_moment(m1, mp(ad, q) @ mp(a, p))
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def crosscheck_copy_reference(rho, m, n, which):
+    """(margin_eq, generic SRReport) of cv_pipeline_crosscheck with every
+    moment of the generic pair read from a copied rho^PT."""
+    from nptcert import cv
+    from nptcert.certificates import sr_from_moments
+    rep = (cv.ineq10 if which == 10 else cv.ineq11)(rho, m, n, allow_unreliable=True)
+    cutoff = rho.dims[0] - 1
+    f1, f2 = cv._mode_factors(cutoff, m), cv._mode_factors(cutoff, n)
+    if which == 10:
+        eye = np.eye(cutoff + 1, dtype=np.complex128)
+        h1 = [(1, f1["x"], eye), (1, eye, f2["x"])]
+        h2 = [(1, f1["y"], eye), (1, eye, f2["y"])]
+    else:
+        h1 = [(1, f1["ad"], f2["ad"]), (1, f1["a"], f2["a"])]
+        h2 = [(-1j, f1["ad"], f2["ad"]), (1j, f1["a"], f2["a"])]
+    km = _copied_pt_moment(rho)
+
+    def mean(p, q=None):
+        if q is not None:
+            p = [(c * e, a @ g, b @ h) for c, a, b in p for e, g, h in q]
+        return sum(c * km(a, b) for c, a, b in p)
+    return rep.margin, sr_from_moments(mean(h1).real, mean(h2).real, mean(h1, h1).real,
+                                       mean(h2, h2).real, mean(h1, h2), mean(h2, h1))

@@ -8,9 +8,10 @@ from nptcert import cv
 from nptcert.errors import ParameterOutOfRange, TruncationUnreliable, UnnormalizedState
 from nptcert.hermitian import HermitianOperator, validate_hermitian
 from oracles import (bs_fock1_output, bs_unitary_oracle, coherent_vector,
-                     crosscheck_pair_oracle, dense_kron_moment_oracle, destroy_oracle,
-                     mancini_margin, pure_state_oracle, random_density_oracle,
-                     random_hermitian, sr_pt_oracle)
+                     crosscheck_copy_reference, crosscheck_pair_oracle,
+                     dense_kron_moment_oracle, destroy_oracle, mancini_margin,
+                     pure_state_oracle, random_density_oracle, random_hermitian,
+                     relation_check_copy_reference, sr_pt_oracle)
 from test_acceptance import _criterion8_states
 
 SP1 = cv.FockSpace(1, 30)
@@ -23,6 +24,20 @@ MID1 = cv.FockSpace(1, 20)   # deep enough for order-4 moments of warm states
 def kron_state(a, b):
     return validate_hermitian(np.kron(a.matrix, b.matrix),
                               a.dims + b.dims, tol=1e-12)
+
+
+def peak_share_of_matrix(run):
+    """Peak traced allocation of run(rho), rho a cutoff-30 two-mode squeezed
+    state, over rho.matrix.nbytes: a copy of rho^PT alone would read 1."""
+    rho = cv.two_mode_squeezed(0.3, SP2)
+    rho.matrix  # the lazily built state matrix is not the run's allocation
+    tracemalloc.start()
+    try:
+        run(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / rho.matrix.nbytes
 
 
 def number_mean(rho, mode=0):
@@ -574,16 +589,9 @@ class TestPtMomentRelation:
             np.testing.assert_allclose(res.lhs, lhs, rtol=1e-12)
             np.testing.assert_allclose(res.rhs, rhs, rtol=1e-12)
 
-    def test_allocates_about_one_partial_transpose(self):
-        rho = cv.two_mode_squeezed(0.3, SP2)
-        rho.matrix  # the lazily built state matrix is not the check's allocation
-        tracemalloc.start()
-        try:
-            cv.pt_moment_relation_check(rho, 2, 1, 1, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * rho.matrix.nbytes
+    def test_copies_no_partial_transpose(self):
+        share = peak_share_of_matrix(lambda rho: cv.pt_moment_relation_check(rho, 2, 1, 1, 2))
+        assert share <= 0.25
 
 
 class TestNonclassicality:
@@ -618,6 +626,20 @@ class TestNonclassicality:
         with pytest.raises(TruncationUnreliable):
             cv.photon_stat_nonclassicality(hot, 2)
 
+    # Twice a state: read unnormalized, these gave -12.0 and a false
+    # squeezing verdict of -8.0.
+    @pytest.mark.parametrize("run", [
+        lambda: cv.photon_stat_nonclassicality(
+            HermitianOperator(2 * cv.fock(2, SMALL1).matrix, (13,)), 1),
+        lambda: cv.amplitude_squeezing(
+            HermitianOperator(2 * cv.coherent(1.0, cv.FockSpace(1, 20)).matrix, (21,)), 1, 0.0),
+        lambda: cv.amplitude_squeezing_scan(
+            HermitianOperator(2 * cv.coherent(1.0, cv.FockSpace(1, 20)).matrix, (21,)), 1),
+    ], ids=["photon_stat", "amplitude_squeezing", "amplitude_squeezing_scan"])
+    def test_refuses_non_unit_trace(self, run):
+        with pytest.raises(UnnormalizedState):
+            run()
+
 
 class TestCrosscheck:
     def test_vacuum_tight(self):
@@ -636,6 +658,11 @@ class TestCrosscheck:
         for which in (10, 11):
             res = cv.cv_pipeline_crosscheck(out, 2, 2, which)
             assert res.defect < 1e-7
+
+    @pytest.mark.parametrize("which", [10, 11])
+    def test_copies_no_partial_transpose(self, which):
+        share = peak_share_of_matrix(lambda rho: cv.cv_pipeline_crosscheck(rho, 2, 1, which))
+        assert share <= 0.25
 
     @pytest.mark.parametrize("rho, m, which", [
         (cv.vacuum(SMALL2), 0, 10),
@@ -734,3 +761,45 @@ class TestUnitTrace:
     def test_refuses_non_unit_trace(self, run, kind):
         with pytest.raises(UnnormalizedState):
             run(UNNORMALIZED[kind])
+
+
+# rho^PT is read as a strided view of rho.matrix; the copy-based references
+# in oracles.py read a contiguous copy through the same gather, so the two
+# must agree with ==.  The diagonal thermal and Fock products have PT = rho
+# and cannot tell a wrong transpose; the other states do.
+PT_VIEW_STATES = ["squeezed x vacuum", "thermal x thermal", "coherent x coherent",
+                  "fock x fock", "random c6", "random c12", "two_mode_squeezed c30",
+                  "single_photon_entangled c30"]
+
+
+class TestPtView:
+    @pytest.fixture(scope="class")
+    def states(self):
+        states = _criterion8_states()
+        for cutoff in (6, 12):
+            d = cutoff + 1
+            states[f"random c{cutoff}"] = validate_hermitian(
+                random_density_oracle(np.random.default_rng(cutoff), d * d), (d, d), tol=1e-12)
+        states["two_mode_squeezed c30"] = cv.two_mode_squeezed(0.3, SP2)
+        states["single_photon_entangled c30"] = cv.single_photon_entangled(SP2)
+        return states
+
+    @pytest.mark.parametrize("name", PT_VIEW_STATES)
+    def test_relation_check_equals_copy_reference(self, states, name):
+        rho = states[name]
+        orders = np.random.default_rng(len(name)).integers(0, 5, size=(12, 4)).tolist()
+        for m, n, p, q in orders + [[1, 1, 1, 1], [0, 0, 1, 0], [2, 1, 1, 2], [1, 2, 3, 0]]:
+            got = cv.pt_moment_relation_check(rho, m, n, p, q, allow_unreliable=True)
+            assert (got.lhs, got.rhs, got.defect) == relation_check_copy_reference(
+                rho, m, n, p, q), (m, n, p, q)
+
+    @pytest.mark.parametrize("which", [10, 11])
+    @pytest.mark.parametrize("name", PT_VIEW_STATES)
+    def test_crosscheck_equals_copy_reference(self, states, name, which):
+        rho = states[name]
+        for m, n in [(1, 1), (1, 2), (2, 1), (3, 2), (4, 4)]:
+            got = cv.cv_pipeline_crosscheck(rho, m, n, which, allow_unreliable=True)
+            margin_eq, generic = crosscheck_copy_reference(rho, m, n, which)
+            assert got.margin_eq == margin_eq
+            assert got.generic_report == generic, (m, n)
+            assert got.defect == abs(margin_eq - generic.margin)
