@@ -4,19 +4,21 @@ export witnesses and reports.
 Exit codes: 0 = separability condition satisfied (no certificate),
 2 = violation certified (for relation-check: the defect exceeds
 RELATION_RTOL * max(1, |lhs|, |rhs|)), 1 = error, 3 = unreliable Fock
-truncation.
+truncation.  A usage error is one `error:` line and exit 1 too, so exit 2
+always means a certified violation; `--help` exits 0.
 The default margin tolerance can be overridden with NPT_CERTIFY_TOL.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import math
 import os
+import re
 import sys
 
-import click
 import numpy as np
 
 from . import certificates, cv, states
@@ -109,7 +111,7 @@ def _write(text: str, out) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _config(command: str, source: str, **options) -> dict:
@@ -120,36 +122,6 @@ def _emit(payload: dict, out) -> None:
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _handle_errors(command):
-    """Turn a library, input or file error anywhere in a subcommand into a
-    one-line message and exit 1 (3 for an unreliable Fock truncation).
-    A spec value of the wrong type (a list for `p`, null for `dims`) raises
-    TypeError, an infinite count (`n=inf`) OverflowError."""
-
-    @functools.wraps(command)
-    def wrapper(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except (CertificationError, OSError, KeyError, ValueError, TypeError,
-                OverflowError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_TRUNCATION if isinstance(exc, TruncationUnreliable) else EXIT_ERROR)
-
-    return wrapper
-
-
-@click.group()
-def main():
-    """Certify entanglement of NPT states through uncertainty relations."""
-
-
-@main.command()
-@click.argument("source")
-@click.option("--bipartition", required=True, help='Subsystem split, e.g. "0,1|2".')
-@click.option("--tol", type=float, default=None, help="Margin tolerance.")
-@click.option("--seed", type=int, default=None, help="Seed for random state specs.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handle_errors
 def check(source, bipartition, tol, seed, out):
     """Run the full SR certificate for one state and bipartition."""
     tol = _tol(tol)
@@ -158,17 +130,9 @@ def check(source, bipartition, tol, seed, out):
     payload = certificates.certificate_payload(rho, bip, tol=tol)
     payload["config"] = _config("check", source, bipartition=bipartition, tol=tol, seed=seed)
     _emit(payload, out)
-    sys.exit(EXIT_VIOLATED if payload["verdict"] == "violated" else EXIT_OK)
+    return EXIT_VIOLATED if payload["verdict"] == "violated" else EXIT_OK
 
 
-@main.command("sweep-ghz")
-@click.option("--p-from", type=float, default=0.0, show_default=True)
-@click.option("--p-to", type=float, default=1.0, show_default=True)
-@click.option("--steps", type=int, default=21, show_default=True)
-@click.option("--bipartition", default="0,1|2", show_default=True)
-@click.option("--tol", type=float, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handle_errors
 def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
     """Sweep the mixed-GHZ family and emit CSV columns
     p, lambda_minus, sr_margin, eq8_margin, witness_value."""
@@ -194,16 +158,9 @@ def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
     lines = ["p,lambda_minus,sr_margin,eq8_margin,witness_value"]
     lines += [",".join(repr(x) for x in row) for row in rows]
     _write("\n".join(lines) + "\n", out)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
-@main.command()
-@click.argument("source")
-@click.option("--bipartition", required=True)
-@click.option("--tol", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handle_errors
 def witness(source, bipartition, tol, seed, out):
     """Export the entanglement witness built from the most negative PT eigenvector."""
     tol = _tol(tol)
@@ -221,7 +178,7 @@ def witness(source, bipartition, tol, seed, out):
         "config": _config("witness", source, bipartition=bipartition, tol=tol, seed=seed),
     }
     _emit(payload, out)
-    sys.exit(EXIT_VIOLATED if verdict.is_npt else EXIT_OK)
+    return EXIT_VIOLATED if verdict.is_npt else EXIT_OK
 
 
 def _cv_report_payload(rep: cv.CvInequalityReport) -> dict:
@@ -249,15 +206,6 @@ def _check_orders(*orders) -> None:
             raise ParameterOutOfRange(f"order {o} outside 1..4")
 
 
-@main.command("cv-check")
-@click.argument("source")
-@click.option("--ineq", type=click.Choice(["10", "11"]), default="10", show_default=True)
-@click.option("--m", type=int, default=1, show_default=True)
-@click.option("--n", type=int, default=1, show_default=True)
-@click.option("--cutoff", type=int, default=cv.DEFAULT_CUTOFF, show_default=True)
-@click.option("--tol", type=float, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handle_errors
 def cv_check(source, ineq, m, n, cutoff, tol, out):
     """Evaluate a moment inequality for a two-mode CV state spec."""
     tol = _tol(tol)
@@ -269,19 +217,9 @@ def cv_check(source, ineq, m, n, cutoff, tol, out):
     payload["config"] = _config("cv-check", source, spec=spec, ineq=ineq, m=m, n=n,
                                 cutoff=cutoff, tol=tol)
     _emit(payload, out)
-    sys.exit(EXIT_VIOLATED if rep.violated else EXIT_OK)
+    return EXIT_VIOLATED if rep.violated else EXIT_OK
 
 
-@main.command("bs-demo")
-@click.option("--input", "source", required=True,
-              help='Single-mode spec, e.g. "squeezed_vacuum:r=0.5".')
-@click.option("--theta", type=float, default=float(np.pi / 4), show_default=True)
-@click.option("--m", type=int, default=1, show_default=True)
-@click.option("--n", type=int, default=1, show_default=True)
-@click.option("--cutoff", type=int, default=cv.DEFAULT_CUTOFF, show_default=True)
-@click.option("--tol", type=float, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handle_errors
 def bs_demo(source, theta, m, n, cutoff, tol, out):
     """Pipe a single-mode state and vacuum through a beam splitter, then
     evaluate both moment inequalities on the output."""
@@ -301,18 +239,9 @@ def bs_demo(source, theta, m, n, cutoff, tol, out):
     }
     _emit(payload, out)
     violated = rep10.violated or rep11.violated
-    sys.exit(EXIT_VIOLATED if violated else EXIT_OK)
+    return EXIT_VIOLATED if violated else EXIT_OK
 
 
-@main.command("relation-check")
-@click.argument("source")
-@click.option("--m", type=int, default=1, show_default=True)
-@click.option("--n", type=int, default=1, show_default=True)
-@click.option("--p", type=int, default=1, show_default=True)
-@click.option("--q", type=int, default=0, show_default=True)
-@click.option("--cutoff", type=int, default=cv.DEFAULT_CUTOFF, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_handle_errors
 def relation_check(source, m, n, p, q, cutoff, out):
     """Check the partial-transpose moment identity on a two-mode state;
     exit 2 when its defect exceeds RELATION_RTOL * max(1, |lhs|, |rhs|)."""
@@ -329,7 +258,77 @@ def relation_check(source, m, n, p, q, cutoff, out):
     }
     _emit(payload, out)
     bound = RELATION_RTOL * max(1.0, abs(res.lhs), abs(res.rhs))
-    sys.exit(EXIT_VIOLATED if res.defect > bound else EXIT_OK)
+    return EXIT_VIOLATED if res.defect > bound else EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one `error:` line and exit 1; options are never abbreviated;
+    -1e-300, -.5 or -inf after an option is its value, not an unknown option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_ERROR)
+
+
+@functools.cache  # built once: building the parser takes longer than a small request
+def _parser(prog):
+    out, tol, orders = (_Parser(add_help=False) for _ in range(3))
+    out.add_argument("--out")
+    tol.add_argument("--tol", type=float, help="Margin tolerance.")
+    orders.add_argument("--m", type=int, default=1)
+    orders.add_argument("--n", type=int, default=1)
+    orders.add_argument("--cutoff", type=int, default=cv.DEFAULT_CUTOFF)
+    parser = _Parser(prog=prog)
+    commands = parser.add_subparsers(required=True)
+
+    def command(run, *parents):
+        sub = commands.add_parser(run.__name__.replace("_", "-"), parents=[*parents, out],
+                                  help=" ".join(run.__doc__.split()), description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    for run in (check, witness):
+        arg = command(run, tol)
+        arg("source")
+        arg("--bipartition", required=True, help='Subsystem split, e.g. "0,1|2".')
+        arg("--seed", type=int, help="Seed for random state specs.")
+    arg = command(sweep_ghz, tol)
+    arg("--p-from", type=float, default=0.0)
+    arg("--p-to", type=float, default=1.0)
+    arg("--steps", type=int, default=21)
+    arg("--bipartition", default="0,1|2")
+    arg = command(cv_check, orders, tol)
+    arg("source")
+    arg("--ineq", choices=["10", "11"], default="10")
+    arg = command(bs_demo, orders, tol)
+    arg("--input", dest="source", required=True,
+        help='Single-mode spec, e.g. "squeezed_vacuum:r=0.5".')
+    arg("--theta", type=float, default=float(np.pi / 4))
+    arg = command(relation_check, orders)
+    arg("source")
+    arg("--p", type=int, default=1)
+    arg("--q", type=int, default=0)
+    return parser
+
+
+def main(argv=None, prog_name=None):
+    """Run the subcommand argv names (default sys.argv[1:]); exit with its code.
+    A library, input or file error in it is one `error:` line and exit 1 (3 for an
+    unreliable Fock truncation): a spec value of the wrong type raises TypeError,
+    an infinite count (`n=inf`) OverflowError, JSON nested too deep RecursionError."""
+    options = vars(_parser(prog_name or "nptcert").parse_args(argv))
+    run = options.pop("run")
+    try:
+        code = run(**options)
+    except (CertificationError, OSError, KeyError, ValueError, TypeError, OverflowError,
+            RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_TRUNCATION if isinstance(exc, TruncationUnreliable) else EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from nptcert import certificates, cli, cv, hermitian, spectral, states
@@ -19,6 +19,14 @@ from nptcert.states import make_bell, make_ghz_mixed
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def run_module(argv) -> subprocess.CompletedProcess:
+    """`python -m nptcert.cli *argv` in a fresh interpreter, stdout and stderr captured."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "nptcert.cli", *argv],
+                          env=env, capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -89,11 +97,14 @@ class TestErrors:
         (["check", "{bell_fractional_dims}", "--bipartition", "0|1"], {}),
         (["check", '{{"family": "random_density", "dim": 8, "dims": [3, 3]}}',
           "--bipartition", "0|1"], {}),
+        (["check", "{deep}", "--bipartition", "0|1"], {}),
+        (["witness", "{deep_file}", "--bipartition", "0|1"], {}),
     ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir",
             "bad-complex-value", "check-json-array-file", "cv-check-json-array-file",
             "non-integral-terms", "non-integral-dim", "non-integral-dims-entry",
             "non-integral-cutoff", "bool-cutoff", "non-integral-n",
-            "matrix-file-non-integral-dims", "dims-not-matching-dim"])
+            "matrix-file-non-integral-dims", "dims-not-matching-dim",
+            "deep-json-inline", "deep-json-matrix-file"])
     def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -101,8 +112,13 @@ class TestErrors:
         array.write_text("[1, 2]")
         bell = tmp_path / "bell.json"
         bell.write_text(json.dumps(dict(hermitian.matrix_payload(make_bell()), dims=[2.7, 2])))
+        # JSON nested deeper than the interpreter's recursion limit
+        deep = '{"a": ' + "[" * 100_000
+        deep_file = tmp_path / "deep.json"
+        deep_file.write_text('{"dims": [2, 2], "matrix": ' + "[" * 100_000)
         # str.format fills the paths; "{{" and "}}" stand for JSON braces
-        argv = [a.format(missing=tmp_path / "missing", array=array, bell_fractional_dims=bell)
+        argv = [a.format(missing=tmp_path / "missing", array=array, bell_fractional_dims=bell,
+                         deep=deep, deep_file=deep_file)
                 for a in argv]
         result = runner.invoke(main, argv)
         assert result.exit_code == 1
@@ -134,6 +150,33 @@ class TestErrors:
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: tolerance ")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "bell", "--bipartition", "0|1", "--bogus", "x"],
+        ["check", "--bipartition", "0|1"],
+        ["witness", "bell"],
+        ["cv-check", "two_mode_squeezed:r=0.3", "--m", "abc"],
+        ["sweep-ghz", "--steps", "2.5"],
+        ["check", "bell", "--bipartition", "0|1", "--tol", "abc"],
+        ["cv-check", "two_mode_squeezed:r=0.3", "--ineq", "12"],
+        ["frobnicate"],
+        [],
+        ["check", "bell", "--bip", "0|1"],
+        ["check", "bell", "--bipartition", "0|1", "--out", "{directory}"],
+    ], ids=["unknown-option", "missing-source", "missing-bipartition", "bad-int-m",
+            "bad-int-steps", "bad-float-tol", "bad-choice-ineq", "unknown-subcommand",
+            "no-subcommand", "abbreviated-option", "out-is-a-directory"])
+    def test_usage_error_exit_1(self, tmp_path, argv):
+        # exit 2 means a certified violation, so a typo must never end in it
+        proc = run_module([a.format(directory=tmp_path) for a in argv])
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_help_exits_0(self):
+        proc = run_module(["--help"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "sweep-ghz" in proc.stdout
 
     @pytest.mark.parametrize("argv, key", [
         (["cv-check", "two_mode_squeezed"], "r"),
@@ -362,6 +405,11 @@ class TestSweep:
     def test_bad_range_rejected(self, runner):
         result = runner.invoke(main, ["sweep-ghz", "--p-from", "0.5", "--p-to", "0.4"])
         assert result.exit_code == 1
+        # a negative number after an option is its value, checked by the sweep
+        result = runner.invoke(main, ["sweep-ghz", "--p-from", "-1e-9"])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "error: need 0 <= p_from < p_to <= 1, got -1e-09, 1.0"]
 
 
 class TestWitnessCommand:
@@ -499,15 +547,14 @@ class TestCvCommands:
                                       "--m", "5"])
         assert result.exit_code == 1
 
-    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf", "1e308", "1e15"])
+    @pytest.mark.parametrize("theta", [
+        ["--theta=nan"], ["--theta=inf"], ["--theta=-inf"], ["--theta=1e308"], ["--theta=1e15"],
+        ["--theta", "-inf"], ["--theta", "-1e7"],
+    ], ids=["nan", "inf", "-inf", "1e308", "1e15", "separate--inf", "separate--1e7"])
     def test_bs_demo_theta_out_of_range(self, theta):
         # a fresh interpreter, so a numpy warning would reach stderr too; 1e15
         # gave a non-unitary map (defect 0.85) and verdicts with exit 0
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "nptcert.cli", "bs-demo", "--input",
-                               "fock:n=1", "--cutoff", "5", f"--theta={theta}"],
-                              env=env, capture_output=True, text=True)
+        proc = run_module(["bs-demo", "--input", "fock:n=1", "--cutoff", "5", *theta])
         assert proc.returncode == 1 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: theta = ")

@@ -5,7 +5,7 @@ import json
 import math
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from nptcert import states
