@@ -220,15 +220,14 @@ def hur_weak_test(pair: PseudoSpinPair, rho: HermitianOperator,
                          lhs, rhs, margin, margin < -tol, tol)
 
 
-def certify(rho: HermitianOperator, bip: Bipartition,
-            tol: float = VIOLATION_TOL, normalize: bool = False) -> Certificate:
+def certify(rho: HermitianOperator, bip: Bipartition, tol: float = VIOLATION_TOL) -> Certificate:
     """The one certify pass for a state and bipartition.
 
     One partial transpose and one eigensolve of rho^PT (see pt_spectrum),
     then the pair on the largest eigenvector and the most negative one (the
     smallest when the state is PPT) and the SR report over rho^PT.
     """
-    rho_pt, spectrum, verdict = pt_spectrum(rho, bip, tol, normalize)
+    rho_pt, spectrum, verdict = pt_spectrum(rho, bip, tol)
     pair = build_pseudospin(
         spectrum.vector(verdict.chosen_positive_index),
         spectrum.vector(verdict.chosen_negative_index),
@@ -238,14 +237,13 @@ def certify(rho: HermitianOperator, bip: Bipartition,
     return Certificate(rho_pt, spectrum, verdict, pair, report)
 
 
-def sr_pt_test(rho: HermitianOperator, bip: Bipartition,
-               tol: float = VIOLATION_TOL, normalize: bool = False):
+def sr_pt_test(rho: HermitianOperator, bip: Bipartition, tol: float = VIOLATION_TOL):
     """Full certification workflow for a state and bipartition.
 
     Returns (NptVerdict, PseudoSpinPair, SRReport) of the certify pass; the
     report is violated exactly when the state is NPT.
     """
-    cert = certify(rho, bip, tol, normalize)
+    cert = certify(rho, bip, tol)
     return cert.verdict, cert.pair, cert.report
 
 
@@ -305,8 +303,7 @@ def orthogonal_pair_construct(rho_pt: HermitianOperator, v1, v2,
     return pair, sr_moments(pair.h1, pair.h2, rho_pt, tol)
 
 
-def two_qubit_equivalence(rho: HermitianOperator,
-                          tol: float = VIOLATION_TOL) -> TwoQubitEquivalence:
+def two_qubit_equivalence(rho: HermitianOperator) -> TwoQubitEquivalence:
     """SR certificate with (sigma_x/2, sigma_y/2) against the 2x2 determinant.
 
     For a unit-trace Hermitian [[a, c], [conj(c), b]] the SR margin equals
@@ -319,7 +316,7 @@ def two_qubit_equivalence(rho: HermitianOperator,
     e0 = np.array([1.0, 0.0], dtype=np.complex128)
     e1 = np.array([0.0, 1.0], dtype=np.complex128)
     pair = build_pseudospin(e0, e1, dims=(2,))
-    rep = sr_moments(pair.h1, pair.h2, rho, tol)
+    rep = sr_moments(pair.h1, pair.h2, rho)
     hur_margin = rep.lhs - rep.commutator_mean ** 2 / 4.0
     a = float(rho.matrix[0, 0].real)
     b = float(rho.matrix[1, 1].real)
@@ -373,7 +370,7 @@ def ghz_inequality(a_z: float, b_z: float, c_xy: float,
     return GhzInequalityResult(lhs, rhs, lhs - rhs)
 
 
-def ghz_pair(dims=(2, 2, 2)) -> PseudoSpinPair:
+def ghz_pair() -> PseudoSpinPair:
     """The explicit observable pair built on (|001> +/- |110>)/sqrt(2)."""
     v = np.zeros(8, dtype=np.complex128)
     w = np.zeros(8, dtype=np.complex128)
@@ -381,7 +378,7 @@ def ghz_pair(dims=(2, 2, 2)) -> PseudoSpinPair:
     v[0b110] = 1.0 / np.sqrt(2.0)
     w[0b001] = 1.0 / np.sqrt(2.0)
     w[0b110] = -1.0 / np.sqrt(2.0)
-    return build_pseudospin(v, w, dims=dims)
+    return build_pseudospin(v, w, dims=(2, 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,14 @@ def _load_finite_state(source: str, seed=None):
     return states.state_from_spec(payload)
 
 
-def _load_cv_state(source: str, cutoff: int):
+def _load_cv_state(source: str, cutoff: int | None):
+    """(state, spec, cutoff) at the spec's cutoff, else --cutoff, else DEFAULT_CUTOFF."""
     payload = _read_payload(source)
-    payload.setdefault("cutoff", cutoff)
-    return cv.cv_state_from_spec(payload), payload
+    payload.setdefault("cutoff", cv.DEFAULT_CUTOFF if cutoff is None else cutoff)
+    rho = cv.cv_state_from_spec(payload)
+    if cutoff not in (None, rho.dims[0] - 1):
+        raise ParameterOutOfRange(f"spec cutoff {rho.dims[0] - 1} differs from --cutoff {cutoff}")
+    return rho, payload, rho.dims[0] - 1
 
 
 def _write(text: str, out) -> None:
@@ -210,7 +214,7 @@ def cv_check(source, ineq, m, n, cutoff, tol, out):
     """Evaluate a moment inequality for a two-mode CV state spec."""
     tol = _tol(tol)
     _check_orders(m, n)
-    rho, spec = _load_cv_state(source, cutoff)
+    rho, spec, cutoff = _load_cv_state(source, cutoff)
     runner = cv.ineq10 if ineq == "10" else cv.ineq11
     rep = runner(rho, m, n, tol=tol)
     payload = _cv_report_payload(rep)
@@ -225,7 +229,7 @@ def bs_demo(source, theta, m, n, cutoff, tol, out):
     evaluate both moment inequalities on the output."""
     tol = _tol(tol)
     _check_orders(m, n)
-    rho_in, spec = _load_cv_state(source, cutoff)
+    rho_in, spec, cutoff = _load_cv_state(source, cutoff)
     two_mode = cv.with_vacuum_ancilla(rho_in)
     result = cv.beam_splitter(two_mode, theta)
     rep10 = cv.ineq10(result.state, m, n, tol=tol)
@@ -248,7 +252,7 @@ def relation_check(source, m, n, p, q, cutoff, out):
     for o in (m, n, p, q):
         if not 0 <= o <= 4:
             raise ParameterOutOfRange(f"order {o} outside 0..4")
-    rho, spec = _load_cv_state(source, cutoff)
+    rho, spec, cutoff = _load_cv_state(source, cutoff)
     res = cv.pt_moment_relation_check(rho, m, n, p, q)
     payload = {
         "lhs": [res.lhs.real, res.lhs.imag],
@@ -281,7 +285,7 @@ def _parser(prog):
     tol.add_argument("--tol", type=float, help="Margin tolerance.")
     orders.add_argument("--m", type=int, default=1)
     orders.add_argument("--n", type=int, default=1)
-    orders.add_argument("--cutoff", type=int, default=cv.DEFAULT_CUTOFF)
+    orders.add_argument("--cutoff", type=int)
     parser = _Parser(prog=prog)
     commands = parser.add_subparsers(required=True)
 

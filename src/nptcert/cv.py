@@ -21,7 +21,7 @@ Truncation.  An operator of raising order j evaluated on a state is exact
 when the state carries no weight on the top j levels of either mode.  The
 factories build states at any cutoff; each operation that reads a state
 guards it at its own order: it bounds the total population at levels
->= cutoff - order and refuses (by default) when it exceeds 1e-8.
+>= cutoff - order and refuses the state when it exceeds 1e-8.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ def truncation_diagnostics(rho: HermitianOperator, order: int) -> TruncationDiag
     return TruncationDiagnostics(tail_weight=tail, reliable=tail < TAIL_THRESHOLD)
 
 
-def _guard(rho: HermitianOperator, order: int, allow_unreliable: bool) -> TruncationDiagnostics:
+def _guard(rho: HermitianOperator, order: int) -> TruncationDiagnostics:
     diag = truncation_diagnostics(rho, order)
-    if not diag.reliable and not allow_unreliable:
+    if not diag.reliable:
         raise TruncationUnreliable(
             f"tail weight {diag.tail_weight:.3e} at order {order} exceeds {TAIL_THRESHOLD}"
         )
@@ -142,7 +142,7 @@ class PureFockState:
 
     amplitudes: np.ndarray
     dims: tuple
-    deviation: float = 0.0
+    deviation = 0.0  # a class constant, not a field: the matrix is built exactly Hermitian
 
     @property
     def dim(self) -> int:
@@ -271,7 +271,7 @@ def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator | PureFockS
     if isinstance(rho, PureFockState):  # v x |0>: v on the n2 = 0 amplitudes
         w = np.zeros(d * d, dtype=np.complex128)
         w[::d] = rho.amplitudes
-        return PureFockState(w, (d, d), rho.deviation)
+        return PureFockState(w, (d, d))
     # rho x |0><0| copies rho onto the n2 = 0 rows and columns: still exactly Hermitian
     out = np.zeros((d * d, d * d), dtype=np.complex128)
     out[::d, ::d] = rho.matrix
@@ -314,8 +314,7 @@ def _beam_splitter_unitary(cutoff: int, theta: float):
     return blocks, defect
 
 
-def beam_splitter(rho: HermitianOperator, theta: float,
-                  allow_unreliable: bool = False) -> BeamSplitterResult:
+def beam_splitter(rho: HermitianOperator, theta: float) -> BeamSplitterResult:
     """U rho U^dag with U = exp[theta (a1^dag a2 - a1 a2^dag)].
 
     theta = pi/4 is the 50:50 splitter.  The total photon number is
@@ -328,7 +327,7 @@ def beam_splitter(rho: HermitianOperator, theta: float,
         raise ParameterOutOfRange("beam splitter acts on two-mode states")
     if not abs(theta) <= MAX_THETA:  # nan fails the comparison too
         raise ParameterOutOfRange(f"theta = {theta} must be finite, |theta| <= {MAX_THETA:g}")
-    _guard(rho, BEAM_SPLITTER_GUARD_ORDER, allow_unreliable)
+    _guard(rho, BEAM_SPLITTER_GUARD_ORDER)
     blocks, defect = _beam_splitter_unitary(space.cutoff, float(theta))
 
     def left(m):
@@ -341,7 +340,7 @@ def beam_splitter(rho: HermitianOperator, theta: float,
 
     if isinstance(rho, PureFockState):  # U|v>: one column through the same blocks
         v = left(np.ascontiguousarray(rho.amplitudes, dtype=np.complex128)[:, None])
-        return BeamSplitterResult(PureFockState(v.ravel(), space.dims, rho.deviation), defect)
+        return BeamSplitterResult(PureFockState(v.ravel(), space.dims), defect)
     # U (U rho)^T = conj(U rho U^dag): rho^T = conj(rho) and U is real
     y = left(left(np.ascontiguousarray(rho.matrix, dtype=np.complex128)).T.copy())
     # U rho U^dag is Hermitian only to rounding: symmetrize once
@@ -440,8 +439,7 @@ def _cv_report(inequality, m, n, var1, var2, shift, comm, cov_half, tol, diag):
                               comm_term, cov_term, margin < -tol, tol, diag)
 
 
-def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int,
-                       allow_unreliable: bool):
+def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int):
     """What ineq10 and ineq11 read: the guard's diagnostics at order
     2 max(m, n), the mode factors of orders m and n and the moment engine.
     Raises ParameterOutOfRange for a one-mode state and UnnormalizedState
@@ -450,13 +448,13 @@ def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int,
     if space.modes != 2:
         raise ParameterOutOfRange(f"inequality {which} needs a two-mode state")
     require_state_like(rho)
-    diag = _guard(rho, 2 * max(m, n), allow_unreliable)
+    diag = _guard(rho, 2 * max(m, n))
     return (diag, _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n),
             _MomentEngine(rho).kron_moment)
 
 
-def ineq10(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
-           allow_unreliable: bool = False) -> CvInequalityReport:
+def ineq10(rho: HermitianOperator, m: int, n: int,
+           tol: float = VIOLATION_TOL) -> CvInequalityReport:
     """Quadrature-type separability test of orders (m, n), moments over rho.
 
     Var(X1+X2) Var(Y1-Y2) >= <C1+C2>^2 + cov_S^2 with C_i = [a_i^m, a_i^dag^m]
@@ -464,7 +462,7 @@ def ineq10(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
     variant drops the covariance term; the sum form replaces the product of
     variances by their sum against 2|<C1+C2>|.
     """
-    diag, f1, f2, km = _inequality_inputs("10", rho, m, n, allow_unreliable)
+    diag, f1, f2, km = _inequality_inputs("10", rho, m, n)
     eye = np.eye(len(f1["a"]), dtype=np.complex128)
 
     e1 = (km(f1["x"], eye) + km(eye, f2["x"])).real
@@ -479,14 +477,14 @@ def ineq10(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
                       (anti - 2.0 * e1 * e2) / 2.0, tol, diag)
 
 
-def ineq11(rho: HermitianOperator, m: int, n: int, tol: float = VIOLATION_TOL,
-           allow_unreliable: bool = False) -> CvInequalityReport:
+def ineq11(rho: HermitianOperator, m: int, n: int,
+           tol: float = VIOLATION_TOL) -> CvInequalityReport:
     """Cross-mode separability test of orders (m, n), moments over rho.
 
     (Var X_mn + <C1 C2>)(Var Y_mn + <C1 C2>) >= <[a1^m a2^n, h.c.]>^2 + cov_S^2
     with X_mn = a1^dag^m a2^n + h.c. and Y_mn = -i(a1^dag^m a2^n - h.c.).
     """
-    diag, f1, f2, km = _inequality_inputs("11", rho, m, n, allow_unreliable)
+    diag, f1, f2, km = _inequality_inputs("11", rho, m, n)
 
     b_dag_mean = km(f1["ad"], f2["a"])          # <a1^dag^m a2^n>
     e_x = 2.0 * b_dag_mean.real
@@ -511,8 +509,8 @@ class MomentRelationCheck:
     defect: float
 
 
-def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: int,
-                             allow_unreliable: bool = False) -> MomentRelationCheck:
+def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
+                             q: int) -> MomentRelationCheck:
     """Compare <a1^dag^m a1^n a2^dag^p a2^q> over rho^PT against the
     index-swapped moment <a1^dag^m a1^n a2^dag^q a2^p> over rho.
 
@@ -525,8 +523,7 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: 
     space = space_of(rho)
     if space.modes != 2:
         raise ParameterOutOfRange("moment relation needs a two-mode state")
-    order = max(m, n, p, q)
-    _guard(rho, 2 * order, allow_unreliable)
+    _guard(rho, 2 * max(m, n, p, q))
     a = destroy(space.cutoff)
     ad = a.conj().T
     m1 = np.linalg.matrix_power(ad, m) @ np.linalg.matrix_power(a, n)
@@ -541,71 +538,50 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int, q: 
 # Single-mode nonclassicality witnesses
 # ---------------------------------------------------------------------------
 
-def normal_order_terms(j: int, k: int):
-    """Expansion of a^j a^dag^k into normally ordered terms.
-
-    Returns [(coefficient, dag_power, a_power), ...] such that
-    a^j a^dag^k = sum coeff * a^dag^dag_power a^a_power, with
-    coeff = C(j, i) C(k, i) i! for i = 0..min(j, k).
-    """
-    terms = []
-    for i in range(min(j, k) + 1):
-        coeff = math.comb(j, i) * math.comb(k, i) * math.factorial(i)
-        terms.append((coeff, k - i, j - i))
-    return terms
-
-
-def _normal_ordered_variance(witness: str, rho: HermitianOperator, terms, m: int,
-                             allow_unreliable: bool) -> float:
-    """<:(Delta B)^2:> over a one-mode, unit-trace rho, guarded at order 2m,
-    for B of order m given as [(coeff, dag_power, a_power), ...].
-
-    Normal ordering is applied symbolically: the square of B is expanded at
-    the level of exponent pairs (daggers simply add), and only moments
-    <a^dag^j a^k> of the truncated state are evaluated numerically.
-    """
+def _witness_moments(witness: str, rho: HermitianOperator, m: int, pairs) -> list:
+    """<a^dag^j a^k> for each (j, k) of pairs over a one-mode, unit-trace rho,
+    guarded at order 2m."""
     space = space_of(rho)
     if space.modes != 1:
         raise ParameterOutOfRange(f"{witness} is a single-mode witness")
     require_state_like(rho)
-    _guard(rho, 2 * m, allow_unreliable)
-
-    def mom(jdag: int, ka: int) -> complex:
-        op = _mode_factors(space.cutoff, jdag)["ad"] @ _mode_factors(space.cutoff, ka)["a"]
-        return trace_product(rho.matrix, op)
-
-    mean = sum(c * mom(jd, ka) for c, jd, ka in terms)
-    square = 0.0 + 0.0j
-    for c1, jd1, ka1 in terms:
-        for c2, jd2, ka2 in terms:
-            square += c1 * c2 * mom(jd1 + jd2, ka1 + ka2)
-    return float((square - mean * mean).real)
+    _guard(rho, 2 * m)
+    ladder = lambda order, key: _mode_factors(space.cutoff, order)[key]
+    return [trace_product(rho.matrix, ladder(j, "ad") @ ladder(k, "a")) for j, k in pairs]
 
 
-def amplitude_squeezing(rho: HermitianOperator, m: int, phi: float,
-                        allow_unreliable: bool = False) -> float:
+def _squeezing_curve(rho: HermitianOperator, m: int, phi: np.ndarray) -> np.ndarray:
+    """amplitude_squeezing at each phase of phi, from moments read once:
+    2 Re(e^{-2i phi} <a^2m>) + 2 <a^dag^m a^m> - (2 Re(e^{-i phi} <a^m>))^2."""
+    a_m, a_2m, n_m = _witness_moments("amplitude squeezing", rho, m,
+                                      [(0, m), (0, 2 * m), (m, m)])
+    return (2.0 * (np.exp(-2j * phi) * a_2m).real + 2.0 * n_m.real
+            - (2.0 * (np.exp(-1j * phi) * a_m).real) ** 2)
+
+
+def amplitude_squeezing(rho: HermitianOperator, m: int, phi: float) -> float:
     """Normal-ordered variance of a^m e^{-i phi} + a^dag^m e^{i phi}.
 
     Negative exactly when the state is m-th order amplitude squeezed at
     phase phi; coherent states give 0 at every (m, phi).
     """
-    terms = [(np.exp(-1j * phi), 0, m), (np.exp(1j * phi), m, 0)]
-    return _normal_ordered_variance("amplitude squeezing", rho, terms, m, allow_unreliable)
+    return float(_squeezing_curve(rho, m, np.array([phi]))[0])
 
 
-def amplitude_squeezing_scan(rho: HermitianOperator, m: int, points: int = 64,
-                             allow_unreliable: bool = False):
-    """Minimum of the normal-ordered variance over a phase grid."""
-    grid = np.linspace(0.0, np.pi, points, endpoint=False).tolist()
-    return min(((amplitude_squeezing(rho, m, phi, allow_unreliable), phi) for phi in grid),
-               default=(np.inf, 0.0))
+def amplitude_squeezing_scan(rho: HermitianOperator, m: int):
+    """(minimum, phase) of amplitude_squeezing over 64 phases in [0, pi); the
+    first phase wins a tie."""
+    grid = np.linspace(0.0, np.pi, 64, endpoint=False)
+    values = _squeezing_curve(rho, m, grid)
+    best = int(np.argmin(values))
+    return float(values[best]), float(grid[best])
 
 
-def photon_stat_nonclassicality(rho: HermitianOperator, m: int,
-                                allow_unreliable: bool = False) -> float:
+def photon_stat_nonclassicality(rho: HermitianOperator, m: int) -> float:
     """Normal-ordered variance of a^dag^m a^m:
     <a^dag^2m a^2m> - <a^dag^m a^m>^2; m = 1 is the sub-Poissonian test."""
-    return _normal_ordered_variance("photon statistics", rho, [(1.0, m, m)], m, allow_unreliable)
+    n_2m, n_m = _witness_moments("photon statistics", rho, m, [(2 * m, 2 * m), (m, m)])
+    return float((n_2m - n_m * n_m).real)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +596,7 @@ class CrosscheckResult:
     generic_report: SRReport
 
 
-def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
-                           allow_unreliable: bool = False) -> CrosscheckResult:
+def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -> CrosscheckResult:
     """Evaluate a printed inequality over rho and the generic SR certificate
     over the explicit Fock-basis rho^PT with the generating observable pair.
 
@@ -637,7 +612,7 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int,
         raise ParameterOutOfRange(f"orders m = {m}, n = {n} must be >= 1")
     if which not in (10, 11):
         raise ParameterOutOfRange(f"which = {which} must be 10 or 11")
-    rep = (ineq10 if which == 10 else ineq11)(rho, m, n, allow_unreliable=allow_unreliable)
+    rep = (ineq10 if which == 10 else ineq11)(rho, m, n)
     space = space_of(rho)
     f1, f2 = _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n)
     if which == 10:

@@ -11,7 +11,7 @@ partial transpose and a single eigensolve per (state, bipartition) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,21 +63,12 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
     return Spectrum(w, v)
 
 
-def pt_spectrum(rho: HermitianOperator, bip: Bipartition,
-                tol: float = VIOLATION_TOL, normalize: bool = False):
-    """One partial transpose and one eigensolve: (rho^PT, Spectrum, NptVerdict).
-
-    Requires unit trace within 1e-9 unless normalize=True, in which case any
-    positive trace is divided out before the partial transpose.
-    """
+def pt_spectrum(rho: HermitianOperator, bip: Bipartition, tol: float = VIOLATION_TOL):
+    """One partial transpose and one eigensolve: (rho^PT, Spectrum, NptVerdict);
+    raises UnnormalizedState unless rho has unit trace within 1e-9."""
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
-        if not normalize:
-            raise UnnormalizedState(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
-        if tr <= 0.0:
-            raise UnnormalizedState(f"trace {tr!r} is not positive")
-        # a positive scalar multiple of an exactly Hermitian matrix stays exactly Hermitian
-        rho = replace(rho, matrix=rho.matrix / tr)
+        raise UnnormalizedState(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
     rho_pt = partial_transpose(rho, bip)
     spectrum = eig_hermitian(rho_pt)
     w = spectrum.eigenvalues

@@ -79,7 +79,7 @@ def _random_density_from(rng, dims: tuple) -> HermitianOperator:
 
 def random_separable(dims, terms: int, seed) -> HermitianOperator:
     """Convex mixture of random product states with Dirichlet-uniform weights."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(spec_int(d, "dims entry") for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise ParameterOutOfRange(f"need one or more subsystem dims, all >= 2, got {dims}")
     total = math.prod(dims)

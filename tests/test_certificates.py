@@ -211,12 +211,10 @@ class TestSrPtTest:
             assert not rep.violated
             assert rep.margin >= -1e-10
 
-    def test_normalize_path(self):
+    def test_refuses_non_unit_trace(self):
         doubled = herm(2 * make_bell().matrix, (2, 2))
         with pytest.raises(UnnormalizedState):
             sr_pt_test(doubled, BIP01)
-        _, _, rep = sr_pt_test(doubled, BIP01, normalize=True)
-        assert rep.margin == pytest.approx(-1 / 16, abs=1e-12)
 
     def test_margin_identity_on_pt_spectrum(self):
         rng = np.random.default_rng(42)

@@ -660,6 +660,31 @@ class TestCvCommands:
         assert reports[0] == reports[1]
         assert reports[0]["config"]["spec"]["alpha"] == "0.3+0.2j"
 
+    @pytest.mark.parametrize("argv", [
+        ["cv-check", "two_mode_squeezed:r=0.3,cutoff=12", "--cutoff", "20"],
+        ["bs-demo", "--input", "fock:n=1,cutoff=12", "--cutoff", "20"],
+        ["relation-check", '{"family": "two_mode_squeezed", "r": 0.3, "cutoff": 12}',
+         "--cutoff", "20"],
+    ], ids=["cv-check", "bs-demo", "relation-check"])
+    def test_conflicting_cutoffs(self, runner, argv):
+        # the report echoed --cutoff 20 for a state built at the spec's 12
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == ["error: spec cutoff 12 differs from --cutoff 20"]
+
+    @pytest.mark.parametrize("argv, cutoff", [
+        (["cv-check", "two_mode_squeezed:r=0.3,cutoff=12"], 12),
+        (["cv-check", "two_mode_squeezed:r=0.3,cutoff=12", "--cutoff", "12"], 12),
+        (["cv-check", "two_mode_squeezed:r=0.3", "--cutoff", "12"], 12),
+        (["cv-check", "two_mode_squeezed:r=0.3"], cv.DEFAULT_CUTOFF),
+        (["bs-demo", "--input", "fock:n=1,cutoff=12.0", "--cutoff", "12"], 12),
+        (["relation-check", "two_mode_squeezed:r=0.3,cutoff=12", "--cutoff", "12"], 12),
+    ], ids=["spec", "both", "option", "default", "bs-demo-float-spec", "relation-check"])
+    def test_report_echoes_the_built_cutoff(self, runner, argv, cutoff):
+        result = runner.invoke(main, argv)
+        assert result.exit_code in (0, 2), result.output
+        assert json.loads(result.stdout)["config"]["cutoff"] == cutoff
+
     def test_report_echoes_config(self, runner, tmp_path):
         out = tmp_path / "cv.json"
         runner.invoke(main, ["cv-check", "two_mode_squeezed:r=0.3",

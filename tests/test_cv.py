@@ -4,14 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from nptcert import cv
+from nptcert import certificates, cv
 from nptcert.errors import ParameterOutOfRange, TruncationUnreliable, UnnormalizedState
-from nptcert.hermitian import HermitianOperator, validate_hermitian
-from oracles import (bs_fock1_output, bs_unitary_oracle, coherent_vector,
-                     crosscheck_copy_reference, crosscheck_pair_oracle,
+from nptcert.hermitian import Bipartition, HermitianOperator, validate_hermitian
+from oracles import (amplitude_squeezing_oracle, bs_fock1_output, bs_unitary_oracle,
+                     coherent_vector, crosscheck_copy_reference, crosscheck_pair_oracle,
                      dense_kron_moment_oracle, destroy_oracle, mancini_margin,
-                     pure_state_oracle, random_density_oracle, random_hermitian,
-                     relation_check_copy_reference, sr_pt_oracle)
+                     photon_stat_oracle, pure_state_oracle, random_density_oracle,
+                     random_hermitian, relation_check_copy_reference, sr_pt_oracle)
 from test_acceptance import _criterion8_states
 
 SP1 = cv.FockSpace(1, 30)
@@ -19,6 +19,13 @@ SP2 = cv.FockSpace(2, 30)
 SMALL1 = cv.FockSpace(1, 12)
 SMALL2 = cv.FockSpace(2, 12)
 MID1 = cv.FockSpace(1, 20)   # deep enough for order-4 moments of warm states
+
+
+@pytest.fixture
+def unguarded(monkeypatch):
+    """No truncation refusal, for a test that compares two evaluations of one
+    state whose Fock tail an operation's guard would refuse."""
+    monkeypatch.setattr(cv, "TAIL_THRESHOLD", np.inf)
 
 
 def kron_state(a, b):
@@ -63,26 +70,6 @@ class TestLadderOps:
         expected = np.eye(n_c + 1)
         expected[n_c, n_c] = -n_c
         np.testing.assert_allclose(comm, expected, atol=1e-13)
-
-
-class TestNormalOrderTerms:
-    def test_single_boson(self):
-        # a a^dag = a^dag a + 1
-        assert cv.normal_order_terms(1, 1) == [(1, 1, 1), (1, 0, 0)]
-
-    def test_identity_against_matrices(self):
-        # away from the corrupted top corner the reordering is exact
-        cutoff = 14
-        a = cv.destroy(cutoff)
-        ad = a.conj().T
-        for j, k in [(1, 1), (2, 2), (2, 1), (3, 2)]:
-            lhs = np.linalg.matrix_power(a, j) @ np.linalg.matrix_power(ad, k)
-            rhs = sum(
-                c * np.linalg.matrix_power(ad, jd) @ np.linalg.matrix_power(a, ka)
-                for c, jd, ka in cv.normal_order_terms(j, k)
-            )
-            good = cutoff - max(j, k)
-            np.testing.assert_allclose(lhs[:good, :good], rhs[:good, :good], atol=1e-10)
 
 
 class TestFactories:
@@ -217,13 +204,14 @@ class TestSectorBeamSplitter:
         assert np.max(np.abs(u - bs_unitary_oracle(cutoff, theta))) <= 1e-12
         assert defect <= 1e-12
 
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("cutoff", [3, 10])
     def test_random_full_rank_state_matches_dense(self, cutoff):
         d = cutoff + 1
         rng = np.random.default_rng(cutoff)
         rho = validate_hermitian(random_density_oracle(rng, d * d), (d, d))
         theta = 0.37
-        out = cv.beam_splitter(rho, theta, allow_unreliable=True).state.matrix
+        out = cv.beam_splitter(rho, theta).state.matrix
         u = bs_unitary_oracle(cutoff, theta)
         assert np.max(np.abs(out - u @ rho.matrix @ u.conj().T)) <= 1e-12
         np.testing.assert_array_equal(out, out.conj().T)
@@ -240,9 +228,8 @@ class TestSectorBeamSplitter:
         assert out.unitarity_defect < 1e-14
 
 
-# Single-mode pure inputs of bs-demo; the operations on them take
-# allow_unreliable, since coherent and squeezed states carry tail weight at
-# cutoff 3.
+# Single-mode pure inputs of bs-demo; the tests on them run unguarded, since
+# coherent and squeezed states carry tail weight at cutoff 3.
 BS_INPUTS = {
     **{f"fock{n}": (lambda c, n=n: cv.fock(n, cv.FockSpace(1, c))) for n in range(4)},
     "coherent-real": lambda c: cv.coherent(0.8, cv.FockSpace(1, c)),
@@ -258,13 +245,14 @@ class TestPureBeamSplitter:
 
     @staticmethod
     def both_paths(state, theta):
-        pure = cv.beam_splitter(cv.with_vacuum_ancilla(state), theta, allow_unreliable=True)
+        pure = cv.beam_splitter(cv.with_vacuum_ancilla(state), theta)
         dense_in = HermitianOperator(state.matrix, state.dims)
-        dense = cv.beam_splitter(cv.with_vacuum_ancilla(dense_in), theta, allow_unreliable=True)
+        dense = cv.beam_splitter(cv.with_vacuum_ancilla(dense_in), theta)
         assert isinstance(pure.state, cv.PureFockState)
         assert isinstance(dense.state, HermitianOperator)
         return pure, dense
 
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("cutoff", [3, 10, 20])
     @pytest.mark.parametrize("theta", [0.37, np.pi / 4, 1.3])
     @pytest.mark.parametrize("name", list(BS_INPUTS))
@@ -281,6 +269,7 @@ class TestPureBeamSplitter:
         assert np.max(np.abs(out - u @ np.kron(state.matrix, vac) @ u.conj().T)) <= 1e-12
 
     # not at cutoff 3: there fock3's sides are rounding of exact zeros
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("cutoff", [10, 20])
     @pytest.mark.parametrize("name", list(BS_INPUTS))
     def test_inequalities_match_dense_path(self, name, cutoff):
@@ -289,8 +278,8 @@ class TestPureBeamSplitter:
             for m in range(1, 5):
                 for n in range(1, 5):
                     for ineq in (cv.ineq10, cv.ineq11):
-                        got = ineq(pure.state, m, n, allow_unreliable=True)
-                        want = ineq(dense.state, m, n, allow_unreliable=True)
+                        got = ineq(pure.state, m, n)
+                        want = ineq(dense.state, m, n)
                         assert abs(got.lhs - want.lhs) <= 1e-12 * abs(want.lhs)
                         assert abs(got.rhs - want.rhs) <= 1e-12 * abs(want.rhs)
                         scale = max(1.0, abs(want.lhs), abs(want.rhs))
@@ -380,6 +369,7 @@ class TestAmplitudePath:
     calls on its dense matrix, which take the banded gathers, are the
     reference."""
 
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("cutoff", [10, 30, 40])
     @pytest.mark.parametrize("name", ["vacuum-two-mode", "two_mode_squeezed",
                                       "single_photon_entangled"])
@@ -389,8 +379,8 @@ class TestAmplitudePath:
         for m in range(1, 5):
             for n in range(1, 5):
                 for ineq in (cv.ineq10, cv.ineq11):
-                    got = ineq(rho, m, n, allow_unreliable=True)
-                    want = ineq(dense, m, n, allow_unreliable=True)
+                    got = ineq(rho, m, n)
+                    want = ineq(dense, m, n)
                     assert abs(got.lhs - want.lhs) <= 1e-12 * abs(want.lhs)
                     assert abs(got.rhs - want.rhs) <= 1e-12 * abs(want.rhs)
                     scale = max(1.0, abs(want.lhs), abs(want.rhs))
@@ -409,6 +399,14 @@ class TestAmplitudePath:
             tracemalloc.stop()
         assert "matrix" not in vars(rho)
         assert peak < 1 << 20   # the dense matrix alone is 45 MB
+
+    def test_certify_reads_a_pure_state_as_its_matrix(self):
+        # partial_transpose carries the input's deviation, a pure state's too
+        rho = cv.two_mode_squeezed(0.3, cv.FockSpace(2, 6))
+        bip = Bipartition(frozenset({0}), 2)
+        dense = HermitianOperator(rho.matrix, rho.dims)
+        assert certificates.certificate_payload(rho, bip) == certificates.certificate_payload(
+            dense, bip)
 
     @pytest.mark.parametrize("cutoff", [3, 10, 30])
     @pytest.mark.parametrize("name", list(PURE_FACTORIES))
@@ -563,6 +561,7 @@ class TestPtMomentRelation:
                 dense_kron_moment_oracle(rho.matrix, m1, mp(ad, q) @ mp(a, p)),
                 dense_kron_moment_oracle(rho.matrix, m1, mp(ad, p) @ mp(a, q)))
 
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("cutoff", [6, 12])
     def test_random_states_match_dense_oracle(self, cutoff):
         rng = np.random.default_rng(cutoff)
@@ -570,7 +569,7 @@ class TestPtMomentRelation:
         rho = validate_hermitian(random_density_oracle(rng, d * d), (d, d), tol=1e-12)
         orders = rng.integers(0, 5, size=(24, 4)).tolist() + [[1, 1, 1, 0], [0, 2, 4, 1]]
         for m, n, p, q in orders:
-            res = cv.pt_moment_relation_check(rho, m, n, p, q, allow_unreliable=True)
+            res = cv.pt_moment_relation_check(rho, m, n, p, q)
             lhs, rhs, lhs_without_pt = self.dense_sides(rho, m, n, p, q)
             np.testing.assert_allclose(res.lhs, lhs, rtol=1e-12)
             np.testing.assert_allclose(res.rhs, rhs, rtol=1e-12)
@@ -620,6 +619,47 @@ class TestNonclassicality:
             -2.0, abs=1e-12)
         assert cv.photon_stat_nonclassicality(cv.thermal(1.0, SP1), 1) == pytest.approx(
             1.0, rel=1e-5)
+
+    # Each with a Fock tail far below the guard's at order 6 and cutoff 20.
+    WITNESS_STATES = {
+        "squeezed": lambda c: cv.squeezed_vacuum(0.3, 0.4, cv.FockSpace(1, c)),
+        "coherent": lambda c: cv.coherent(0.8 - 0.5j, cv.FockSpace(1, c)),
+        "thermal": lambda c: cv.thermal(0.2, cv.FockSpace(1, c)),
+        "fock": lambda c: cv.fock(2, cv.FockSpace(1, c)),
+    }
+
+    @pytest.mark.parametrize("cutoff", [20, 30])
+    @pytest.mark.parametrize("name", list(WITNESS_STATES))
+    def test_witnesses_match_dense_oracle(self, name, cutoff):
+        rho = self.WITNESS_STATES[name](cutoff)
+        for m in (1, 2, 3):
+            want = photon_stat_oracle(rho.matrix, m)
+            got = cv.photon_stat_nonclassicality(rho, m)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), m
+            for phi in (0.0, 0.4, np.pi / 2, 2.9):
+                want = amplitude_squeezing_oracle(rho.matrix, m, phi)
+                got = cv.amplitude_squeezing(rho, m, phi)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (m, phi)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_scan_is_the_argmin_of_single_phase_calls(self, m):
+        rho = cv.squeezed_vacuum(0.5, 0.3, SP1)
+        grid = np.linspace(0.0, np.pi, 64, endpoint=False)
+        values = [cv.amplitude_squeezing(rho, m, phi) for phi in grid]
+        best = int(np.argmin(values))
+        assert cv.amplitude_squeezing_scan(rho, m) == (values[best], grid[best])
+
+    def test_scan_guards_once(self, monkeypatch):
+        orders = []
+        guard = cv._guard
+
+        def counting(rho, order, *args):
+            orders.append(order)
+            return guard(rho, order, *args)
+
+        monkeypatch.setattr(cv, "_guard", counting)
+        cv.amplitude_squeezing_scan(cv.squeezed_vacuum(0.5, 0.0, SP1), 2)
+        assert orders == [4]
 
     def test_reliability_guard(self):
         hot = cv.thermal(5.0, cv.FockSpace(1, 10))
@@ -675,13 +715,14 @@ class TestCrosscheck:
 
     @staticmethod
     def assert_generic_matches_oracle(rho, m, n, which):
-        got = cv.cv_pipeline_crosscheck(rho, m, n, which, allow_unreliable=True).generic_report
+        got = cv.cv_pipeline_crosscheck(rho, m, n, which).generic_report
         want = sr_pt_oracle(rho.matrix, *crosscheck_pair_oracle(rho.dims[0] - 1, m, n, which))
         margin_scale = max(1.0, abs(want["lhs"]), abs(want["rhs"]))
         for key, value in want.items():
             scale = margin_scale if key == "margin" else max(1.0, abs(value))
             assert abs(getattr(got, key) - value) <= 1e-12 * scale, (m, n, which, key)
 
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("cutoff", [4, 8, 12])
     def test_random_states_match_dense_oracle(self, cutoff):
         d = cutoff + 1
@@ -695,6 +736,7 @@ class TestCrosscheck:
     def criterion8_states(self):
         return _criterion8_states()
 
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("which", [10, 11])
     @pytest.mark.parametrize("name", ["squeezed x vacuum", "thermal x thermal",
                                       "coherent x coherent", "fock x fock"])
@@ -722,23 +764,22 @@ class TestCrosscheck:
 HOT = cv.coherent(3.0, cv.FockSpace(1, 8))
 HOT_TWO = cv.with_vacuum_ancilla(HOT)
 GUARDED_OPERATIONS = {
-    "beam_splitter": lambda allow: cv.beam_splitter(HOT_TWO, np.pi / 4, allow),
-    "ineq10": lambda allow: cv.ineq10(HOT_TWO, 1, 1, allow_unreliable=allow),
-    "ineq11": lambda allow: cv.ineq11(HOT_TWO, 1, 1, allow_unreliable=allow),
-    "pt_moment_relation_check":
-        lambda allow: cv.pt_moment_relation_check(HOT_TWO, 1, 1, 1, 0, allow),
-    "amplitude_squeezing": lambda allow: cv.amplitude_squeezing(HOT, 1, 0.0, allow),
-    "photon_stat_nonclassicality": lambda allow: cv.photon_stat_nonclassicality(HOT, 1, allow),
-    "cv_pipeline_crosscheck": lambda allow: cv.cv_pipeline_crosscheck(HOT_TWO, 1, 1, 10, allow),
+    "beam_splitter": lambda: cv.beam_splitter(HOT_TWO, np.pi / 4),
+    "ineq10": lambda: cv.ineq10(HOT_TWO, 1, 1),
+    "ineq11": lambda: cv.ineq11(HOT_TWO, 1, 1),
+    "pt_moment_relation_check": lambda: cv.pt_moment_relation_check(HOT_TWO, 1, 1, 1, 0),
+    "amplitude_squeezing": lambda: cv.amplitude_squeezing(HOT, 1, 0.0),
+    "photon_stat_nonclassicality": lambda: cv.photon_stat_nonclassicality(HOT, 1),
+    "cv_pipeline_crosscheck": lambda: cv.cv_pipeline_crosscheck(HOT_TWO, 1, 1, 10),
 }
 
 
 class TestTruncationGuard:
     @pytest.mark.parametrize("name", list(GUARDED_OPERATIONS))
     def test_operation_refuses_unless_allowed(self, name):
+        # every operation refuses: no caller can allow an unreliable truncation
         with pytest.raises(TruncationUnreliable, match="at order 2 exceeds"):
-            GUARDED_OPERATIONS[name](False)
-        GUARDED_OPERATIONS[name](True)
+            GUARDED_OPERATIONS[name]()
 
 
 # |0,1> + |1,0> with amplitudes 3 (|v|^2 = 18), and a dense state of trace 2:
@@ -784,21 +825,23 @@ class TestPtView:
         states["single_photon_entangled c30"] = cv.single_photon_entangled(SP2)
         return states
 
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("name", PT_VIEW_STATES)
     def test_relation_check_equals_copy_reference(self, states, name):
         rho = states[name]
         orders = np.random.default_rng(len(name)).integers(0, 5, size=(12, 4)).tolist()
         for m, n, p, q in orders + [[1, 1, 1, 1], [0, 0, 1, 0], [2, 1, 1, 2], [1, 2, 3, 0]]:
-            got = cv.pt_moment_relation_check(rho, m, n, p, q, allow_unreliable=True)
+            got = cv.pt_moment_relation_check(rho, m, n, p, q)
             assert (got.lhs, got.rhs, got.defect) == relation_check_copy_reference(
                 rho, m, n, p, q), (m, n, p, q)
 
+    @pytest.mark.usefixtures("unguarded")
     @pytest.mark.parametrize("which", [10, 11])
     @pytest.mark.parametrize("name", PT_VIEW_STATES)
     def test_crosscheck_equals_copy_reference(self, states, name, which):
         rho = states[name]
         for m, n in [(1, 1), (1, 2), (2, 1), (3, 2), (4, 4)]:
-            got = cv.cv_pipeline_crosscheck(rho, m, n, which, allow_unreliable=True)
+            got = cv.cv_pipeline_crosscheck(rho, m, n, which)
             margin_eq, generic = crosscheck_copy_reference(rho, m, n, which)
             assert got.margin_eq == margin_eq
             assert got.generic_report == generic, (m, n)

@@ -1,6 +1,6 @@
 """Every module-level import in src/nptcert is used (no linter is a dependency),
-and every third-party module it imports is a declared dependency and the other
-way round."""
+every third-party module it imports is a declared dependency and the other
+way round, and every library option that no caller sets is on a reviewed list."""
 
 import ast
 import re
@@ -68,3 +68,64 @@ def test_imports_are_the_declared_dependencies():
 def test_detects_a_third_party_import():
     source = "import os.path\nimport numpy as np\nfrom yaml import load\nfrom . import cv\n"
     assert third_party_imports(source) == {"numpy", "yaml"}
+
+
+# The defaulted parameters of public functions that no call in src/nptcert or
+# perfbench/ sets, each with the reason it stays settable.  An option only
+# tests set is a configuration nothing else runs: make it a constant, or add
+# it here with its reason.
+UNSET_DEFAULTS = {
+    "certificates.orthogonal_pair_construct(alpha1)": "paper API: the pair for any coefficients",
+    "certificates.orthogonal_pair_construct(alpha2)": "paper API: the pair for any coefficients",
+    "certificates.orthogonal_pair_construct(tol)": "paper API: the SR verdict's tolerance",
+    "certificates.sr_pt_test(tol)": "paper API: the SR verdict's tolerance",
+    "certificates.variance_positivity(tol)": "paper API: the negative-eigenvalue bound",
+    "hermitian.validate_hermitian(tol)": "tests tighten their fixtures to 1e-12 with it",
+}
+
+
+def unset_defaults(definitions: dict, callers: list) -> list:
+    """"module.function(parameter)" for each defaulted parameter of a public
+    module-level function in definitions ({module: source}) that no call in
+    callers (a list of sources) passes, by keyword or by position.  A call is
+    matched by the function's name alone.  Pass-through calls are not
+    followed: a parameter that a function only passes on from its own
+    defaulted parameter counts as set."""
+    defaulted = {}
+    for module, source in definitions.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                names = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                for name in names:
+                    defaulted[node.name, name] = (module, positional)
+    passed = set()
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            keywords = {k.arg for k in call.keywords}  # None for **kwargs
+            for (function, param), (_, positional) in defaulted.items():
+                if function == name and (param in keywords or None in keywords
+                                         or param in positional[:len(call.args)]):
+                    passed.add((function, param))
+    return sorted(f"{module}.{function}({param})"
+                  for (function, param), (module, _) in defaulted.items()
+                  if (function, param) not in passed)
+
+
+def test_every_unset_option_is_listed():
+    callers = [p.read_text() for p in PACKAGE.glob("*.py")]
+    callers += [p.read_text() for p in (PACKAGE.parents[1] / "perfbench").rglob("*.py")]
+    definitions = {p.stem: p.read_text() for p in MODULES}
+    assert unset_defaults(definitions, callers) == sorted(UNSET_DEFAULTS)
+
+
+def test_detects_an_unset_default():
+    source = "def f(a, b=1, c=2, *, d=3):\n    pass\n\n\ndef _g(x=1):\n    pass\n"
+    callers = ["f(0, 5)", "m.f(0, d=4)", "_g()"]
+    assert unset_defaults({"m": source}, callers) == ["m.f(c)"]
+    assert unset_defaults({"m": source}, callers + ["f(0, **options)"]) == []

@@ -101,8 +101,6 @@ class TestClassifyNpt:
         op = validate_hermitian(np.eye(4), (2, 2))
         with pytest.raises(UnnormalizedState):
             pt_spectrum(op, Bipartition(frozenset({0}), 2))
-        _, _, verdict = pt_spectrum(op, Bipartition(frozenset({0}), 2), normalize=True)
-        assert not verdict.is_npt
 
     def test_pt_eigenvalue_sum_is_one(self):
         rng = np.random.default_rng(301)

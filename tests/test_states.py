@@ -107,6 +107,11 @@ class TestRandomFactories:
             random_separable((2, 1), terms=2, seed=0)
         with pytest.raises(ParameterOutOfRange):
             random_separable((2, 2), terms=0, seed=0)
+        # a non-integral dim is refused, not truncated to (2, 2)
+        for build in (lambda dims: random_separable(dims, 1, 0),
+                      lambda dims: make_product(dims, 0)):
+            with pytest.raises(ParameterOutOfRange, match="not an integer"):
+                build((2.7, 2))
         for dim, dims in ((8, (3, 3)), (4, (-2, -2)), (4, ())):
             with pytest.raises(DimensionMismatch):
                 random_density(dim, 0, dims=dims)
