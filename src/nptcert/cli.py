@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import certificates, cv, states
+from . import certificates, states
 from .errors import CertificationError, ParameterOutOfRange, TruncationUnreliable
 from .hermitian import (Bipartition, expectation, operator_from_payload, partial_transpose,
                         projector)
@@ -102,6 +102,7 @@ def _load_finite_state(source: str, seed=None):
 
 def _load_cv_state(source: str, cutoff: int | None):
     """(state, spec, cutoff) at the spec's cutoff, else --cutoff, else DEFAULT_CUTOFF."""
+    from . import cv  # imported by the CV subcommands only: the finite ones never read it
     payload = _read_payload(source)
     payload.setdefault("cutoff", cv.DEFAULT_CUTOFF if cutoff is None else cutoff)
     rho = cv.cv_state_from_spec(payload)
@@ -212,6 +213,7 @@ def _check_orders(*orders) -> None:
 
 def cv_check(source, ineq, m, n, cutoff, tol, out):
     """Evaluate a moment inequality for a two-mode CV state spec."""
+    from . import cv
     tol = _tol(tol)
     _check_orders(m, n)
     rho, spec, cutoff = _load_cv_state(source, cutoff)
@@ -227,6 +229,7 @@ def cv_check(source, ineq, m, n, cutoff, tol, out):
 def bs_demo(source, theta, m, n, cutoff, tol, out):
     """Pipe a single-mode state and vacuum through a beam splitter, then
     evaluate both moment inequalities on the output."""
+    from . import cv
     tol = _tol(tol)
     _check_orders(m, n)
     rho_in, spec, cutoff = _load_cv_state(source, cutoff)
@@ -249,6 +252,7 @@ def bs_demo(source, theta, m, n, cutoff, tol, out):
 def relation_check(source, m, n, p, q, cutoff, out):
     """Check the partial-transpose moment identity on a two-mode state;
     exit 2 when its defect exceeds RELATION_RTOL * max(1, |lhs|, |rhs|)."""
+    from . import cv
     for o in (m, n, p, q):
         if not 0 <= o <= 4:
             raise ParameterOutOfRange(f"order {o} outside 0..4")

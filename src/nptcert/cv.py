@@ -12,10 +12,9 @@ the fixed beam-splitter generator theta * (a1^dag a2 - a1 a2^dag) maps onto
 the (X1 + X2, Y1 - Y2) observable pair.  The two-mode squeezed factory uses
 Fock amplitudes proportional to (-tanh r)^k, which squeezes that same pair.
 
-States.  A PureFockState keeps its amplitudes for the moments and the
-truncation guard; its d^2 x d^2 ``matrix`` is built only when read (rho^PT
-is read as a strided view of it, never copied).  The vacuum ancilla and the
-beam splitter map its amplitudes; thermal stays dense.
+States.  A PureFockState's amplitudes give the moments, rho^PT's entries
+and the truncation guard; its d^2 x d^2 ``matrix`` is built only when read.
+The vacuum ancilla and the beam splitter map them; thermal stays dense.
 
 Truncation.  An operator of raising order j evaluated on a state is exact
 when the state carries no weight on the top j levels of either mode.  The
@@ -142,7 +141,6 @@ class PureFockState:
 
     amplitudes: np.ndarray
     dims: tuple
-    deviation = 0.0  # a class constant, not a field: the matrix is built exactly Hermitian
 
     @property
     def dim(self) -> int:
@@ -365,34 +363,47 @@ class _MomentEngine:
     """Expectations Tr{rho (M1 x M2)} of kron-factored two-mode operators.
 
     A pure state gives <V, M1 V M2^T>, V the (d, d) reshape of its
-    amplitudes.  A dense rho is read by banded gathers.  Ladder powers, and
-    the mode factors built from them, have a few nonzero diagonals.  For
-    diagonal o1 of M1 and o2 of M2 the trace picks the entries
-    rho4[i, j, i - o1, j - o2] (rho4 the (d, d, d, d) reshape of rho), so
-    each pair of diagonals costs one O(d^2) gather weighted by the two
-    diagonals, against O(d^4) for a dense contraction.  With pt, rho4 is the
-    view rho^PT[i, j, k, l] = rho[i, l, k, j] of rho.matrix, a pure state's
-    too: the PT is never copied nor read from amplitudes.
+    amplitudes.  Otherwise banded gathers: ladder powers, and the mode
+    factors built from them, have a few nonzero diagonals.  For diagonal o1
+    of M1 and o2 of M2 the trace picks the entries rho4[i, j, i - o1, j - o2]
+    (rho4 the (d, d, d, d) reshape of rho), so each pair of diagonals costs
+    one O(d^2) gather, against O(d^4) for a dense contraction.  With pt, rho4
+    is rho^PT[i, j, k, l] = rho[i, l, k, j]: a strided view of a dense
+    rho.matrix, or for a pure state V[i, l] conj(V[k, j]) / Tr computed per
+    gather by the float operations of PureFockState.matrix.
     """
 
     def __init__(self, rho: HermitianOperator, pt: bool = False):
-        self._v = self._r4 = None
-        if pt:  # mode 1 | mode 2: the partial transpose acts on the second mode
-            self._r4 = partial_transpose_view(rho, Bipartition(frozenset({0}), 2))
+        self._v = self._r4 = self._pure_pt = None
+        if isinstance(rho, PureFockState) and pt:
+            v = rho.amplitudes.reshape(rho.dims)
+            self._pure_pt = v, rho.trace(), bool(np.any(v.imag))
         elif isinstance(rho, PureFockState):
             self._v = rho.amplitudes.reshape(rho.dims)
+        elif pt:  # mode 1 | mode 2: the partial transpose acts on the second mode
+            self._r4 = partial_transpose_view(rho, Bipartition(frozenset({0}), 2))
         else:
             self._r4 = rho.matrix.reshape(rho.dims + rho.dims)
+
+    def _band(self, i0, j0, k0, l0, n1, n2):
+        """rho4[i0 + t, j0 + s, k0 + t, l0 + s] over t < n1, s < n2."""
+        if self._r4 is not None:
+            t, s = np.arange(n1)[:, None], np.arange(n2)
+            return self._r4[i0 + t, j0 + s, k0 + t, l0 + s]
+        v, trace, is_complex = self._pure_pt
+        x, y = v[i0:i0 + n1, l0:l0 + n2], v[k0:k0 + n1, j0:j0 + n2]
+        band = x * y.conj()
+        if is_complex:  # as PureFockState.matrix symmetrizes a complex block
+            band = (band + (y * x.conj()).conj()) / 2.0
+        return band / trace
 
     def kron_moment(self, m1: np.ndarray, m2: np.ndarray) -> complex:
         if self._v is not None:
             return complex(np.vdot(self._v, m1 @ self._v @ m2.T))
         total = 0j
         for k0, i0, w1 in _diagonals(m1):
-            t = np.arange(len(w1))[:, None]
             for l0, j0, w2 in _diagonals(m2):
-                s = np.arange(len(w2))
-                total += w1 @ self._r4[i0 + t, j0 + s, k0 + t, l0 + s] @ w2
+                total += w1 @ self._band(i0, j0, k0, l0, len(w1), len(w2)) @ w2
         return complex(total)
 
 
@@ -514,11 +525,11 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
     """Compare <a1^dag^m a1^n a2^dag^p a2^q> over rho^PT against the
     index-swapped moment <a1^dag^m a1^n a2^dag^q a2^p> over rho.
 
-    The left side reads the explicit Fock-basis PT of rho.matrix as a strided
-    view, never copied; the right side rho itself (a pure state's amplitudes)
-    with the mode-2 exponents swapped.  Each mode operator has one nonzero
-    diagonal, so a dense side is one banded O(d^2) gather (_MomentEngine);
-    tests/oracles.py holds the dense contraction.
+    The left side gathers entries of the Fock-basis rho^PT (_MomentEngine):
+    from a strided view of a dense rho.matrix or from a pure state's
+    amplitudes, never a copy.  The right side reads rho itself, a pure state
+    by <V, M1 V M2^T>, with the mode-2 exponents swapped: the two sides run
+    on independent code.  tests/oracles.py holds the dense contraction.
     """
     space = space_of(rho)
     if space.modes != 2:
@@ -603,10 +614,10 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
     The two margins agree to rounding because the printed forms are exactly
     the PT-mapped moments of the generic pair in the truncated space.  The
     pair is written as lists of terms c (M1 x M2), so its moments are sums of
-    banded kron_moment terms over a strided view of rho^PT, never a copy
-    (tests/oracles.py holds the dense Kronecker form).  Raises
-    ParameterOutOfRange for a one-mode state, an order below 1 or a `which`
-    other than 10 and 11, UnnormalizedState unless rho has unit trace.
+    banded kron_moment terms over rho^PT's entries, never a copy of it nor a
+    pure state's matrix (tests/oracles.py holds the dense Kronecker form).
+    Raises ParameterOutOfRange for a one-mode state, an order below 1 or a
+    `which` other than 10 and 11, UnnormalizedState unless rho has unit trace.
     """
     if m < 1 or n < 1:
         raise ParameterOutOfRange(f"orders m = {m}, n = {n} must be >= 1")

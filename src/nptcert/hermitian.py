@@ -169,7 +169,7 @@ def partial_transpose(rho: HermitianOperator, bip: Bipartition) -> HermitianOper
     trace exactly, returns the input bit-for-bit when applied twice and keeps
     an exactly Hermitian matrix exactly Hermitian, so it is not re-validated."""
     out = np.ascontiguousarray(partial_transpose_view(rho, bip).reshape(rho.matrix.shape))
-    return HermitianOperator(out, rho.dims, rho.deviation)
+    return HermitianOperator(out, rho.dims)
 
 
 def trace_product(a, b) -> complex:

@@ -21,12 +21,17 @@ def runner():
     return CliRunner()
 
 
-def run_module(argv) -> subprocess.CompletedProcess:
-    """`python -m nptcert.cli *argv` in a fresh interpreter, stdout and stderr captured."""
+def run_python(*args) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports nptcert from src,
+    stdout and stderr captured."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "nptcert.cli", *argv],
-                          env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_module(argv) -> subprocess.CompletedProcess:
+    """`python -m nptcert.cli *argv` in a fresh interpreter, stdout and stderr captured."""
+    return run_python("-m", "nptcert.cli", *argv)
 
 
 @pytest.fixture()
@@ -302,11 +307,20 @@ def test_fuzzed_specs_exit_cleanly(source, command, bip):
 
 
 def test_cli_import_does_not_load_scipy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c",
-                    "import nptcert.cli, sys; assert 'scipy' not in sys.modules"],
-                   env=env, check=True)
+    result = run_python("-c", "import nptcert.cli, sys; assert 'scipy' not in sys.modules")
+    assert result.returncode == 0, result.stderr
+
+
+def test_finite_command_does_not_import_cv():
+    result = run_python("-c", "\n".join([
+        "import sys",
+        "from nptcert import cli",
+        "try:",
+        "    cli.main(['check', 'bell', '--bipartition', '0|1'])",
+        "except SystemExit as exc:",
+        "    assert exc.code == cli.EXIT_VIOLATED, exc.code",
+        "assert 'nptcert.cv' not in sys.modules"]))
+    assert result.returncode == 0, result.stderr
 
 
 class TestOneCertifyPass:

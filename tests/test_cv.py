@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -34,10 +35,12 @@ def kron_state(a, b):
 
 
 def peak_share_of_matrix(run):
-    """Peak traced allocation of run(rho), rho a cutoff-30 two-mode squeezed
-    state, over rho.matrix.nbytes: a copy of rho^PT alone would read 1."""
-    rho = cv.two_mode_squeezed(0.3, SP2)
-    rho.matrix  # the lazily built state matrix is not the run's allocation
+    """Peak traced allocation of run(rho), rho the dense matrix of a cutoff-30
+    two-mode squeezed state, over rho.matrix.nbytes: a copy of rho^PT alone
+    would read 1.  Dense, so the run reads rho^PT through its strided view (a
+    pure state's entries come from its amplitudes)."""
+    pure = cv.two_mode_squeezed(0.3, SP2)
+    rho = HermitianOperator(pure.matrix, pure.dims)
     tracemalloc.start()
     try:
         run(rho)
@@ -401,7 +404,7 @@ class TestAmplitudePath:
         assert peak < 1 << 20   # the dense matrix alone is 45 MB
 
     def test_certify_reads_a_pure_state_as_its_matrix(self):
-        # partial_transpose carries the input's deviation, a pure state's too
+        # certify transposes a pure state's dense matrix, as it does the copy's
         rho = cv.two_mode_squeezed(0.3, cv.FockSpace(2, 6))
         bip = Bipartition(frozenset({0}), 2)
         dense = HermitianOperator(rho.matrix, rho.dims)
@@ -846,3 +849,55 @@ class TestPtView:
             assert got.margin_eq == margin_eq
             assert got.generic_report == generic, (m, n)
             assert got.defect == abs(margin_eq - generic.margin)
+
+
+# Pure two-mode states whose rho^PT entries the moment engine gathers from
+# their amplitudes: real ones, and beam-splitter outputs of one-mode inputs,
+# complex but for fock(2).  Cutoff 10 refuses the coherent input on its tail.
+PURE_PT_STATES = {
+    "two_mode_squeezed r0.1": lambda c: cv.two_mode_squeezed(0.1, cv.FockSpace(2, c)),
+    "two_mode_squeezed r0.3": lambda c: cv.two_mode_squeezed(0.3, cv.FockSpace(2, c)),
+    "single_photon_entangled": lambda c: cv.single_photon_entangled(cv.FockSpace(2, c)),
+    **{f"bs {name} theta{theta}": (
+        lambda c, state=state, theta=theta:
+        cv.beam_splitter(cv.with_vacuum_ancilla(state(cv.FockSpace(1, c))), theta).state)
+       for name, state in [("coherent", lambda sp: cv.coherent(0.3 + 0.25j, sp)),
+                           ("squeezed", lambda sp: cv.squeezed_vacuum(0.3, 0.7, sp)),
+                           ("fock2", lambda sp: cv.fock(2, sp))]
+       for theta in (0.37, 1.3)},
+}
+
+
+class TestPurePtGather:
+    """A pure state's rho^PT entries, gathered from its amplitudes, are the
+    bits its dense matrix holds, read through the strided view.  Only the
+    rho^PT side is compared: the relation's right side and the printed
+    margin read a pure state by the closed form <V, M1 V M2^T>, whose
+    rounding differs from a dense gather's."""
+
+    @pytest.mark.parametrize("cutoff", [20, 30, 40])
+    @pytest.mark.parametrize("name", list(PURE_PT_STATES))
+    def test_equals_the_dense_view_bit_for_bit(self, name, cutoff):
+        rho = PURE_PT_STATES[name](cutoff)
+        assert isinstance(rho, cv.PureFockState)
+        dense = HermitianOperator(rho.matrix, rho.dims)
+        for orders in itertools.product(range(4), repeat=4):
+            got = cv.pt_moment_relation_check(rho, *orders)
+            assert got.lhs == cv.pt_moment_relation_check(dense, *orders).lhs, orders
+        for m, n, which in itertools.product((1, 2), (1, 2), (10, 11)):
+            got = cv.cv_pipeline_crosscheck(rho, m, n, which).generic_report
+            assert got == cv.cv_pipeline_crosscheck(dense, m, n, which).generic_report, (
+                m, n, which)
+
+    def test_cutoff_40_never_builds_the_matrix(self):
+        rho = cv.two_mode_squeezed(0.3, cv.FockSpace(2, 40))
+        tracemalloc.start()
+        try:
+            cv.pt_moment_relation_check(rho, 2, 1, 1, 3)
+            for which in (10, 11):
+                cv.cv_pipeline_crosscheck(rho, 1, 1, which)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "matrix" not in vars(rho)
+        assert peak < 1 << 20   # the dense matrix alone is 45 MB
