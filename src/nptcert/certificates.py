@@ -16,6 +16,7 @@ hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -342,10 +343,17 @@ def pauli_string_expectation(rho: HermitianOperator, letters: str) -> float:
         raise DimensionMismatch(
             f"state dims {rho.dims} do not match Pauli string {letters!r}"
         )
+    return float(trace_product(_pauli_string(letters), rho.matrix).real)
+
+
+@lru_cache(maxsize=64)
+def _pauli_string(letters: str) -> np.ndarray:
+    """P1 x P2 x ... as a read-only matrix, built once per string."""
     op = _PAULI[letters[0]]
     for ch in letters[1:]:
         op = np.kron(op, _PAULI[ch])
-    return float(trace_product(op, rho.matrix).real)
+    op.flags.writeable = False
+    return op
 
 
 def ghz_correlators(rho: HermitianOperator):

@@ -147,6 +147,10 @@ class PureFockState:
         return self.amplitudes.shape[0]
 
     def trace(self) -> float:
+        return self._trace
+
+    @cached_property
+    def _trace(self) -> float:
         # <v|v> over the support, summed as np.trace sums the dense diagonal
         w = self.amplitudes[np.flatnonzero(self.amplitudes)]
         return float((w * w.conj()).sum().real)
@@ -307,6 +311,7 @@ def _beam_splitter_unitary(cutoff: int, theta: float):
         w, v = np.linalg.eigh(1j * theta * gen)
         # exp(theta G_N) is real orthogonal; the imaginary part is rounding
         u = ((v * np.exp(-1j * w)) @ v.conj().T).real
+        u.flags.writeable = False
         defect = max(defect, float(np.max(np.abs(u.T @ u - np.eye(len(k))))))
         blocks.append((slice(total + k[0] * cutoff, total + k[-1] * cutoff + 1, cutoff), u))
     return blocks, defect
@@ -352,29 +357,32 @@ def beam_splitter(rho: HermitianOperator, theta: float) -> BeamSplitterResult:
 # Moment evaluation
 # ---------------------------------------------------------------------------
 
-def _diagonals(m: np.ndarray):
-    """Nonzero diagonals of a square matrix as [(first row, first column, values)]."""
+def _factor(m: np.ndarray):
+    """(m made read-only, views of its nonzero diagonals as [(first row,
+    first column, values)]): the form in which _MomentEngine reads a factor."""
+    m.flags.writeable = False
     rows, cols = np.nonzero(m)
-    return [(max(0, -o), max(0, o), np.diagonal(m, o))
-            for o in np.unique(cols - rows).tolist()]
+    offsets = np.flatnonzero(np.bincount(cols - rows + len(m) - 1)) - (len(m) - 1)
+    return m, [(max(0, -o), max(0, o), np.diagonal(m, o)) for o in offsets.tolist()]
 
 
 class _MomentEngine:
-    """Expectations Tr{rho (M1 x M2)} of kron-factored two-mode operators.
+    """Expectations Tr{rho (M1 x M2)} of kron-factored two-mode operators,
+    each factor a _factor pair or None for the identity.
 
     A pure state gives <V, M1 V M2^T>, V the (d, d) reshape of its
-    amplitudes.  Otherwise banded gathers: ladder powers, and the mode
-    factors built from them, have a few nonzero diagonals.  For diagonal o1
-    of M1 and o2 of M2 the trace picks the entries rho4[i, j, i - o1, j - o2]
-    (rho4 the (d, d, d, d) reshape of rho), so each pair of diagonals costs
-    one O(d^2) gather, against O(d^4) for a dense contraction.  With pt, rho4
-    is rho^PT[i, j, k, l] = rho[i, l, k, j]: a strided view of a dense
-    rho.matrix, or for a pure state V[i, l] conj(V[k, j]) / Tr computed per
-    gather by the float operations of PureFockState.matrix.
+    amplitudes, M1 V formed once per M1; V I = V exactly, so the identity is
+    skipped.  Otherwise banded gathers: for diagonal o1 of M1 and o2 of M2
+    the trace picks the entries rho4[i, j, i - o1, j - o2] (rho4 the
+    (d, d, d, d) reshape of rho), one O(d^2) gather per pair of diagonals.
+    With pt, rho4 is rho^PT[i, j, k, l] = rho[i, l, k, j]: a strided view of
+    a dense rho.matrix, or for a pure state V[i, l] conj(V[k, j]) / Tr
+    computed per gather by the float operations of PureFockState.matrix.
     """
 
     def __init__(self, rho: HermitianOperator, pt: bool = False):
         self._v = self._r4 = self._pure_pt = None
+        self._d, self._left = rho.dims[0], {}
         if isinstance(rho, PureFockState) and pt:
             v = rho.amplitudes.reshape(rho.dims)
             self._pure_pt = v, rho.trace(), bool(np.any(v.imag))
@@ -384,6 +392,10 @@ class _MomentEngine:
             self._r4 = partial_transpose_view(rho, Bipartition(frozenset({0}), 2))
         else:
             self._r4 = rho.matrix.reshape(rho.dims + rho.dims)
+
+    @cached_property
+    def _eye(self):  # a dense gather reads the identity through its diagonal
+        return _factor(np.eye(self._d, dtype=np.complex128))
 
     def _band(self, i0, j0, k0, l0, n1, n2):
         """rho4[i0 + t, j0 + s, k0 + t, l0 + s] over t < n1, s < n2."""
@@ -397,29 +409,44 @@ class _MomentEngine:
             band = (band + (y * x.conj()).conj()) / 2.0
         return band / trace
 
-    def kron_moment(self, m1: np.ndarray, m2: np.ndarray) -> complex:
+    def kron_moment(self, f1, f2) -> complex:
         if self._v is not None:
-            return complex(np.vdot(self._v, m1 @ self._v @ m2.T))
+            left = self._v
+            if f1 is not None:
+                hit = self._left.get(id(f1[0]))
+                if hit is None:  # the entry keeps M1 alive, so its id stays its own
+                    hit = self._left[id(f1[0])] = f1[0], f1[0] @ self._v
+                left = hit[1]
+            return complex(np.vdot(self._v, left if f2 is None else left @ f2[0].T))
         total = 0j
-        for k0, i0, w1 in _diagonals(m1):
-            for l0, j0, w2 in _diagonals(m2):
+        for k0, i0, w1 in (self._eye if f1 is None else f1)[1]:
+            for l0, j0, w2 in (self._eye if f2 is None else f2)[1]:
                 total += w1 @ self._band(i0, j0, k0, l0, len(w1), len(w2)) @ w2
         return complex(total)
 
 
 @lru_cache(maxsize=16)
 def _mode_factors(cutoff: int, m: int):
-    """Single-mode building blocks of order m at a given cutoff."""
+    """Single-mode building blocks of order m at a given cutoff, as _factor pairs."""
     a = destroy(cutoff)
     am = np.linalg.matrix_power(a, m)
     adm = am.conj().T
     x = adm + am
     y = -1j * (adm - am)
     c = am @ adm - adm @ am
-    return {"a": am, "ad": adm, "x": x, "y": y, "c": c,
-            "xx": x @ x, "yy": y @ y, "xy_anti": x @ y + y @ x,
-            "aa": am @ am, "adad": adm @ adm,
-            "a_ad": am @ adm, "ad_a": adm @ am}
+    factors = {"a": am, "ad": adm, "x": x, "y": y, "c": c,
+               "xx": x @ x, "yy": y @ y, "xy_anti": x @ y + y @ x,
+               "aa": am @ am, "adad": adm @ adm,
+               "a_ad": am @ adm, "ad_a": adm @ am}
+    return {name: _factor(f) for name, f in factors.items()}
+
+
+@lru_cache(maxsize=32)
+def _ladder(cutoff: int, j: int, k: int):
+    """a^dag^j a^k as a read-only _factor pair, by matrix_power: the relation
+    check's own source of ladder products, apart from _mode_factors."""
+    a = destroy(cutoff)
+    return _factor(np.linalg.matrix_power(a.conj().T, j) @ np.linalg.matrix_power(a, k))
 
 
 @dataclass(frozen=True)
@@ -474,15 +501,13 @@ def ineq10(rho: HermitianOperator, m: int, n: int,
     variances by their sum against 2|<C1+C2>|.
     """
     diag, f1, f2, km = _inequality_inputs("10", rho, m, n)
-    eye = np.eye(len(f1["a"]), dtype=np.complex128)
-
-    e1 = (km(f1["x"], eye) + km(eye, f2["x"])).real
-    e2 = (km(f1["y"], eye) - km(eye, f2["y"])).real
-    m11 = (km(f1["xx"], eye) + km(eye, f2["xx"]) + 2.0 * km(f1["x"], f2["x"])).real
-    m22 = (km(f1["yy"], eye) + km(eye, f2["yy"]) - 2.0 * km(f1["y"], f2["y"])).real
-    anti = (km(f1["xy_anti"], eye) - km(eye, f2["xy_anti"])
+    e1 = (km(f1["x"], None) + km(None, f2["x"])).real
+    e2 = (km(f1["y"], None) - km(None, f2["y"])).real
+    m11 = (km(f1["xx"], None) + km(None, f2["xx"]) + 2.0 * km(f1["x"], f2["x"])).real
+    m22 = (km(f1["yy"], None) + km(None, f2["yy"]) - 2.0 * km(f1["y"], f2["y"])).real
+    anti = (km(f1["xy_anti"], None) - km(None, f2["xy_anti"])
             - 2.0 * km(f1["x"], f2["y"]) + 2.0 * km(f1["y"], f2["x"])).real
-    c_mean = (km(f1["c"], eye) + km(eye, f2["c"])).real
+    c_mean = (km(f1["c"], None) + km(None, f2["c"])).real
 
     return _cv_report("10", m, n, m11 - e1 * e1, m22 - e2 * e2, 0.0, c_mean,
                       (anti - 2.0 * e1 * e2) / 2.0, tol, diag)
@@ -535,13 +560,9 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
     if space.modes != 2:
         raise ParameterOutOfRange("moment relation needs a two-mode state")
     _guard(rho, 2 * max(m, n, p, q))
-    a = destroy(space.cutoff)
-    ad = a.conj().T
-    m1 = np.linalg.matrix_power(ad, m) @ np.linalg.matrix_power(a, n)
-    m2_lhs = np.linalg.matrix_power(ad, p) @ np.linalg.matrix_power(a, q)
-    m2_rhs = np.linalg.matrix_power(ad, q) @ np.linalg.matrix_power(a, p)
-    lhs = _MomentEngine(rho, pt=True).kron_moment(m1, m2_lhs)
-    rhs = _MomentEngine(rho).kron_moment(m1, m2_rhs)
+    m1 = _ladder(space.cutoff, m, n)
+    lhs = _MomentEngine(rho, pt=True).kron_moment(m1, _ladder(space.cutoff, p, q))
+    rhs = _MomentEngine(rho).kron_moment(m1, _ladder(space.cutoff, q, p))
     return MomentRelationCheck(lhs, rhs, abs(lhs - rhs))
 
 
@@ -557,7 +578,7 @@ def _witness_moments(witness: str, rho: HermitianOperator, m: int, pairs) -> lis
         raise ParameterOutOfRange(f"{witness} is a single-mode witness")
     require_state_like(rho)
     _guard(rho, 2 * m)
-    ladder = lambda order, key: _mode_factors(space.cutoff, order)[key]
+    ladder = lambda order, key: _mode_factors(space.cutoff, order)[key][0]
     return [trace_product(rho.matrix, ladder(j, "ad") @ ladder(k, "a")) for j, k in pairs]
 
 
@@ -627,7 +648,7 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
     space = space_of(rho)
     f1, f2 = _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n)
     if which == 10:
-        eye = np.eye(space.dim_per_mode, dtype=np.complex128)
+        eye = _factor(np.eye(space.dim_per_mode, dtype=np.complex128))
         h1 = [(1, f1["x"], eye), (1, eye, f2["x"])]                 # X1 + X2
         h2 = [(1, f1["y"], eye), (1, eye, f2["y"])]                 # Y1 + Y2
     else:  # B = a1^m a2^n
@@ -638,7 +659,8 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
 
     def mean(p, q=None):  # <P>, or <P Q>, over rho^PT
         if q is not None:
-            p = [(c * e, a @ g, b @ h) for c, a, b in p for e, g, h in q]
+            p = [(c * e, _factor(a[0] @ g[0]), _factor(b[0] @ h[0]))
+                 for c, a, b in p for e, g, h in q]
         return sum(c * km(a, b) for c, a, b in p)
     generic = sr_from_moments(mean(h1).real, mean(h2).real, mean(h1, h1).real,
                               mean(h2, h2).real, mean(h1, h2), mean(h2, h1))

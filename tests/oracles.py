@@ -189,6 +189,14 @@ def dense_kron_moment_oracle(matrix, m1, m2, pt=False):
                              matrix.reshape(d, d, d, d), m1, m2, optimize=True))
 
 
+def pure_kron_moment_oracle(amplitudes, m1, m2):
+    """Tr{rho (M1 x M2)} for rho = |v><v| as <V, M1 V M2^T>, V the (d, d)
+    reshape of v, by two dense products whatever the factors: pass the
+    identity as an explicit np.eye."""
+    v = amplitudes.reshape(m1.shape[0], m2.shape[0])
+    return complex(np.vdot(v, m1 @ v @ m2.T))
+
+
 def crosscheck_pair_oracle(cutoff, m, n, which):
     """The crosscheck's generic pair as dense Kronecker observables: for (10)
     H1 = X1 + X2 and H2 = Y1 + Y2, for (11) H1 = B^dag + B and
@@ -234,10 +242,16 @@ def sr_pt_oracle(rho_matrix, h1, h2):
 # a contiguous copy of rho^PT made by mode2_pt_copy.  Only the way rho^PT is
 # read differs from the library path, so the results must be equal with ==.
 
-def _copied_pt_moment(rho):
+def _matrix_moment(rho):
+    """Tr{rho (M1 x M2)} by the library's moment engine, for plain matrices."""
     from nptcert import cv
+    km = cv._MomentEngine(rho).kron_moment
+    return lambda m1, m2: km(cv._factor(m1), cv._factor(m2))
+
+
+def _copied_pt_moment(rho):
     from nptcert.hermitian import HermitianOperator
-    return cv._MomentEngine(HermitianOperator(mode2_pt_copy(rho.matrix), rho.dims)).kron_moment
+    return _matrix_moment(HermitianOperator(mode2_pt_copy(rho.matrix), rho.dims))
 
 
 def relation_check_copy_reference(rho, m, n, p, q):
@@ -249,7 +263,7 @@ def relation_check_copy_reference(rho, m, n, p, q):
     mp = np.linalg.matrix_power
     m1 = mp(ad, m) @ mp(a, n)
     lhs = _copied_pt_moment(rho)(m1, mp(ad, p) @ mp(a, q))
-    rhs = cv._MomentEngine(rho).kron_moment(m1, mp(ad, q) @ mp(a, p))
+    rhs = _matrix_moment(rho)(m1, mp(ad, q) @ mp(a, p))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -263,11 +277,11 @@ def crosscheck_copy_reference(rho, m, n, which):
     f1, f2 = cv._mode_factors(cutoff, m), cv._mode_factors(cutoff, n)
     if which == 10:
         eye = np.eye(cutoff + 1, dtype=np.complex128)
-        h1 = [(1, f1["x"], eye), (1, eye, f2["x"])]
-        h2 = [(1, f1["y"], eye), (1, eye, f2["y"])]
+        h1 = [(1, f1["x"][0], eye), (1, eye, f2["x"][0])]
+        h2 = [(1, f1["y"][0], eye), (1, eye, f2["y"][0])]
     else:
-        h1 = [(1, f1["ad"], f2["ad"]), (1, f1["a"], f2["a"])]
-        h2 = [(-1j, f1["ad"], f2["ad"]), (1j, f1["a"], f2["a"])]
+        h1 = [(1, f1["ad"][0], f2["ad"][0]), (1, f1["a"][0], f2["a"][0])]
+        h2 = [(-1j, f1["ad"][0], f2["ad"][0]), (1j, f1["a"][0], f2["a"][0])]
     km = _copied_pt_moment(rho)
 
     def mean(p, q=None):

@@ -323,6 +323,22 @@ def test_finite_command_does_not_import_cv():
     assert result.returncode == 0, result.stderr
 
 
+def test_cv_commands_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma (numpy 2.4): about 20 ms and 1.2 MB once per process
+    result = run_python("-c", "\n".join([
+        "import sys",
+        "from nptcert import cli",
+        "for argv in (['relation-check', 'two_mode_squeezed:r=0.3', '--m', '2', '--q', '3'],",
+        "             ['bs-demo', '--input', 'thermal:nbar=0.2', '--theta', '0.7',",
+        "              '--cutoff', '20']):",
+        "    try:",
+        "        cli.main(argv)",
+        "    except SystemExit as exc:",
+        "        assert exc.code in (cli.EXIT_OK, cli.EXIT_VIOLATED), (argv, exc.code)",
+        "assert 'numpy.ma' not in sys.modules"]))
+    assert result.returncode == 0, result.stderr
+
+
 class TestOneCertifyPass:
     """One request, or one sweep grid point, partially transposes rho once and
     diagonalizes rho^PT once."""

@@ -11,7 +11,8 @@ from nptcert.hermitian import Bipartition, HermitianOperator, validate_hermitian
 from oracles import (amplitude_squeezing_oracle, bs_fock1_output, bs_unitary_oracle,
                      coherent_vector, crosscheck_copy_reference, crosscheck_pair_oracle,
                      dense_kron_moment_oracle, destroy_oracle, mancini_margin,
-                     photon_stat_oracle, pure_state_oracle, random_density_oracle,
+                     photon_stat_oracle, pure_kron_moment_oracle, pure_state_oracle,
+                     random_density_oracle,
                      random_hermitian, relation_check_copy_reference, sr_pt_oracle)
 from test_acceptance import _criterion8_states
 
@@ -447,11 +448,13 @@ class TestBandedMoments:
         engine = cv._MomentEngine(validate_hermitian(h, (d, d)))
         r4 = h.reshape(d, d, d, d)
         factors = list(cv._mode_factors(cutoff, order).values())
-        factors.append(np.eye(d, dtype=np.complex128))
-        for m1 in factors:
-            for m2 in factors:
+        factors.append(cv._factor(np.eye(d, dtype=np.complex128)))
+        eye = np.eye(d)
+        for f1 in factors + [None]:
+            for f2 in factors + [None]:
+                m1, m2 = (eye if f is None else f[0] for f in (f1, f2))
                 ref = np.einsum("ijkl,ki,lj->", r4, m1, m2)
-                assert abs(engine.kron_moment(m1, m2) - ref) <= 1e-12 * abs(ref)
+                assert abs(engine.kron_moment(f1, f2) - ref) <= 1e-12 * abs(ref)
 
 
 class TestIneq10:
@@ -901,3 +904,90 @@ class TestPurePtGather:
             tracemalloc.stop()
         assert "matrix" not in vars(rho)
         assert peak < 1 << 20   # the dense matrix alone is 45 MB
+
+
+# The (M1, M2) pairs of mode-factor names (None the identity) whose moments
+# ineq10 and ineq11 take.
+INEQ10_PAIRS = [(k, None) for k in ("x", "y", "xx", "yy", "xy_anti", "c")] + [
+    (None, k) for k in ("x", "y", "xx", "yy", "xy_anti", "c")] + [
+    ("x", "x"), ("y", "y"), ("x", "y"), ("y", "x")]
+INEQ11_PAIRS = [("ad", "a"), ("aa", "adad"), ("a_ad", "ad_a"), ("ad_a", "a_ad"), ("c", "c"),
+                ("a_ad", "a_ad"), ("ad_a", "ad_a")]
+
+
+class TestFixedIngredients:
+    """The constant inputs of the moment layer are built once and give the
+    parent formulas' bits: cached read-only ladder products with their
+    diagonals, one trace per pure state, no product with the identity."""
+
+    @pytest.mark.usefixtures("unguarded")   # cutoff 10 refuses the squeezed input
+    @pytest.mark.parametrize("cutoff", [10, 20, 30, 40])
+    @pytest.mark.parametrize("name", list(PURE_PT_STATES))
+    def test_pure_kron_moment_equals_the_two_product_formula(self, name, cutoff):
+        rho = PURE_PT_STATES[name](cutoff)
+        eye = np.eye(cutoff + 1, dtype=np.complex128)
+        engine = cv._MomentEngine(rho)
+        for m, n in itertools.product(range(1, 5), repeat=2):
+            f1, f2 = cv._mode_factors(cutoff, m), cv._mode_factors(cutoff, n)
+            for _ in range(2):  # the second round reads the engine's M1 V products
+                for k1, k2 in INEQ10_PAIRS + INEQ11_PAIRS:
+                    a, b = (None if k1 is None else f1[k1]), (None if k2 is None else f2[k2])
+                    want = pure_kron_moment_oracle(rho.amplitudes, eye if a is None else a[0],
+                                                   eye if b is None else b[0])
+                    assert engine.kron_moment(a, b) == want, (m, n, k1, k2)
+
+    @staticmethod
+    def fresh_diagonals(m):
+        """(first row, first column, values) of each nonzero diagonal of a
+        writable copy of m, by scanning every offset."""
+        m = m.copy()
+        d = len(m)
+        return [(max(0, -o), max(0, o), np.diagonal(m, o)) for o in range(1 - d, d)
+                if np.diagonal(m, o).any()]
+
+    @staticmethod
+    def cached_factors(cutoff):
+        factors = [f for order in range(1, 5) for f in cv._mode_factors(cutoff, order).values()]
+        return factors + [cv._ladder(cutoff, j, k) for j in range(5) for k in range(5)]
+
+    @pytest.mark.parametrize("cutoff", [10, 30])
+    def test_cached_diagonals_are_the_factors_own(self, cutoff):
+        for matrix, diagonals in self.cached_factors(cutoff):
+            fresh = self.fresh_diagonals(matrix)
+            assert [(r, c) for r, c, _ in diagonals] == [(r, c) for r, c, _ in fresh]
+            for (_, _, got), (_, _, want) in zip(diagonals, fresh):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("cutoff", [10, 20, 30, 40, 60])
+    def test_ladder_is_the_matrix_power_product(self, cutoff):
+        a = cv.destroy(cutoff)
+        mp = np.linalg.matrix_power
+        for j, k in itertools.product(range(5), repeat=2):
+            np.testing.assert_array_equal(cv._ladder(cutoff, j, k)[0],
+                                          mp(a.conj().T, j) @ mp(a, k))
+
+    def test_cached_matrices_are_read_only(self):
+        blocks, _ = cv._beam_splitter_unitary(10, 0.7)
+        matrices = [f[0] for f in self.cached_factors(12)] + [u for _, u in blocks]
+        matrices.append(certificates._pauli_string("xyz"))
+        for matrix in matrices:
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 7.0
+
+    def test_caches_stay_bounded(self):
+        for cutoff in range(10, 61):
+            cv._mode_factors(cutoff, 1)
+            cv._ladder(cutoff, 1, 2)
+        for cache in (cv._mode_factors, cv._ladder, cv._beam_splitter_unitary,
+                      certificates._pauli_string):
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_each_pure_state_keeps_its_own_trace(self):
+        v = np.zeros(49, dtype=np.complex128)
+        v[[1, 7]] = 3.0   # |0,1> and |1,0>, |v|^2 = 18
+        heavy, unit = cv.PureFockState(v, (7, 7)), cv.PureFockState(v / np.sqrt(18.0), (7, 7))
+        assert heavy.trace() == 18.0
+        assert unit.trace() == pytest.approx(1.0, abs=1e-15)
+        want = cv.pt_moment_relation_check(HermitianOperator(heavy.matrix, heavy.dims), 1, 0, 0, 1)
+        assert cv.pt_moment_relation_check(heavy, 1, 0, 0, 1).lhs == want.lhs

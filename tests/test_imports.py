@@ -129,3 +129,49 @@ def test_detects_an_unset_default():
     callers = ["f(0, 5)", "m.f(0, d=4)", "_g()"]
     assert unset_defaults({"m": source}, callers) == ["m.f(c)"]
     assert unset_defaults({"m": source}, callers + ["f(0, **options)"]) == []
+
+
+# Caches without an integer maxsize, each with the reason it may grow.
+UNBOUNDED_CACHES = {
+    "cli._parser": "one entry per prog name, and a process has one",
+}
+
+
+def unbounded_caches(modules: dict) -> list:
+    """"module.function" for each function in modules ({module: source})
+    decorated with functools.cache, or lru_cache without an integer maxsize
+    (bare, maxsize=None or a non-literal)."""
+    found = []
+    for module, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if name == "cache":
+                    found.append(f"{module}.{node.name}")
+                elif name == "lru_cache":
+                    args = ([*call.args[:1], *(k.value for k in call.keywords
+                                                if k.arg == "maxsize")] if call else [])
+                    if not (args and isinstance(args[0], ast.Constant)
+                            and type(args[0].value) is int):
+                        found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_every_cache_is_bounded_or_listed():
+    assert unbounded_caches({p.stem: p.read_text() for p in MODULES}) == sorted(UNBOUNDED_CACHES)
+
+
+def test_detects_an_unbounded_cache():
+    source = "\n".join([
+        "import functools", "from functools import cache, lru_cache",
+        "@functools.cache", "def a(): pass", "@cache", "def b(): pass",
+        "@lru_cache", "def c(): pass", "@lru_cache(maxsize=None)", "def d(): pass",
+        "@functools.lru_cache(SIZE)", "def e(): pass",
+        "@lru_cache(maxsize=8)", "def f(): pass", "@functools.lru_cache(4)", "def g(): pass",
+        "class K:", "    @lru_cache(2)", "    def h(self): pass", "    @cache", "    def i(self): pass",
+    ])
+    assert unbounded_caches({"m": source}) == ["m.a", "m.b", "m.c", "m.d", "m.e", "m.i"]
