@@ -30,7 +30,6 @@ from .spectral import NptVerdict, Spectrum, eig_hermitian, pt_spectrum
 from .certificates import (
     PseudoSpinPair,
     SRReport,
-    WitnessOperator,
     build_pseudospin,
     ghz_correlators,
     ghz_inequality,

@@ -27,7 +27,6 @@ from .errors import (
     NonNegativeEigenvalue,
     NotHermitian,
     NotOrthogonal,
-    UnnormalizedState,
 )
 from .hermitian import (
     Bipartition,
@@ -39,7 +38,7 @@ from .hermitian import (
     projector,
     trace_product,
 )
-from .spectral import TRACE_TOL, VIOLATION_TOL, NptVerdict, Spectrum, pt_spectrum
+from .spectral import VIOLATION_TOL, NptVerdict, Spectrum, pt_spectrum, require_state_like
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -78,30 +77,16 @@ class SRReport:
     rhs: float
     margin: float
     violated: bool
-    tolerance: float
 
 
 @dataclass(frozen=True)
 class HurWeakReport:
     """Second-moment (weak) Heisenberg form: <H1^2><H2^2> >= |<[H1,H2]>|^2 / 4."""
 
-    second_moment_h1: float
-    second_moment_h2: float
-    commutator_mean: float
     lhs: float
     rhs: float
     margin: float
     violated: bool
-    tolerance: float
-
-
-@dataclass(frozen=True, eq=False)
-class WitnessOperator:
-    """Partial transpose of a negative-eigenvalue projector."""
-
-    w: HermitianOperator
-    source_eigenvalue: float
-    bipartition: Bipartition
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +151,6 @@ def build_pseudospin(v1, v2, alpha1: complex = 0.5, alpha2: complex = -0.5j,
     return PseudoSpinPair(h1, h2, alpha1, alpha2, x, y, v1.copy(), v2.copy())
 
 
-def require_state_like(rho: HermitianOperator) -> None:
-    tr = rho.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise UnnormalizedState(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
-
-
 def sr_moments(h1: HermitianOperator, h2: HermitianOperator,
                rho: HermitianOperator, tol: float = VIOLATION_TOL) -> SRReport:
     """Generic SR evaluation for two arbitrary Hermitian observables over rho.
@@ -202,8 +181,7 @@ def sr_from_moments(e1, e2, m11, m22, m12, m21, tol: float = VIOLATION_TOL) -> S
     lhs = var1 * var2
     rhs = comm_mean ** 2 / 4.0 + sym_cov ** 2 / 4.0
     margin = lhs - rhs
-    return SRReport(var1, var2, m11, m22, comm_mean, sym_cov, lhs, rhs, margin,
-                    margin < -tol, tol)
+    return SRReport(var1, var2, m11, m22, comm_mean, sym_cov, lhs, rhs, margin, margin < -tol)
 
 
 def hur_weak_test(pair: PseudoSpinPair, rho: HermitianOperator,
@@ -217,8 +195,7 @@ def hur_weak_test(pair: PseudoSpinPair, rho: HermitianOperator,
     lhs = rep.second_moment_h1 * rep.second_moment_h2
     rhs = rep.commutator_mean ** 2 / 4.0
     margin = lhs - rhs
-    return HurWeakReport(rep.second_moment_h1, rep.second_moment_h2, rep.commutator_mean,
-                         lhs, rhs, margin, margin < -tol, tol)
+    return HurWeakReport(lhs, rhs, margin, margin < -tol)
 
 
 def certify(rho: HermitianOperator, bip: Bipartition, tol: float = VIOLATION_TOL) -> Certificate:
@@ -229,11 +206,7 @@ def certify(rho: HermitianOperator, bip: Bipartition, tol: float = VIOLATION_TOL
     smallest when the state is PPT) and the SR report over rho^PT.
     """
     rho_pt, spectrum, verdict = pt_spectrum(rho, bip, tol)
-    pair = build_pseudospin(
-        spectrum.vector(verdict.chosen_positive_index),
-        spectrum.vector(verdict.chosen_negative_index),
-        dims=rho.dims,
-    )
+    pair = build_pseudospin(spectrum.vector(0), spectrum.vector(-1), dims=rho.dims)
     report = sr_moments(pair.h1, pair.h2, rho_pt, tol)
     return Certificate(rho_pt, spectrum, verdict, pair, report)
 
@@ -249,7 +222,7 @@ def sr_pt_test(rho: HermitianOperator, bip: Bipartition, tol: float = VIOLATION_
 
 
 def witness_from_eigvec(v2, lambda2: float, bip: Bipartition,
-                        dims) -> WitnessOperator:
+                        dims) -> HermitianOperator:
     """Entanglement witness W = (|v2><v2|)^PT from a negative PT eigenvalue.
 
     Tr{W rho} equals lambda2 for the state whose partial transpose produced
@@ -257,8 +230,7 @@ def witness_from_eigvec(v2, lambda2: float, bip: Bipartition,
     """
     if lambda2 >= 0.0:
         raise NonNegativeEigenvalue(f"source eigenvalue {lambda2} is not negative")
-    proj = projector(v2, dims)
-    return WitnessOperator(partial_transpose(proj, bip), float(lambda2), bip)
+    return partial_transpose(projector(v2, dims), bip)
 
 
 def variance_positivity(rho_pt: HermitianOperator, spectrum: Spectrum,
@@ -408,11 +380,10 @@ def witness_entry(rho: HermitianOperator, bip: Bipartition, spectrum: Spectrum,
     negative eigenvector of rho^PT; None when the state is not NPT."""
     if not verdict.is_npt:
         return None
-    idx = verdict.chosen_negative_index
-    v2 = spectrum.vector(idx)
-    wit = witness_from_eigvec(v2, float(spectrum.eigenvalues[idx]), bip, rho.dims)
+    v2 = spectrum.vector(-1)
+    wit = witness_from_eigvec(v2, float(spectrum.eigenvalues[-1]), bip, rho.dims)
     return {"dims": list(rho.dims), "vector": complex_pairs(v2), "bipartition": str(bip),
-            "trace_value": expectation(wit.w, rho)}
+            "trace_value": expectation(wit, rho)}
 
 
 def certificate_payload(rho: HermitianOperator, bip: Bipartition,
@@ -426,8 +397,7 @@ def certificate_payload(rho: HermitianOperator, bip: Bipartition,
         "verdict": "violated" if rep.violated else "satisfied",
         "is_npt": verdict.is_npt,
         "pt_eigenvalues": [float(x) for x in w],
-        "chosen_pair": {"lambda1": float(w[verdict.chosen_positive_index]),
-                        "lambda2": float(w[verdict.chosen_negative_index])},
+        "chosen_pair": {"lambda1": float(w[0]), "lambda2": float(w[-1])},
         "observables": {
             "dims": list(rho.dims),
             "v1": complex_pairs(pair.v1),

@@ -2,10 +2,11 @@
 export witnesses and reports.
 
 Exit codes: 0 = separability condition satisfied (no certificate),
-2 = violation certified (for relation-check: the defect exceeds
-RELATION_RTOL * max(1, |lhs|, |rhs|)), 1 = error, 3 = unreliable Fock
-truncation.  A usage error is one `error:` line and exit 1 too, so exit 2
-always means a certified violation; `--help` exits 0.
+2 = violation certified, 1 = error, 3 = unreliable Fock truncation.  A usage
+error is one `error:` line and exit 1 too; `--help` exits 0.  Exit 2 means a
+certified violation for every subcommand but relation-check, where it means a
+failed numerical self-check: the defect exceeds RELATION_RTOL * max(1, |lhs|,
+|rhs|), which certifies nothing about entanglement.
 The default margin tolerance can be overridden with NPT_CERTIFY_TOL.
 """
 
@@ -156,7 +157,7 @@ def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
         eq8 = certificates.ghz_inequality(*certificates.ghz_correlators(rho))
         # Laboratory-frame witness Tr{(|v2><v2|)^PT rho} on the minimal-eigenvalue
         # eigenvector; equals lambda_min whatever its sign.
-        v2 = cert.spectrum.vector(cert.verdict.chosen_negative_index)
+        v2 = cert.spectrum.vector(-1)
         wval = expectation(partial_transpose(projector(v2, rho.dims), bip), rho)
         rows.append((float(p), cert.verdict.min_eigenvalue, cert.report.margin,
                      eq8.margin, wval))

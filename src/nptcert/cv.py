@@ -459,10 +459,7 @@ class CvInequalityReport:
     margin: float
     hur_variant_margin: float
     sum_hur_margin: float
-    commutator_term: float
-    covariance_term: float
     violated: bool
-    tolerance: float
     diagnostics: TruncationDiagnostics
 
 
@@ -470,11 +467,11 @@ def _cv_report(inequality, m, n, var1, var2, shift, comm, cov_half, tol, diag):
     """(Var1 + shift)(Var2 + shift) >= comm^2 + cov_half^2, its HUR variant
     (no covariance term) and sum form (Var1 + Var2 + 2 shift >= 2|comm|)."""
     lhs = (var1 + shift) * (var2 + shift)
-    comm_term, cov_term = comm ** 2, cov_half ** 2
-    margin = lhs - (comm_term + cov_term)
-    return CvInequalityReport(inequality, m, n, lhs, comm_term + cov_term, margin,
-                              lhs - comm_term, var1 + var2 + 2.0 * shift - 2.0 * abs(comm),
-                              comm_term, cov_term, margin < -tol, tol, diag)
+    comm_term = comm ** 2
+    rhs = comm_term + cov_half ** 2
+    margin = lhs - rhs
+    return CvInequalityReport(inequality, m, n, lhs, rhs, margin, lhs - comm_term,
+                              var1 + var2 + 2.0 * shift - 2.0 * abs(comm), margin < -tol, diag)
 
 
 def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int):

@@ -18,7 +18,7 @@ class InvalidBipartition(CertificationError):
 
 
 class UnnormalizedState(CertificationError):
-    """Trace differs from 1 beyond tolerance and auto-normalization is off."""
+    """Trace differs from 1 by more than spectral.TRACE_TOL (1e-9)."""
 
 
 class ConvergenceFailure(CertificationError):

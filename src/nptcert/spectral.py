@@ -37,9 +37,13 @@ class Spectrum:
 class NptVerdict:
     is_npt: bool
     min_eigenvalue: float
-    negativity_count: int
-    chosen_positive_index: int
-    chosen_negative_index: int
+
+
+def require_state_like(rho: HermitianOperator) -> None:
+    """Raise UnnormalizedState unless rho has unit trace within TRACE_TOL."""
+    tr = rho.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise UnnormalizedState(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
 
 
 def eig_hermitian(op: HermitianOperator) -> Spectrum:
@@ -66,18 +70,8 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
 def pt_spectrum(rho: HermitianOperator, bip: Bipartition, tol: float = VIOLATION_TOL):
     """One partial transpose and one eigensolve: (rho^PT, Spectrum, NptVerdict);
     raises UnnormalizedState unless rho has unit trace within 1e-9."""
-    tr = rho.trace()
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise UnnormalizedState(f"trace {tr!r} differs from 1 beyond {TRACE_TOL}")
+    require_state_like(rho)
     rho_pt = partial_transpose(rho, bip)
     spectrum = eig_hermitian(rho_pt)
-    w = spectrum.eigenvalues
-    min_eig = float(w[-1])
-    verdict = NptVerdict(
-        is_npt=min_eig < -tol,
-        min_eigenvalue=min_eig,
-        negativity_count=int(np.sum(w < -tol)),
-        chosen_positive_index=0,
-        chosen_negative_index=len(w) - 1,
-    )
-    return rho_pt, spectrum, verdict
+    min_eig = float(spectrum.eigenvalues[-1])
+    return rho_pt, spectrum, NptVerdict(min_eig < -tol, min_eig)

@@ -107,9 +107,8 @@ def _reference_witnesses():
                 rho = random_density(total, 40_000 + seed, dims=dims)
                 _, spec, verdict = pt_spectrum(rho, bip)
                 if verdict.is_npt:
-                    entries.append(witness_from_eigvec(
-                        spec.vector(verdict.chosen_negative_index),
-                        verdict.min_eigenvalue, bip, dims))
+                    entries.append(witness_from_eigvec(spec.vector(-1), verdict.min_eigenvalue,
+                                                       bip, dims))
                     break
             else:
                 raise AssertionError(f"no NPT reference found for {dims} {bip}")
@@ -133,7 +132,7 @@ def test_criterion_04_soundness_on_separable():
                 assert rep.margin >= -1e-10
                 assert not rep.violated
             for wit in witnesses[dims]:
-                assert expectation(wit.w, rho) >= -1e-10
+                assert expectation(wit, rho) >= -1e-10
             count += 1
     assert count == 1000
     _report("[PASS] criterion 4: no SR violation and no negative witness value "
@@ -156,9 +155,8 @@ def test_criterion_05_completeness_on_npt():
         _, _, rep = sr_pt_test(rho, bip)
         assert rep.violated
         lam2 = verdict.min_eigenvalue
-        wit = witness_from_eigvec(spec.vector(verdict.chosen_negative_index),
-                                  lam2, bip, dims)
-        assert abs(expectation(wit.w, rho) - lam2) <= 1e-10
+        wit = witness_from_eigvec(spec.vector(-1), lam2, bip, dims)
+        assert abs(expectation(wit, rho) - lam2) <= 1e-10
         found += 1
     assert found >= 200, f"only {found} NPT states in {attempts} attempts"
     _report(f"[PASS] criterion 5: {found} NPT states all certified, "

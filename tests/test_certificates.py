@@ -299,13 +299,13 @@ class TestWitness:
         rho = make_bell()
         _, spec, verdict = pt_spectrum(rho, BIP01)
         wit = witness_from_eigvec(spec.vector(3), spec.eigenvalues[-1], BIP01, (2, 2))
-        assert expectation(wit.w, rho) == pytest.approx(-0.5, abs=1e-12)
+        assert expectation(wit, rho) == pytest.approx(-0.5, abs=1e-12)
 
     def test_unit_trace(self):
         rho = make_bell()
         _, spec, _ = pt_spectrum(rho, BIP01)
         wit = witness_from_eigvec(spec.vector(3), spec.eigenvalues[-1], BIP01, (2, 2))
-        assert wit.w.trace() == pytest.approx(1.0, abs=1e-12)
+        assert wit.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_nonnegative_on_separable(self):
         rho = make_bell()
@@ -313,7 +313,7 @@ class TestWitness:
         wit = witness_from_eigvec(spec.vector(3), spec.eigenvalues[-1], BIP01, (2, 2))
         for seed in range(100):
             sigma = random_separable((2, 2), terms=3, seed=1000 + seed)
-            assert expectation(wit.w, sigma) >= -1e-10
+            assert expectation(wit, sigma) >= -1e-10
 
     def test_rejects_nonnegative_eigenvalue(self):
         with pytest.raises(NonNegativeEigenvalue):
@@ -328,8 +328,8 @@ class TestWitness:
         b = herm(random_density_oracle(rng, 4), (2, 2))
         for mu in (0.0, 0.25, 0.5, 0.9, 1.0):
             mix = herm(mu * a.matrix + (1 - mu) * b.matrix, (2, 2))
-            expected = mu * expectation(wit.w, a) + (1 - mu) * expectation(wit.w, b)
-            assert expectation(wit.w, mix) == pytest.approx(expected, abs=1e-12)
+            expected = mu * expectation(wit, a) + (1 - mu) * expectation(wit, b)
+            assert expectation(wit, mix) == pytest.approx(expected, abs=1e-12)
 
 
 class TestVariancePositivity:

@@ -514,16 +514,15 @@ class TestFactoredReports:
         if not cert.verdict.is_npt:
             assert check["witness"] is None and wit["witness"] is None
             return
-        idx = cert.verdict.chosen_negative_index
         dense = certificates.witness_from_eigvec(
-            cert.spectrum.vector(idx), float(cert.spectrum.eigenvalues[idx]), bip, rho.dims)
+            cert.spectrum.vector(-1), float(cert.spectrum.eigenvalues[-1]), bip, rho.dims)
         for entry, lambda2 in ((check["witness"], check["chosen_pair"]["lambda2"]),
                                (wit["witness"], wit["witness"]["source_eigenvalue"])):
             cut_back = hermitian.Bipartition.parse(entry["bipartition"], len(entry["dims"]))
             rebuilt = certificates.witness_from_eigvec(_complex(entry["vector"]), lambda2,
                                                        cut_back, entry["dims"])
-            assert _bits(rebuilt.w) == _bits(dense.w)
-            assert entry["trace_value"] == hermitian.expectation(dense.w, rho)
+            assert _bits(rebuilt) == _bits(dense)
+            assert entry["trace_value"] == hermitian.expectation(dense, rho)
 
     def test_dim64_report_under_40kb(self, runner, tmp_path):
         source = tmp_path / "rho.json"

@@ -1,6 +1,7 @@
 """Every module-level import in src/nptcert is used (no linter is a dependency),
 every third-party module it imports is a declared dependency and the other
-way round, and every library option that no caller sets is on a reviewed list."""
+way round, and every library option that no caller sets, every unbounded
+cache and every dataclass field that nothing reads is on a reviewed list."""
 
 import ast
 import re
@@ -175,3 +176,55 @@ def test_detects_an_unbounded_cache():
         "class K:", "    @lru_cache(2)", "    def h(self): pass", "    @cache", "    def i(self): pass",
     ])
     assert unbounded_caches({"m": source}) == ["m.a", "m.b", "m.c", "m.d", "m.e", "m.i"]
+
+
+# Dataclass fields that nothing reads, each with the reason it stays.
+UNREAD_FIELDS = {}
+
+
+def unread_fields(definitions: dict, readers: list) -> list:
+    """"module.Class.field" for each field of a @dataclass class in
+    definitions ({module: source}) that no source in readers reads: neither an
+    attribute load `.field` nor a string constant equal to `field` appears.
+    Fields are matched by name, not by type, so a field that shares its name
+    with one read elsewhere (HurWeakReport.lhs and SRReport.lhs) or with a
+    JSON key ("bipartition") counts as read; only uniquely named fields are
+    caught."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    found = []
+    for module, source in definitions.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            targets = (getattr(dec, "func", dec) for dec in node.decorator_list)  # @x(...) or @x
+            if "dataclass" in {getattr(t, "id", getattr(t, "attr", None)) for t in targets}:
+                found += [f"{module}.{node.name}.{s.target.id}" for s in node.body
+                          if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                          and s.target.id not in read]
+    return sorted(found)
+
+
+def test_every_dataclass_field_is_read_or_listed():
+    root = PACKAGE.parents[1]
+    readers = [p.read_text() for p in PACKAGE.glob("*.py")]
+    readers += [p.read_text() for d in ("perfbench", "tests") for p in (root / d).rglob("*.py")]
+    definitions = {p.stem: p.read_text() for p in MODULES}
+    assert unread_fields(definitions, readers) == sorted(UNREAD_FIELDS)
+
+
+def test_detects_an_unread_field():
+    source = "\n".join([
+        "import dataclasses", "from dataclasses import dataclass",
+        "@dataclass(frozen=True)", "class A:",
+        "    by_attr: int", "    by_key: str", "    unread: float",
+        "@dataclasses.dataclass", "class B:", "    stored: int", "    LIMIT = 3",
+        "class C:", "    plain: int",
+    ])
+    readers = [source, "print(a.by_attr)", 'row = {"by_key": 1}', "b.stored = 2"]
+    assert unread_fields({"m": source}, readers) == ["m.A.unread", "m.B.stored"]

@@ -89,9 +89,9 @@ class TestClassifyNpt:
         _, spec, verdict = pt_spectrum(make_bell(), Bipartition(frozenset({0}), 2))
         assert verdict.is_npt
         assert verdict.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
-        assert verdict.negativity_count == 1
-        assert verdict.chosen_positive_index == 0
-        assert spec.eigenvalues[verdict.chosen_negative_index] == pytest.approx(-0.5, abs=1e-12)
+        assert int(np.sum(spec.eigenvalues < -1e-10)) == 1
+        assert spec.eigenvalues[0] == pytest.approx(0.5, abs=1e-12)
+        assert spec.eigenvalues[-1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_ghz_threshold_point(self):
         _, _, verdict = pt_spectrum(make_ghz_mixed(0.2), BIP_AB_C)
