@@ -72,7 +72,6 @@ class SRReport:
     second_moment_h1: float  # <H1^2>
     second_moment_h2: float  # <H2^2>
     commutator_mean: float   # |<[H1,H2]>|
-    sym_covariance: float    # <dH1 dH2 + dH2 dH1>
     lhs: float
     rhs: float
     margin: float
@@ -181,7 +180,7 @@ def sr_from_moments(e1, e2, m11, m22, m12, m21, tol: float = VIOLATION_TOL) -> S
     lhs = var1 * var2
     rhs = comm_mean ** 2 / 4.0 + sym_cov ** 2 / 4.0
     margin = lhs - rhs
-    return SRReport(var1, var2, m11, m22, comm_mean, sym_cov, lhs, rhs, margin, margin < -tol)
+    return SRReport(var1, var2, m11, m22, comm_mean, lhs, rhs, margin, margin < -tol)
 
 
 def hur_weak_test(pair: PseudoSpinPair, rho: HermitianOperator,
@@ -309,15 +308,6 @@ _PAULI = {
 }
 
 
-def pauli_string_expectation(rho: HermitianOperator, letters: str) -> float:
-    """<P1 x P2 x ...> for a Pauli string such as "zzi" on a qubit register."""
-    if rho.dims != (2,) * len(letters):
-        raise DimensionMismatch(
-            f"state dims {rho.dims} do not match Pauli string {letters!r}"
-        )
-    return float(trace_product(_pauli_string(letters), rho.matrix).real)
-
-
 @lru_cache(maxsize=64)
 def _pauli_string(letters: str) -> np.ndarray:
     """P1 x P2 x ... as a read-only matrix, built once per string."""
@@ -329,8 +319,11 @@ def _pauli_string(letters: str) -> np.ndarray:
 
 
 def ghz_correlators(rho: HermitianOperator):
-    """The four Pauli correlator combinations entering the three-qubit test."""
-    e = lambda s: pauli_string_expectation(rho, s)
+    """The four Pauli correlator combinations entering the three-qubit test,
+    each term <P1 x P2 x P3> for a Pauli string such as "zzi"."""
+    if rho.dims != (2, 2, 2):
+        raise DimensionMismatch(f"state dims {rho.dims} are not three qubits (2, 2, 2)")
+    e = lambda s: float(trace_product(_pauli_string(s), rho.matrix).real)
     a_z = e("iii") + e("zzi") - e("ziz") - e("izz")
     b_z = e("zii") + e("izi") - e("iiz") - e("zzz")
     c_xy = e("xxy") + e("xyx") + e("yxx") - e("yyy")

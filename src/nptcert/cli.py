@@ -35,8 +35,8 @@ EXIT_TRUNCATION = 3
 
 RELATION_RTOL = 1e-8    # relation-check's bound on |lhs - rhs|, relative
 # The most grid points sweep-ghz takes, checked before the grid is allocated:
-# at about 1.6 ms a point (2-vCPU VM) the largest sweep takes 16 s and writes
-# 1 MB of CSV, and a p spacing of 1e-4 is far finer than a plot of it shows.
+# at about 0.25 ms a point (2-vCPU VM) the largest sweep takes 2-4 s in-process
+# and writes 1 MB of CSV, and a p spacing of 1e-4 is far finer than a plot shows.
 MAX_STEPS = 10_000
 
 

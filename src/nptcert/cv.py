@@ -579,13 +579,16 @@ def _witness_moments(witness: str, rho: HermitianOperator, m: int, pairs) -> lis
     return [trace_product(rho.matrix, ladder(j, "ad") @ ladder(k, "a")) for j, k in pairs]
 
 
-def _squeezing_curve(rho: HermitianOperator, m: int, phi: np.ndarray) -> np.ndarray:
+def _squeezing_curve(rho: HermitianOperator, m: int, phi: np.ndarray):
     """amplitude_squeezing at each phase of phi, from moments read once:
-    2 Re(e^{-2i phi} <a^2m>) + 2 <a^dag^m a^m> - (2 Re(e^{-i phi} <a^m>))^2."""
+    2 Re(e^{-2i phi} <a^2m>) + 2 <a^dag^m a^m> - (2 Re(e^{-i phi} <a^m>))^2;
+    and its rounding bound, 16 ulps of 2|<a^2m>| + 2|<a^dag^m a^m>| + 4|<a^m>|^2,
+    the most the three terms can add up to (coherent states spread <= 2.5 ulps)."""
     a_m, a_2m, n_m = _witness_moments("amplitude squeezing", rho, m,
                                       [(0, m), (0, 2 * m), (m, m)])
-    return (2.0 * (np.exp(-2j * phi) * a_2m).real + 2.0 * n_m.real
-            - (2.0 * (np.exp(-1j * phi) * a_m).real) ** 2)
+    values = (2.0 * (np.exp(-2j * phi) * a_2m).real + 2.0 * n_m.real
+              - (2.0 * (np.exp(-1j * phi) * a_m).real) ** 2)
+    return values, 16 * np.finfo(float).eps * (2 * abs(a_2m) + 2 * abs(n_m) + 4 * abs(a_m) ** 2)
 
 
 def amplitude_squeezing(rho: HermitianOperator, m: int, phi: float) -> float:
@@ -594,16 +597,18 @@ def amplitude_squeezing(rho: HermitianOperator, m: int, phi: float) -> float:
     Negative exactly when the state is m-th order amplitude squeezed at
     phase phi; coherent states give 0 at every (m, phi).
     """
-    return float(_squeezing_curve(rho, m, np.array([phi]))[0])
+    return float(_squeezing_curve(rho, m, np.array([phi]))[0][0])
 
 
 def amplitude_squeezing_scan(rho: HermitianOperator, m: int):
-    """(minimum, phase) of amplitude_squeezing over 64 phases in [0, pi); the
-    first phase wins a tie."""
+    """(value, phase) of amplitude_squeezing at the first of 64 phases in
+    [0, pi) whose value lies within the curve's rounding bound of its minimum:
+    16 ulps of 2|<a^2m>| + 2|<a^dag^m a^m>| + 4|<a^m>|^2.  The first phase
+    wins such a tie, so a flat curve (coherent, Fock, thermal) gives phase 0."""
     grid = np.linspace(0.0, np.pi, 64, endpoint=False)
-    values = _squeezing_curve(rho, m, grid)
-    best = int(np.argmin(values))
-    return float(values[best]), float(grid[best])
+    values, bound = _squeezing_curve(rho, m, grid)
+    first = int(np.flatnonzero(values <= values.min() + bound)[0])
+    return float(values[first]), float(grid[first])
 
 
 def photon_stat_nonclassicality(rho: HermitianOperator, m: int) -> float:
@@ -688,7 +693,7 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
     if family not in _CV_FAMILIES:
         raise ParameterOutOfRange(f"unknown CV state family {family!r}")
     check_spec_keys(spec, _CV_FAMILIES[family] | {"cutoff"})
-    cutoff = spec_int(spec.get("cutoff", DEFAULT_CUTOFF), "cutoff")
+    cutoff = spec_int(spec_value(spec, "cutoff", DEFAULT_CUTOFF), "cutoff")
     if cutoff > MAX_CUTOFF:
         raise ParameterOutOfRange(f"cutoff = {cutoff} exceeds {MAX_CUTOFF}")
     one = FockSpace(1, cutoff)
@@ -698,7 +703,8 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
     if family == "fock":
         return fock(spec_int(spec_value(spec, "n"), "n"), one)
     if family == "squeezed_vacuum":
-        return squeezed_vacuum(float(spec_value(spec, "r")), float(spec.get("phi", 0.0)), one)
+        return squeezed_vacuum(float(spec_value(spec, "r")), float(spec_value(spec, "phi", 0.0)),
+                               one)
     if family == "thermal":
         return thermal(float(spec_value(spec, "nbar")), one)
     if family == "vacuum":

@@ -178,21 +178,11 @@ def trace_product(a, b) -> complex:
 
 
 def expectation(op: HermitianOperator, rho: HermitianOperator) -> float:
-    """Re Tr{O rho}.  Both arguments Hermitian, so the imaginary part is noise."""
-    value, _ = expectation_with_imag(op, rho)
-    return value
-
-
-def expectation_with_imag(op: HermitianOperator, rho: HermitianOperator):
-    """Tr{O rho} split into (real value, imaginary diagnostic).
-
-    The diagnostic should sit at machine level (<= 1e-9 by contract) for
-    exactly Hermitian operands.
-    """
+    """Re Tr{O rho}.  Both arguments Hermitian, so the imaginary part of the
+    trace is rounding (<= 1e-9 by contract); trace_product returns it."""
     if op.dim != rho.dim:
         raise DimensionMismatch(f"operator dim {op.dim} vs state dim {rho.dim}")
-    t = trace_product(op.matrix, rho.matrix)
-    return float(t.real), float(t.imag)
+    return float(trace_product(op.matrix, rho.matrix).real)
 
 
 # ---------------------------------------------------------------------------

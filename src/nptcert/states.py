@@ -98,18 +98,20 @@ def random_separable(dims, terms: int, seed) -> HermitianOperator:
     return HermitianOperator(rho, dims)
 
 
-def make_product(dims, seed) -> HermitianOperator:
-    """Single product of independent random densities, one per subsystem."""
-    return random_separable(dims, terms=1, seed=seed)
+_REQUIRED = object()
 
 
-def spec_value(spec: dict, key: str):
-    """spec[key]; a missing key is a ParameterOutOfRange naming the family."""
-    try:
-        return spec[key]
-    except KeyError:
+def spec_value(spec: dict, key: str, default=_REQUIRED):
+    """spec[key], else default.  A missing key without a default, or a bool
+    (JSON true or false, which Python would read as 1 or 0), is a
+    ParameterOutOfRange naming the family and the key."""
+    value = spec.get(key, default)
+    if value is _REQUIRED:
+        raise ParameterOutOfRange(f"spec for family {spec.get('family')!r} is missing {key!r}")
+    if isinstance(value, bool):
         raise ParameterOutOfRange(
-            f"spec for family {spec.get('family')!r} is missing {key!r}") from None
+            f"spec for family {spec.get('family')!r} has a bool {key!r} = {value!r}")
+    return value
 
 
 def spec_dims(spec: dict) -> list:
@@ -153,6 +155,7 @@ def state_from_spec(spec: dict) -> HermitianOperator:
     if family not in _FAMILIES:
         raise ParameterOutOfRange(f"unknown state family {family!r}")
     check_spec_keys(spec, _FAMILIES[family] | {"seed"})
+    seed = spec_value(spec, "seed", 0)
     if family == "ghz_mixed":
         return make_ghz_mixed(float(spec_value(spec, "p")))
     if family == "bell":
@@ -162,9 +165,9 @@ def state_from_spec(spec: dict) -> HermitianOperator:
     if family == "single_photon_entangled":
         return make_single_photon_entangled()
     if family == "random_density":
-        return random_density(spec_int(spec_value(spec, "dim"), "dim"), spec.get("seed", 0),
+        return random_density(spec_int(spec_value(spec, "dim"), "dim"), seed,
                               dims=None if spec.get("dims") is None else spec_dims(spec))
     if family == "random_separable":
-        return random_separable(spec_dims(spec), spec_int(spec.get("terms", 4), "terms"),
-                                spec.get("seed", 0))
-    return make_product(spec_dims(spec), spec.get("seed", 0))
+        return random_separable(spec_dims(spec), spec_int(spec_value(spec, "terms", 4), "terms"),
+                                seed)
+    return random_separable(spec_dims(spec), 1, seed)  # "product": one product term

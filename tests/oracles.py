@@ -93,9 +93,13 @@ def _mancini_operators(cutoff):
         p = 1j * (ad - a) / np.sqrt(2.0)
         u = np.kron(x, eye) + np.kron(eye, x)
         v = np.kron(p, eye) - np.kron(eye, p)
+        # (A x 1 + s 1 x B)^2 = A^2 x 1 + 2 s A x B + 1 x B^2: the squares
+        # as Kronecker sums, not as d^2 x d^2 products
+        uu = np.kron(x @ x, eye) + 2.0 * np.kron(x, x) + np.kron(eye, x @ x)
+        vv = np.kron(p @ p, eye) - 2.0 * np.kron(p, p) + np.kron(eye, p @ p)
         comm1 = np.kron(x @ p - p @ x, eye)
         comm2 = np.kron(eye, x @ p - p @ x)
-        _MANCINI_OPS[cutoff] = (u, v, u @ u, v @ v, comm1, comm2)
+        _MANCINI_OPS[cutoff] = (u, v, uu, vv, comm1, comm2)
     return _MANCINI_OPS[cutoff]
 
 
@@ -104,12 +108,15 @@ def mancini_margin(rho_matrix, cutoff):
 
     Margin = Var(x1+x2) Var(p1-p2) - ((c1+c2)/2)^2 with x = (a+a^dag)/sqrt2,
     p = i(a^dag-a)/sqrt2 and c_i = Im <[x_i, p_i]>, all built from the
-    truncated ladder matrices.  Negative on no separable state.
+    truncated ladder matrices.  Negative on no separable state.  The traces
+    run over rho's support: the rows and columns holding a nonzero entry.
     """
     u, v, uu, vv, comm1, comm2 = _mancini_operators(cutoff)
+    nonzero = rho_matrix != 0
+    support = np.ix_(*2 * [np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))])
 
     def mean(op):
-        return np.einsum("ij,ji->", rho_matrix, op)
+        return np.einsum("ij,ji->", rho_matrix[support], op[support])
 
     var_u = (mean(uu) - mean(u) ** 2).real
     var_v = (mean(vv) - mean(v) ** 2).real
@@ -232,7 +239,7 @@ def sr_pt_oracle(rho_matrix, h1, h2):
     comm, cov = abs(m12 - m21), (m12 + m21).real - 2.0 * e1 * e2
     lhs, rhs = var1 * var2, (comm ** 2 + cov ** 2) / 4.0
     return {"var_h1": var1, "var_h2": var2, "commutator_mean": comm,
-            "sym_covariance": cov, "lhs": lhs, "rhs": rhs, "margin": lhs - rhs}
+            "lhs": lhs, "rhs": rhs, "margin": lhs - rhs}
 
 
 # ---------------------------------------------------------------------------

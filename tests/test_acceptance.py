@@ -18,7 +18,8 @@ from nptcert.certificates import (
     two_qubit_equivalence,
     witness_from_eigvec,
 )
-from nptcert.hermitian import Bipartition, expectation, partial_transpose, validate_hermitian
+from nptcert.hermitian import (Bipartition, HermitianOperator, expectation, partial_transpose,
+                              validate_hermitian)
 from nptcert.spectral import eig_hermitian, pt_spectrum
 from nptcert.states import make_ghz_mixed, random_density, random_separable
 from oracles import mancini_margin, random_unit_trace_hermitian
@@ -199,10 +200,13 @@ def _embedded_random_two_mode(seed, cutoff=30, keep=7):
         + 1j * rng.standard_normal((keep * keep, keep * keep))
     block = block @ block.conj().T
     block /= np.trace(block).real
+    # validated before embedding: zeros around it change neither the
+    # symmetrized entries nor the deviation
+    block = validate_hermitian(block, (keep * keep,), tol=1e-12)
     full = np.zeros((d * d, d * d), dtype=complex)
     idx = (np.arange(keep)[:, None] * d + np.arange(keep)[None, :]).reshape(-1)
-    full[np.ix_(idx, idx)] = block
-    return validate_hermitian(full, (d, d), tol=1e-12)
+    full[np.ix_(idx, idx)] = block.matrix
+    return HermitianOperator(full, (d, d), block.deviation)
 
 
 def test_criterion_07_mancini_reduction():

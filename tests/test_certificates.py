@@ -36,7 +36,6 @@ from nptcert.spectral import eig_hermitian, pt_spectrum
 from nptcert.states import (
     make_bell,
     make_ghz_mixed,
-    make_product,
     make_single_photon_entangled,
     make_werner,
     random_density,
@@ -129,7 +128,7 @@ def test_library_matrices_exactly_hermitian(p, seed, dims, terms, default_alphas
     pair = build_pseudospin(q[:, 0], q[:, 1], *alphas, dims=dims)
     ops = [make_ghz_mixed(p), make_werner(p), make_bell(), make_single_photon_entangled(),
            random_density(dim, seed, dims=dims), random_separable(dims, terms, seed),
-           make_product(dims, seed), pair.h1, pair.h2]
+           random_separable(dims, 1, seed), pair.h1, pair.h2]
     for op in ops:
         assert np.array_equal(op.matrix, op.matrix.conj().T)
 
@@ -465,6 +464,11 @@ class TestGhzInequality:
         assert (a_z, b_z, c_xy, d_xy) == (1.0, 0.0, 0.0, 0.0)
         res = ghz_inequality(a_z, b_z, c_xy, d_xy)
         assert res.margin == pytest.approx(16.0, abs=1e-12)
+
+    def test_needs_three_qubits(self):
+        for rho in (make_bell(), herm(np.eye(8) / 8, (8,)), herm(np.eye(8) / 8, (2, 4))):
+            with pytest.raises(DimensionMismatch, match="three qubits"):
+                ghz_correlators(rho)
 
     @pytest.mark.parametrize("p,violated", [(0.5, True), (0.1, False)])
     def test_threshold(self, p, violated):

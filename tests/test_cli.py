@@ -104,12 +104,23 @@ class TestErrors:
           "--bipartition", "0|1"], {}),
         (["check", "{deep}", "--bipartition", "0|1"], {}),
         (["witness", "{deep_file}", "--bipartition", "0|1"], {}),
+        (["check", '{{"family": "werner", "p": true}}', "--bipartition", "0|1"], {}),
+        (["witness", '{{"family": "ghz_mixed", "p": false}}', "--bipartition", "0,1|2"], {}),
+        (["check", '{{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": true}}',
+          "--bipartition", "0|1"], {}),
+        (["check", '{{"family": "bell", "seed": false}}', "--bipartition", "0|1"], {}),
+        (["cv-check", '{{"family": "two_mode_squeezed", "r": false}}'], {}),
+        (["bs-demo", "--input", '{{"family": "coherent", "alpha": true}}', "--cutoff", "12"], {}),
+        (["bs-demo", "--input", '{{"family": "squeezed_vacuum", "r": 0.3, "phi": true}}',
+          "--cutoff", "12"], {}),
+        (["bs-demo", "--input", '{{"family": "thermal", "nbar": true}}', "--cutoff", "12"], {}),
     ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir",
             "bad-complex-value", "check-json-array-file", "cv-check-json-array-file",
             "non-integral-terms", "non-integral-dim", "non-integral-dims-entry",
             "non-integral-cutoff", "bool-cutoff", "non-integral-n",
             "matrix-file-non-integral-dims", "dims-not-matching-dim",
-            "deep-json-inline", "deep-json-matrix-file"])
+            "deep-json-inline", "deep-json-matrix-file", "bool-p", "bool-p-false",
+            "bool-seed", "bool-seed-bell", "bool-r", "bool-alpha", "bool-phi", "bool-nbar"])
     def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -273,8 +284,8 @@ matrix_payloads = spec_dims.map(lambda dims: json.dumps({"dims": dims, "matrix":
 SIZE_KEYS = ("dim", "terms", "cutoff", "n")
 
 
-def _has_non_integral_size(source) -> bool:
-    """Whether a spec holds a bool or a non-integral number for a size."""
+def _has_bool_or_non_integral_size(source) -> bool:
+    """Whether a spec holds a bool for any key or a non-integral number for a size."""
     try:
         spec = cli._parse_spec(source)
     except Exception:
@@ -285,7 +296,7 @@ def _has_non_integral_size(source) -> bool:
     if isinstance(spec.get("dims"), list):
         values += spec["dims"]
     return any(isinstance(v, bool) or isinstance(v, float) and not v.is_integer()
-               for v in values)
+               for v in values) or any(isinstance(v, bool) for v in spec.values())
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -299,7 +310,7 @@ def test_fuzzed_specs_exit_cleanly(source, command, bip):
     result = CliRunner().invoke(main, argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     assert result.exit_code in (0, 1, 2, 3)
-    if _has_non_integral_size(source):
+    if _has_bool_or_non_integral_size(source):
         assert result.exit_code == 1, argv
     if result.exit_code in (1, 3):
         lines = result.stderr.splitlines()

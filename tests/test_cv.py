@@ -149,6 +149,19 @@ class TestFactories:
                 cv.cv_state_from_spec({"family": "two_mode_squeezed", "r": 0.3,
                                        "cutoff": cutoff})
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"family": "two_mode_squeezed", "r": False}, "r"),
+        ({"family": "squeezed_vacuum", "r": True}, "r"),
+        ({"family": "squeezed_vacuum", "r": 0.3, "phi": True}, "phi"),
+        ({"family": "coherent", "alpha": True}, "alpha"),
+        ({"family": "thermal", "nbar": True}, "nbar"),
+        ({"family": "vacuum", "cutoff": True}, "cutoff"),
+    ])
+    def test_spec_bool_value_is_refused(self, spec, key):
+        # JSON true/false would otherwise be read as the number 1/0
+        with pytest.raises(ParameterOutOfRange, match=f"{spec['family']!r} has a bool {key!r}"):
+            cv.cv_state_from_spec(dict(spec, cutoff=spec.get("cutoff", 10)))
+
     def test_diagnostics_fields(self):
         diag = cv.truncation_diagnostics(cv.fock(1, SP1), order=2)
         assert diag.tail_weight == pytest.approx(0.0, abs=1e-15)
@@ -612,6 +625,19 @@ class TestNonclassicality:
         best, phi = cv.amplitude_squeezing_scan(rho, 1)
         assert best == pytest.approx(np.exp(-2 * r) - 1, abs=1e-9)
         assert phi == pytest.approx(np.pi / 2, abs=0.1)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("rho", [
+        cv.coherent(0.5, cv.FockSpace(1, 20)),
+        cv.coherent(1.1 * np.exp(0.4j), cv.FockSpace(1, 40)),
+        cv.fock(1, SP1), cv.thermal(0.5, SP1),
+    ], ids=["coherent", "coherent-complex", "fock", "thermal"])
+    def test_flat_curve_gives_first_phase(self, rho, m):
+        # all 64 values agree to rounding: the first phase wins the tie, not
+        # the grid index of the noise's minimum (coherent(0.5) gave index 2)
+        value, phi = cv.amplitude_squeezing_scan(rho, m)
+        assert phi == 0.0
+        assert value == cv.amplitude_squeezing(rho, m, 0.0)
 
     def test_fock_not_quadrature_squeezed(self):
         rho = cv.fock(1, SP1)

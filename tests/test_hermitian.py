@@ -12,7 +12,6 @@ from nptcert.errors import (
 from nptcert.hermitian import (
     Bipartition,
     expectation,
-    expectation_with_imag,
     matrix_payload,
     operator_from_payload,
     partial_transpose,
@@ -20,6 +19,7 @@ from nptcert.hermitian import (
     projector,
     save_operator,
     tensor_product,
+    trace_product,
     validate_hermitian,
 )
 from oracles import eigvals_oracle, pt_oracle, random_hermitian
@@ -253,8 +253,7 @@ class TestExpectation:
         rng = np.random.default_rng(13)
         o = validate_hermitian(random_hermitian(rng, 8), (8,))
         rho = validate_hermitian(random_hermitian(rng, 8), (8,))
-        _, imag = expectation_with_imag(o, rho)
-        assert abs(imag) <= 1e-9
+        assert abs(trace_product(o.matrix, rho.matrix).imag) <= 1e-9
 
     def test_dimension_mismatch(self):
         o = validate_hermitian(np.eye(2), (2,))

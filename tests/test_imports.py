@@ -1,7 +1,8 @@
 """Every module-level import in src/nptcert is used (no linter is a dependency),
 every third-party module it imports is a declared dependency and the other
 way round, and every library option that no caller sets, every unbounded
-cache and every dataclass field that nothing reads is on a reviewed list."""
+cache, every dataclass field that nothing reads and every public function
+that only tests call is on a reviewed list."""
 
 import ast
 import re
@@ -228,3 +229,63 @@ def test_detects_an_unread_field():
     ])
     readers = [source, "print(a.by_attr)", 'row = {"by_key": 1}', "b.stored = 2"]
     assert unread_fields({"m": source}, readers) == ["m.A.unread", "m.B.stored"]
+
+
+# Public functions and classes that nothing but tests calls, each with the
+# paper claim or user purpose it carries.
+TEST_ONLY_API = {
+    "certificates.ghz_pair": "paper claim: the explicit three-qubit pair behind GHZ_MARGIN_SCALE",
+    "certificates.orthogonal_pair_construct": "paper API: the certificate on orthogonal vectors "
+                                              "that need not be eigenvectors",
+    "certificates.sr_pt_test": "paper API: the certification workflow, criteria 1, 4, 5 and 10",
+    "certificates.two_qubit_equivalence": "paper claim: SR margin = det / 4 on a qubit, "
+                                          "criterion 2",
+    "certificates.variance_positivity": "paper claim: two negative PT eigenvalues give "
+                                        "a negative variance",
+    "cv.amplitude_squeezing": "paper API: m-th order amplitude squeezing at one phase",
+    "cv.amplitude_squeezing_scan": "paper API: its minimum over phases, criterion 9",
+    "cv.photon_stat_nonclassicality": "paper API: m-th order sub-Poissonian test, criterion 9",
+    "hermitian.save_operator": "user purpose: writes the matrix file that `check` reads "
+                               "(README quick start)",
+}
+
+
+def uncalled_definitions(definitions: dict, callers: list) -> list:
+    """"module.name" for each public module-level def or class in definitions
+    ({module: source}) whose name no ast.Name or ast.Attribute load reads,
+    neither in definitions outside the name's own definition nor anywhere in
+    callers (a list of sources).  Names are matched, not bindings, as in
+    unread_fields: a load of a same-named attribute or local elsewhere counts
+    as a call, and an import is not a load."""
+    def loads(tree):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+    called = set().union(*(loads(ast.parse(source)) for source in callers))
+    public = []
+    for module, source in definitions.items():
+        for node in ast.parse(source).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            called |= loads(node) - {own}
+            if own and not own.startswith("_"):
+                public.append((module, own))
+    return sorted(f"{module}.{name}" for module, name in public if name not in called)
+
+
+def test_every_public_function_has_a_caller_or_is_listed():
+    callers = [p.read_text() for p in (PACKAGE.parents[1] / "perfbench").rglob("*.py")]
+    definitions = {p.stem: p.read_text() for p in MODULES}
+    assert uncalled_definitions(definitions, callers) == sorted(TEST_ONLY_API)
+
+
+def test_detects_a_test_only_function():
+    source = "\n".join([
+        "class Report:", "    pass",
+        "def build() -> Report:", "    return _helper()",
+        "def _helper():", "    return Report()",
+        "def recursive(n):", "    return recursive(n - 1)",
+        "def traced():", "    pass",
+        "def test_only():", "    pass",
+    ])
+    callers = ["import m\nm.traced()", "from m import test_only, build\nx = build\ntest_only = 1"]
+    assert uncalled_definitions({"m": source}, callers) == ["m.recursive", "m.test_only"]

@@ -6,7 +6,6 @@ import math
 
 import pytest
 from cli_runner import CliRunner
-from hypothesis import given, settings, strategies as st
 
 from nptcert import states
 from nptcert.cli import _emit, main
@@ -62,29 +61,6 @@ EDGE_PAYLOADS = {
 @pytest.mark.parametrize("payload", EDGE_PAYLOADS.values(), ids=EDGE_PAYLOADS.keys())
 def test_edge_payloads(tmp_path, payload):
     assert emitted(payload, tmp_path / "report.json") == reference(payload) + "\n"
-
-
-floats = st.floats(allow_nan=True, allow_infinity=True)
-scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, st.text(max_size=6))
-float_lists = st.lists(floats, min_size=1, max_size=6)
-pair_lists = st.lists(st.lists(floats, min_size=2, max_size=2), min_size=1, max_size=6)
-trees = st.recursive(
-    scalars | float_lists | pair_lists,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=30,
-)
-
-
-@pytest.fixture(scope="module")
-def report_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("reports") / "report.json"
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(trees)
-def test_matches_json_dumps_on_json_like_trees(report_path, tree):
-    assert emitted(tree, report_path) == reference(tree) + "\n"
 
 
 @pytest.mark.parametrize("dim, dims", [(4, (2, 2)), (16, (4, 4)), (64, (8, 8))])

@@ -10,7 +10,6 @@ from nptcert.states import (
     MAX_TERMS,
     make_bell,
     make_ghz_mixed,
-    make_product,
     make_single_photon_entangled,
     make_werner,
     random_density,
@@ -108,16 +107,14 @@ class TestRandomFactories:
         with pytest.raises(ParameterOutOfRange):
             random_separable((2, 2), terms=0, seed=0)
         # a non-integral dim is refused, not truncated to (2, 2)
-        for build in (lambda dims: random_separable(dims, 1, 0),
-                      lambda dims: make_product(dims, 0)):
-            with pytest.raises(ParameterOutOfRange, match="not an integer"):
-                build((2.7, 2))
+        with pytest.raises(ParameterOutOfRange, match="not an integer"):
+            random_separable((2.7, 2), 1, 0)
         for dim, dims in ((8, (3, 3)), (4, (-2, -2)), (4, ())):
             with pytest.raises(DimensionMismatch):
                 random_density(dim, 0, dims=dims)
 
     def test_product_state(self):
-        rho = make_product((2, 3), seed=3)
+        rho = random_separable((2, 3), 1, seed=3)
         assert rho.dims == (2, 3)
         _, _, verdict = pt_spectrum(rho, BIP01)
         assert not verdict.is_npt
@@ -135,6 +132,18 @@ class TestStateSpec:
     def test_unknown_family(self):
         with pytest.raises(ParameterOutOfRange):
             state_from_spec({"family": "cat"})
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"family": "werner", "p": True}, "p"),
+        ({"family": "ghz_mixed", "p": False}, "p"),
+        ({"family": "random_density", "dim": 4, "seed": True}, "seed"),
+        ({"family": "bell", "seed": False}, "seed"),
+        ({"family": "random_separable", "dims": [2, 2], "terms": True}, "terms"),
+    ])
+    def test_bool_value_is_refused(self, spec, key):
+        # JSON true/false would otherwise be read as the number 1/0
+        with pytest.raises(ParameterOutOfRange, match=f"{spec['family']!r} has a bool {key!r}"):
+            state_from_spec(spec)
 
     def test_size_caps(self, monkeypatch):
         assert state_from_spec({"family": "product", "dims": [2] * 10}).dim == MAX_DIM
