@@ -7,7 +7,6 @@ error is one `error:` line and exit 1 too; `--help` exits 0.  Exit 2 means a
 certified violation for every subcommand but relation-check, where it means a
 failed numerical self-check: the defect exceeds RELATION_RTOL * max(1, |lhs|,
 |rhs|), which certifies nothing about entanglement.
-The default margin tolerance can be overridden with NPT_CERTIFY_TOL.
 """
 
 from __future__ import annotations
@@ -40,13 +39,8 @@ RELATION_RTOL = 1e-8    # relation-check's bound on |lhs - rhs|, relative
 MAX_STEPS = 10_000
 
 
-def _tol(tol) -> float:
-    """--tol, else NPT_CERTIFY_TOL, else VIOLATION_TOL: a finite number >= 0."""
-    text = os.environ.get("NPT_CERTIFY_TOL", certificates.VIOLATION_TOL) if tol is None else tol
-    try:
-        tol = float(text)
-    except ValueError:
-        raise ParameterOutOfRange(f"NPT_CERTIFY_TOL={text!r} is not a number") from None
+def _tol(tol: float) -> float:
+    """--tol (default VIOLATION_TOL) as given: a finite number >= 0."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterOutOfRange(f"tolerance {tol!r} is not a finite number >= 0")
     return tol
@@ -91,13 +85,11 @@ def _read_payload(source: str) -> dict:
     return payload
 
 
-def _load_finite_state(source: str, seed=None):
+def _load_finite_state(source: str):
     """A finite state from a matrix payload or a state spec (see _read_payload)."""
     payload = _read_payload(source)
     if "matrix" in payload:
         return operator_from_payload(payload)
-    if seed is not None and "seed" not in payload:
-        payload["seed"] = seed
     return states.state_from_spec(payload)
 
 
@@ -128,13 +120,13 @@ def _emit(payload: dict, out) -> None:
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def check(source, bipartition, tol, seed, out):
+def check(source, bipartition, tol, out):
     """Run the full SR certificate for one state and bipartition."""
     tol = _tol(tol)
-    rho = _load_finite_state(source, seed)
+    rho = _load_finite_state(source)
     bip = Bipartition.parse(bipartition, len(rho.dims))
     payload = certificates.certificate_payload(rho, bip, tol=tol)
-    payload["config"] = _config("check", source, bipartition=bipartition, tol=tol, seed=seed)
+    payload["config"] = _config("check", source, bipartition=bipartition, tol=tol)
     _emit(payload, out)
     return EXIT_VIOLATED if payload["verdict"] == "violated" else EXIT_OK
 
@@ -167,10 +159,10 @@ def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
     return EXIT_OK
 
 
-def witness(source, bipartition, tol, seed, out):
+def witness(source, bipartition, tol, out):
     """Export the entanglement witness built from the most negative PT eigenvector."""
     tol = _tol(tol)
-    rho = _load_finite_state(source, seed)
+    rho = _load_finite_state(source)
     bip = Bipartition.parse(bipartition, len(rho.dims))
     _, spectrum, verdict = pt_spectrum(rho, bip, tol=tol)
     entry = certificates.witness_entry(rho, bip, spectrum, verdict)
@@ -181,7 +173,7 @@ def witness(source, bipartition, tol, seed, out):
         "is_npt": verdict.is_npt,
         "pt_eigenvalues": [float(x) for x in spectrum.eigenvalues],
         "witness": entry,
-        "config": _config("witness", source, bipartition=bipartition, tol=tol, seed=seed),
+        "config": _config("witness", source, bipartition=bipartition, tol=tol),
     }
     _emit(payload, out)
     return EXIT_VIOLATED if verdict.is_npt else EXIT_OK
@@ -287,7 +279,8 @@ class _Parser(argparse.ArgumentParser):
 def _parser(prog):
     out, tol, orders = (_Parser(add_help=False) for _ in range(3))
     out.add_argument("--out")
-    tol.add_argument("--tol", type=float, help="Margin tolerance.")
+    tol.add_argument("--tol", type=float, default=certificates.VIOLATION_TOL,
+                     help="Margin tolerance (default %(default)g).")
     orders.add_argument("--m", type=int, default=1)
     orders.add_argument("--n", type=int, default=1)
     orders.add_argument("--cutoff", type=int)
@@ -304,7 +297,6 @@ def _parser(prog):
         arg = command(run, tol)
         arg("source")
         arg("--bipartition", required=True, help='Subsystem split, e.g. "0,1|2".')
-        arg("--seed", type=int, help="Seed for random state specs.")
     arg = command(sweep_ghz, tol)
     arg("--p-from", type=float, default=0.0)
     arg("--p-to", type=float, default=1.0)

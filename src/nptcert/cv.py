@@ -33,8 +33,7 @@ import numpy as np
 
 from .certificates import VIOLATION_TOL, SRReport, require_state_like, sr_from_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
-from .hermitian import Bipartition, HermitianOperator, partial_transpose_view, spec_int
-from .hermitian import trace_product
+from .hermitian import HermitianOperator, spec_int, trace_product
 from .states import check_spec_keys, spec_value
 
 DEFAULT_CUTOFF = 30
@@ -375,21 +374,20 @@ class _MomentEngine:
     skipped.  Otherwise banded gathers: for diagonal o1 of M1 and o2 of M2
     the trace picks the entries rho4[i, j, i - o1, j - o2] (rho4 the
     (d, d, d, d) reshape of rho), one O(d^2) gather per pair of diagonals.
-    With pt, rho4 is rho^PT[i, j, k, l] = rho[i, l, k, j]: a strided view of
-    a dense rho.matrix, or for a pure state V[i, l] conj(V[k, j]) / Tr
-    computed per gather by the float operations of PureFockState.matrix.
+    With pt, rho4 is rho^PT[i, j, k, l] = rho[i, l, k, j]: each gather swaps
+    its mode-2 offsets and reads rho, from the reshape of a dense
+    rho.matrix, or for a pure state as V[i, j] conj(V[k, l]) / Tr computed
+    by the float operations of PureFockState.matrix.
     """
 
     def __init__(self, rho: HermitianOperator, pt: bool = False):
-        self._v = self._r4 = self._pure_pt = None
-        self._d, self._left = rho.dims[0], {}
+        self._v = self._r4 = self._pure = None
+        self._pt, self._d, self._left = pt, rho.dims[0], {}
         if isinstance(rho, PureFockState) and pt:
             v = rho.amplitudes.reshape(rho.dims)
-            self._pure_pt = v, rho.trace(), bool(np.any(v.imag))
+            self._pure = v, rho.trace(), bool(np.any(v.imag))
         elif isinstance(rho, PureFockState):
             self._v = rho.amplitudes.reshape(rho.dims)
-        elif pt:  # mode 1 | mode 2: the partial transpose acts on the second mode
-            self._r4 = partial_transpose_view(rho, Bipartition(frozenset({0}), 2))
         else:
             self._r4 = rho.matrix.reshape(rho.dims + rho.dims)
 
@@ -399,11 +397,13 @@ class _MomentEngine:
 
     def _band(self, i0, j0, k0, l0, n1, n2):
         """rho4[i0 + t, j0 + s, k0 + t, l0 + s] over t < n1, s < n2."""
+        if self._pt:  # rho^PT[i, j, k, l] = rho[i, l, k, j]: the PT acts on mode 2
+            j0, l0 = l0, j0
         if self._r4 is not None:
             t, s = np.arange(n1)[:, None], np.arange(n2)
             return self._r4[i0 + t, j0 + s, k0 + t, l0 + s]
-        v, trace, is_complex = self._pure_pt
-        x, y = v[i0:i0 + n1, l0:l0 + n2], v[k0:k0 + n1, j0:j0 + n2]
+        v, trace, is_complex = self._pure
+        x, y = v[i0:i0 + n1, j0:j0 + n2], v[k0:k0 + n1, l0:l0 + n2]
         band = x * y.conj()
         if is_complex:  # as PureFockState.matrix symmetrizes a complex block
             band = (band + (y * x.conj()).conj()) / 2.0
@@ -547,11 +547,12 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
     """Compare <a1^dag^m a1^n a2^dag^p a2^q> over rho^PT against the
     index-swapped moment <a1^dag^m a1^n a2^dag^q a2^p> over rho.
 
-    The left side gathers entries of the Fock-basis rho^PT (_MomentEngine):
-    from a strided view of a dense rho.matrix or from a pure state's
-    amplitudes, never a copy.  The right side reads rho itself, a pure state
-    by <V, M1 V M2^T>, with the mode-2 exponents swapped: the two sides run
-    on independent code.  tests/oracles.py holds the dense contraction.
+    The left side gathers entries of the Fock-basis rho^PT (_MomentEngine)
+    by swapping the mode-2 indices of rho's, from a dense rho.matrix or from
+    a pure state's amplitudes, never a copy.  The right side reads rho
+    itself, a pure state by <V, M1 V M2^T>, with the mode-2 exponents
+    swapped: the two sides run on independent code.  tests/oracles.py holds
+    the dense contraction.
     """
     space = space_of(rho)
     if space.modes != 2:
@@ -637,8 +638,9 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
     The two margins agree to rounding because the printed forms are exactly
     the PT-mapped moments of the generic pair in the truncated space.  The
     pair is written as lists of terms c (M1 x M2), so its moments are sums of
-    banded kron_moment terms over rho^PT's entries, never a copy of it nor a
-    pure state's matrix (tests/oracles.py holds the dense Kronecker form).
+    banded kron_moment terms over rho^PT's entries, each read from rho with
+    its mode-2 indices swapped, never a copy of rho^PT nor a pure state's
+    matrix (tests/oracles.py holds the dense Kronecker form).
     Raises ParameterOutOfRange for a one-mode state, an order below 1 or a
     `which` other than 10 and 11, UnnormalizedState unless rho has unit trace.
     """

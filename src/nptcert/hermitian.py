@@ -150,9 +150,11 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     return HermitianOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
 
 
-def partial_transpose_view(rho: HermitianOperator, bip: Bipartition) -> np.ndarray:
-    """rho^PT as a strided view of rho.matrix, shape dims + dims: the row
-    and column indices of each party-two subsystem swapped, nothing copied."""
+def partial_transpose(rho: HermitianOperator, bip: Bipartition) -> HermitianOperator:
+    """rho^PT: the row and column indices of each party-two subsystem swapped.
+    An index permutation keeps the trace exactly, returns the input
+    bit-for-bit when applied twice and keeps an exactly Hermitian matrix
+    exactly Hermitian, so it is not re-validated."""
     dims, k = rho.dims, len(rho.dims)
     if bip.num_subsystems != k:
         raise InvalidBipartition(
@@ -161,15 +163,8 @@ def partial_transpose_view(rho: HermitianOperator, bip: Bipartition) -> np.ndarr
     perm = list(range(2 * k))
     for s in bip.party_two:
         perm[s], perm[k + s] = perm[k + s], perm[s]
-    return rho.matrix.reshape(dims + dims).transpose(perm)
-
-
-def partial_transpose(rho: HermitianOperator, bip: Bipartition) -> HermitianOperator:
-    """partial_transpose_view made contiguous.  An index permutation keeps the
-    trace exactly, returns the input bit-for-bit when applied twice and keeps
-    an exactly Hermitian matrix exactly Hermitian, so it is not re-validated."""
-    out = np.ascontiguousarray(partial_transpose_view(rho, bip).reshape(rho.matrix.shape))
-    return HermitianOperator(out, rho.dims)
+    out = rho.matrix.reshape(dims + dims).transpose(perm).reshape(rho.matrix.shape)
+    return HermitianOperator(np.ascontiguousarray(out), dims)
 
 
 def trace_product(a, b) -> complex:

@@ -102,12 +102,14 @@ _REQUIRED = object()
 
 
 def spec_value(spec: dict, key: str, default=_REQUIRED):
-    """spec[key], else default.  A missing key without a default, or a bool
-    (JSON true or false, which Python would read as 1 or 0), is a
+    """spec[key], else default.  A missing key without a default, a JSON null
+    or a bool (JSON true or false, which Python would read as 1 or 0) is a
     ParameterOutOfRange naming the family and the key."""
     value = spec.get(key, default)
     if value is _REQUIRED:
         raise ParameterOutOfRange(f"spec for family {spec.get('family')!r} is missing {key!r}")
+    if value is None:
+        raise ParameterOutOfRange(f"spec for family {spec.get('family')!r} has a null {key!r}")
     if isinstance(value, bool):
         raise ParameterOutOfRange(
             f"spec for family {spec.get('family')!r} has a bool {key!r} = {value!r}")
@@ -132,8 +134,7 @@ def check_spec_keys(spec: dict, allowed: set) -> None:
             + ", ".join(map(repr, unknown)))
 
 
-# The keys each family reads; every family also takes "seed", which the
-# CLI's --seed adds to any spec.
+# The keys each family reads; every family also takes "seed".
 _FAMILIES = {
     "ghz_mixed": {"p"},
     "bell": set(),
@@ -155,7 +156,7 @@ def state_from_spec(spec: dict) -> HermitianOperator:
     if family not in _FAMILIES:
         raise ParameterOutOfRange(f"unknown state family {family!r}")
     check_spec_keys(spec, _FAMILIES[family] | {"seed"})
-    seed = spec_value(spec, "seed", 0)
+    seed = spec_int(spec_value(spec, "seed", 0), "seed")
     if family == "ghz_mixed":
         return make_ghz_mixed(float(spec_value(spec, "p")))
     if family == "bell":

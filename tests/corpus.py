@@ -6,16 +6,21 @@
 `snapshot` runs every request in-process through nptcert.cli.main, from a
 scratch working directory that holds the request list's matrix files, and
 writes DIR/corpus.jsonl: one JSON line per request with its argv, exit code,
-stderr and the sha256 of what it wrote to stdout (the report).  The matrix
-files are drawn with the standard library's `random`, so both trees read
-the same bytes.  `diff` prints how many requests are byte-identical (same
-exit code, stderr and report) and lists every other one with its old and
-new exit codes; it exits 1 when any request differs.
+stderr, the sha256 of what it wrote to stdout and that output parsed (a
+JSON report as an object, a sweep's CSV as its text).  The matrix files are
+drawn with the standard library's `random`, so both trees read the same
+bytes.  `diff` prints how many requests are byte-identical (same exit code,
+stderr and report) and lists every other one with its old and new exit
+codes and the paths whose values differ (`config.seed: removed`,
+`sr.margin: -0.0625 -> -0.0624`, a sweep's `row 3.sr_margin`); then every
+changed verdict.  It exits 1 when any request differs.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import random
@@ -27,7 +32,7 @@ from cli_runner import CliRunner
 
 # Matrix files: name -> (dims, seed) of a random full-rank density G G^dag / Tr.
 MATRIX_FILES = {"rho8.json": ([2, 2, 2], 8), "rho16.json": ([4, 4], 16),
-                "rho64.json": ([8, 8], 64)}
+                "rho64.json": ([8, 8], 64), "rho256.json": ([16, 16], 256)}
 
 FINITE = [
     ("bell", "0|1"),
@@ -41,6 +46,8 @@ FINITE = [
     ("rho8.json", "0|1,2"),
     ("rho16.json", "0|1"),
     ("rho64.json", "0|1"),
+    ("rho256.json", "0|1"),
+    ('{"family": "single_photon_entangled"}', "0|1"),
 ]
 
 # JSON true/false where a spec reads a number: exit 1 since bools are refused.
@@ -57,6 +64,17 @@ BOOL_SPECS = [
     ["bs-demo", "--input", '{"family": "thermal", "nbar": true}', "--cutoff", "20"],
 ]
 
+# Other refused inputs, each exit 1.
+REJECTED = [
+    ["check", '{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": null}',
+     "--bipartition", "0|1"],
+    ["check", '{"family": "product", "dims": [2, 2], "seed": [1, 2]}', "--bipartition", "0|1"],
+    ["check", "bell", "--seed", "3", "--bipartition", "0|1"],
+    ["check", "werner:p=0.5,q=0.1", "--bipartition", "0|1"],
+    ["check", '{"family": "random_density", "dim": 1025}', "--bipartition", "0|1"],
+    ["check", "bell", "--bipartition", "0|1", "--tol", "nan"],
+]
+
 REQUESTS = (
     [[command, source, "--bipartition", bip] for source, bip in FINITE
      for command in ("check", "witness")]
@@ -65,14 +83,20 @@ REQUESTS = (
         "--bipartition", "0|1,2"]]
     + [["cv-check", "two_mode_squeezed:r=0.3", "--ineq", ineq, "--m", m, "--n", n,
         "--cutoff", "20"] for ineq in ("10", "11") for m in ("1", "2") for n in ("1", "2")]
+    + [["cv-check", "single_photon_entangled", "--ineq", "11", "--cutoff", "20"]]
     + [["bs-demo", "--input", source, "--cutoff", "20"]
        for source in ("thermal:nbar=0.5", "coherent:alpha=0.7", "squeezed_vacuum:r=0.5",
-                      "fock:n=1")]
+                      "fock:n=1", "vacuum", "coherent:alpha=0.4-0.3j")]
     + [["bs-demo", "--input", "squeezed_vacuum:r=0.5", "--cutoff", "30"],
-       ["relation-check", "two_mode_squeezed:r=0.3", "--m", "1", "--n", "1", "--p", "1",
-        "--q", "1", "--cutoff", "20"],
-       ["cv-check", "two_mode_squeezed:r=0.3,cutoff=12", "--cutoff", "20"]]
+       # a separable output that ROADMAP item 1 reports as certified (exit 2)
+       ["bs-demo", "--input", "coherent:alpha=1.0", "--theta", "0.37", "--m", "4", "--n", "4",
+        "--cutoff", "30"]]
+    + [["relation-check", "two_mode_squeezed:r=0.3", "--m", m, "--n", n, "--p", p, "--q", q,
+        "--cutoff", cutoff] for m, n, p, q, cutoff in [("1", "1", "1", "1", "20"),
+                                                       ("2", "1", "1", "3", "40")]]
+    + [["cv-check", "two_mode_squeezed:r=0.3,cutoff=12", "--cutoff", "20"]]
     + BOOL_SPECS
+    + REJECTED
 )
 
 
@@ -99,20 +123,26 @@ def run(argv: list) -> dict:
     stderr = result.stderr
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         stderr += f"uncaught {type(result.exception).__name__}: {result.exception}\n"
+    try:
+        report = json.loads(result.stdout)
+    except ValueError:  # a sweep's CSV, or nothing
+        report = result.stdout or None
     return {"argv": argv, "exit": result.exit_code, "stderr": stderr,
-            "sha256": hashlib.sha256(result.stdout.encode()).hexdigest()}
+            "sha256": hashlib.sha256(result.stdout.encode()).hexdigest(), "report": report}
 
 
 def snapshot(out_dir, requests=REQUESTS) -> Path:
     """Run requests and write out_dir/corpus.jsonl; returns its path."""
     out = Path(out_dir).resolve() / "corpus.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
+    # trees before the variable's removal read NPT_CERTIFY_TOL as the default --tol
     lines, cwd, tol = [], os.getcwd(), os.environ.pop("NPT_CERTIFY_TOL", None)
     try:
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)  # reports name their input as given: the same relative path
             for name, (dims, seed) in MATRIX_FILES.items():
-                Path(name).write_text(json.dumps(matrix_payload(dims, seed)))
+                if any(name in argv for argv in requests):  # dim 256 takes about 2 s
+                    Path(name).write_text(json.dumps(matrix_payload(dims, seed)))
             lines = [json.dumps(run(argv)) for argv in requests]
     finally:
         os.chdir(cwd)
@@ -122,20 +152,84 @@ def snapshot(out_dir, requests=REQUESTS) -> Path:
     return out
 
 
-def diff(a_dir, b_dir) -> list:
-    """Print the byte-identical count and each differing request, a missing
-    side's exit as None; returns the differing (argv, old exit, new exit)."""
-    def load(d):
-        return [json.loads(line) for line in (Path(d) / "corpus.jsonl").read_text().splitlines()]
+# Report keys that carry a verdict; `diff` lists each change of one.
+VERDICT_KEYS = {"verdict", "is_npt", "violated"}
+MAX_PATHS = 20  # paths printed per changed request
 
-    old = {json.dumps(r["argv"]): r for r in load(a_dir)}
-    new = {json.dumps(r["argv"]): r for r in load(b_dir)}
+
+def _tree(report):
+    """A parsed report as a tree: a sweep's CSV text as {"row N": {column: text}}."""
+    if isinstance(report, str):
+        return {f"row {i}": row for i, row in enumerate(csv.DictReader(io.StringIO(report)))}
+    return report
+
+
+def changed_paths(old, new, path="") -> list:
+    """(path, change) for each value that differs between two report trees:
+    "removed", "added", "length 3 -> 4" or "old -> new" by repr."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(old.keys() | new.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in new or key not in old:
+                out.append((sub, "removed" if key not in new else "added"))
+            else:
+                out += changed_paths(old[key], new[key], sub)
+        return out
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return [(path, f"length {len(old)} -> {len(new)}")]
+        return [p for i, (a, b) in enumerate(zip(old, new))
+                for p in changed_paths(a, b, f"{path}[{i}]")]
+    return [] if repr(old) == repr(new) else [(path or "report", f"{old!r} -> {new!r}")]
+
+
+def request_changes(a, b) -> list:
+    """(path, change) between two snapshot lines of one request, None for a
+    missing line: stderr, then the report's paths, or the report as a whole
+    when only one side wrote one."""
+    if a is None or b is None:
+        return [("request", "added" if a is None else "removed")]
+    out = changed_paths(a["stderr"], b["stderr"], "stderr")
+    old, new = _tree(a.get("report")), _tree(b.get("report"))
+    if old is None or new is None:
+        return out + ([] if old is new else [("report", "added" if old is None else "removed")])
+    return out + changed_paths(old, new)
+
+
+def diff(a_dir, b_dir) -> list:
+    """Print the byte-identical count, each differing request with its old
+    and new exit (None for a missing side) and the paths whose values
+    differ, then every changed verdict and exit code; returns the differing
+    (argv, old exit, new exit, [(path, change)])."""
+    def load(d):
+        rows = [json.loads(line) for line in (Path(d) / "corpus.jsonl").read_text().splitlines()]
+        return {json.dumps(r["argv"]): r for r in rows}
+
+    old, new = load(a_dir), load(b_dir)
     keys = sorted(old.keys() | new.keys())
-    changed = [(json.loads(k), old[k]["exit"] if k in old else None,
-                new[k]["exit"] if k in new else None) for k in keys if old.get(k) != new.get(k)]
+    changed = []
+    for k in keys:
+        a, b = old.get(k), new.get(k)
+        if a is None or b is None or any(a[f] != b[f] for f in ("exit", "stderr", "sha256")):
+            changed.append((json.loads(k), a and a["exit"], b and b["exit"],
+                            request_changes(a, b)))
     print(f"{len(keys) - len(changed)} of {len(keys)} requests byte-identical")
-    for argv, a_exit, b_exit in changed:
-        print(f"  exit {a_exit} -> {b_exit}: {' '.join(argv)}")
+    verdicts = []
+    for argv, a_exit, b_exit, paths in changed:
+        request = " ".join(argv)
+        print(f"  exit {a_exit} -> {b_exit}: {request}")
+        for path, change in paths[:MAX_PATHS]:
+            print(f"    {path}: {change}")
+        if len(paths) > MAX_PATHS:
+            print(f"    ... and {len(paths) - MAX_PATHS} more paths")
+        if a_exit != b_exit:
+            verdicts.append(f"exit {a_exit} -> {b_exit}: {request}")
+        verdicts += [f"{path} {change}: {request}" for path, change in paths
+                     if path.rpartition(".")[2] in VERDICT_KEYS]
+    print(f"{len(verdicts)} changed verdicts and exit codes")
+    for line in verdicts:
+        print(f"  {line}")
     return changed
 
 

@@ -243,11 +243,12 @@ def sr_pt_oracle(rho_matrix, h1, h2):
 
 
 # ---------------------------------------------------------------------------
-# Copy-based references for the strided partial-transpose view
+# Copy-based references for the moment engine's partial-transpose gather
 # ---------------------------------------------------------------------------
 # These run the library's own banded gather (cv._MomentEngine without pt) on
 # a contiguous copy of rho^PT made by mode2_pt_copy.  Only the way rho^PT is
-# read differs from the library path, so the results must be equal with ==.
+# read differs from the library path, which swaps the mode-2 indices of each
+# gather on rho itself, so the results must be equal with ==.
 
 def _matrix_moment(rho):
     """Tr{rho (M1 x M2)} by the library's moment engine, for plain matrices."""

@@ -74,56 +74,72 @@ class TestCheck:
                                  "--out", str(p)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_env_var_tolerance(self, runner, bell_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("NPT_CERTIFY_TOL", "0.5")
-        out = tmp_path / "loose.json"
-        result = runner.invoke(main, ["check", bell_file, "--bipartition", "0|1",
-                                      "--out", str(out)])
-        # margin -1/16 is inside a 0.5 tolerance band, so nothing is certified
-        assert result.exit_code == 0
+    @pytest.mark.parametrize("command", ["check", "witness"])
+    @pytest.mark.parametrize("spec", [
+        '{"family": "random_density", "dim": 4, "dims": [2, 2]}',
+        '{"family": "random_density", "dim": 8, "dims": [2, 4], "seed": 3}',
+        '{"family": "random_separable", "dims": [2, 3], "terms": 3, "seed": 7}',
+        '{"family": "product", "dims": [2, 2]}',
+        '{"family": "product", "dims": [2, 2], "seed": 4}',
+    ], ids=["random-density-default-seed", "random-density", "random-separable",
+            "product-default-seed", "product"])
+    def test_random_spec_reports_are_deterministic(self, runner, command, spec):
+        # a random family draws from the spec's seed (default 0), never from OS entropy
+        argv = [command, spec, "--bipartition", "0|1"]
+        first, second = runner.invoke(main, argv), runner.invoke(main, argv)
+        assert first.exit_code in (0, 2), first.output
+        assert first.stdout == second.stdout and first.stdout
 
 
 class TestErrors:
-    @pytest.mark.parametrize("argv, env", [
-        (["check", "bell:", "--bipartition", "0|1"], {"NPT_CERTIFY_TOL": "abc"}),
-        (["sweep-ghz", "--out", "{missing}/x.csv"], {}),
-        (["check", "bell:", "--bipartition", "0|1", "--out", "{missing}/x.json"], {}),
-        (["bs-demo", "--input", "coherent:alpha=abc", "--cutoff", "12"], {}),
-        (["check", "{array}", "--bipartition", "0|1"], {}),
-        (["cv-check", "{array}"], {}),
-        (["check", '{{"family": "random_separable", "dims": [2, 2], "terms": 1.5}}',
-          "--bipartition", "0|1"], {}),
-        (["witness", '{{"family": "random_density", "dim": 4.7, "dims": [2, 2]}}',
-          "--bipartition", "0|1"], {}),
-        (["check", '{{"family": "product", "dims": [2, 2.5]}}', "--bipartition", "0|1"], {}),
-        (["cv-check", "two_mode_squeezed:r=0.3,cutoff=12.9"], {}),
-        (["cv-check", '{{"family": "two_mode_squeezed", "r": 0.3, "cutoff": true}}'], {}),
-        (["bs-demo", "--input", "fock:n=1.7", "--cutoff", "12"], {}),
-        (["check", "{bell_fractional_dims}", "--bipartition", "0|1"], {}),
-        (["check", '{{"family": "random_density", "dim": 8, "dims": [3, 3]}}',
-          "--bipartition", "0|1"], {}),
-        (["check", "{deep}", "--bipartition", "0|1"], {}),
-        (["witness", "{deep_file}", "--bipartition", "0|1"], {}),
-        (["check", '{{"family": "werner", "p": true}}', "--bipartition", "0|1"], {}),
-        (["witness", '{{"family": "ghz_mixed", "p": false}}', "--bipartition", "0,1|2"], {}),
-        (["check", '{{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": true}}',
-          "--bipartition", "0|1"], {}),
-        (["check", '{{"family": "bell", "seed": false}}', "--bipartition", "0|1"], {}),
-        (["cv-check", '{{"family": "two_mode_squeezed", "r": false}}'], {}),
-        (["bs-demo", "--input", '{{"family": "coherent", "alpha": true}}', "--cutoff", "12"], {}),
-        (["bs-demo", "--input", '{{"family": "squeezed_vacuum", "r": 0.3, "phi": true}}',
-          "--cutoff", "12"], {}),
-        (["bs-demo", "--input", '{{"family": "thermal", "nbar": true}}', "--cutoff", "12"], {}),
-    ], ids=["bad-env-tol", "sweep-out-missing-dir", "check-out-missing-dir",
+    @pytest.mark.parametrize("argv", [
+        ["sweep-ghz", "--out", "{missing}/x.csv"],
+        ["check", "bell:", "--bipartition", "0|1", "--out", "{missing}/x.json"],
+        ["bs-demo", "--input", "coherent:alpha=abc", "--cutoff", "12"],
+        ["check", "{array}", "--bipartition", "0|1"],
+        ["cv-check", "{array}"],
+        ["check", '{{"family": "random_separable", "dims": [2, 2], "terms": 1.5}}',
+         "--bipartition", "0|1"],
+        ["witness", '{{"family": "random_density", "dim": 4.7, "dims": [2, 2]}}',
+         "--bipartition", "0|1"],
+        ["check", '{{"family": "product", "dims": [2, 2.5]}}', "--bipartition", "0|1"],
+        ["cv-check", "two_mode_squeezed:r=0.3,cutoff=12.9"],
+        ["cv-check", '{{"family": "two_mode_squeezed", "r": 0.3, "cutoff": true}}'],
+        ["bs-demo", "--input", "fock:n=1.7", "--cutoff", "12"],
+        ["check", "{bell_fractional_dims}", "--bipartition", "0|1"],
+        ["check", '{{"family": "random_density", "dim": 8, "dims": [3, 3]}}',
+         "--bipartition", "0|1"],
+        ["check", "{deep}", "--bipartition", "0|1"],
+        ["witness", "{deep_file}", "--bipartition", "0|1"],
+        ["check", '{{"family": "werner", "p": true}}', "--bipartition", "0|1"],
+        ["witness", '{{"family": "ghz_mixed", "p": false}}', "--bipartition", "0,1|2"],
+        ["check", '{{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": true}}',
+         "--bipartition", "0|1"],
+        ["check", '{{"family": "bell", "seed": false}}', "--bipartition", "0|1"],
+        ["cv-check", '{{"family": "two_mode_squeezed", "r": false}}'],
+        ["bs-demo", "--input", '{{"family": "coherent", "alpha": true}}', "--cutoff", "12"],
+        ["bs-demo", "--input", '{{"family": "squeezed_vacuum", "r": 0.3, "phi": true}}',
+         "--cutoff", "12"],
+        ["bs-demo", "--input", '{{"family": "thermal", "nbar": true}}', "--cutoff", "12"],
+        ["check", '{{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": null}}',
+         "--bipartition", "0|1"],
+        ["witness", '{{"family": "random_separable", "dims": [2, 2], "seed": null}}',
+         "--bipartition", "0|1"],
+        ["check", '{{"family": "product", "dims": [2, 2], "seed": [1, 2]}}',
+         "--bipartition", "0|1"],
+        ["check", '{{"family": "bell", "seed": "x"}}', "--bipartition", "0|1"],
+        ["check", '{{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": 2.5}}',
+         "--bipartition", "0|1"],
+    ], ids=["sweep-out-missing-dir", "check-out-missing-dir",
             "bad-complex-value", "check-json-array-file", "cv-check-json-array-file",
             "non-integral-terms", "non-integral-dim", "non-integral-dims-entry",
             "non-integral-cutoff", "bool-cutoff", "non-integral-n",
             "matrix-file-non-integral-dims", "dims-not-matching-dim",
             "deep-json-inline", "deep-json-matrix-file", "bool-p", "bool-p-false",
-            "bool-seed", "bool-seed-bell", "bool-r", "bool-alpha", "bool-phi", "bool-nbar"])
-    def test_one_line_error_exit_1(self, runner, tmp_path, monkeypatch, argv, env):
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
+            "bool-seed", "bool-seed-bell", "bool-r", "bool-alpha", "bool-phi", "bool-nbar",
+            "null-seed", "null-seed-witness", "list-seed", "string-seed-bell",
+            "non-integral-seed"])
+    def test_one_line_error_exit_1(self, runner, tmp_path, argv):
         array = tmp_path / "array.json"
         array.write_text("[1, 2]")
         bell = tmp_path / "bell.json"
@@ -149,19 +165,12 @@ class TestErrors:
         ["cv-check", "two_mode_squeezed:r=0.0", "--cutoff", "10"],
         ["bs-demo", "--input", "fock:n=1", "--cutoff", "10"],
     ], ids=["check", "witness", "sweep-ghz", "cv-check", "bs-demo"])
-    @pytest.mark.parametrize("option, value", [
-        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-5"), ("--tol", "-1e-300"),
-        ("env", "nan"), ("env", "-inf"), ("env", "-1"),
-    ], ids=["nan", "inf", "negative", "tiny-negative", "env-nan", "env-minus-inf",
-            "env-negative"])
-    def test_bad_tolerance(self, runner, monkeypatch, argv, option, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "-1e-300"],
+                             ids=["nan", "inf", "negative", "tiny-negative"])
+    def test_bad_tolerance(self, runner, argv, value):
         # a NaN tolerance certified nothing and a negative one certified a
         # separable state; either is now an input error
-        if option == "env":
-            monkeypatch.setenv("NPT_CERTIFY_TOL", value)
-        else:
-            argv = argv + [option, value]
-        result = runner.invoke(main, argv)
+        result = runner.invoke(main, argv + ["--tol", value])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
@@ -179,9 +188,10 @@ class TestErrors:
         [],
         ["check", "bell", "--bip", "0|1"],
         ["check", "bell", "--bipartition", "0|1", "--out", "{directory}"],
+        ["check", "bell", "--bipartition", "0|1", "--seed", "3"],
     ], ids=["unknown-option", "missing-source", "missing-bipartition", "bad-int-m",
             "bad-int-steps", "bad-float-tol", "bad-choice-ineq", "unknown-subcommand",
-            "no-subcommand", "abbreviated-option", "out-is-a-directory"])
+            "no-subcommand", "abbreviated-option", "out-is-a-directory", "removed-seed-option"])
     def test_usage_error_exit_1(self, tmp_path, argv):
         # exit 2 means a certified violation, so a typo must never end in it
         proc = run_module([a.format(directory=tmp_path) for a in argv])
@@ -210,7 +220,7 @@ class TestErrors:
         (["check", "werner:p=0.5,R=0.5", "--bipartition", "0|1"], "werner", "R"),
         (["check", '{"family": "bell", "p": 0.5}', "--bipartition", "0|1"], "bell", "p"),
         (["witness", '{"family": "random_density", "dim": 4, "dims": [2, 2], "terms": 3}',
-          "--bipartition", "0|1"],
+         "--bipartition", "0|1"],
          "random_density", "terms"),
         (["cv-check", "two_mode_squeezed:r=0.3,phi=0.1"], "two_mode_squeezed", "phi"),
         (["bs-demo", "--input", '{"family": "fock", "n": 1, "alpha": 1}'], "fock", "alpha"),
@@ -226,11 +236,10 @@ class TestErrors:
         assert lines == [f"error: spec for family {family!r} has unknown key {key!r}"]
 
     @pytest.mark.parametrize("argv", [
-        ["check", "bell", "--seed", "3", "--bipartition", "0|1"],
         ["check", "ghz_mixed:p=0.5,seed=1", "--bipartition", "0,1|2"],
         ["cv-check", "two_mode_squeezed:r=0.3,cutoff=12"],
         ["bs-demo", "--input", "squeezed_vacuum:r=0.1,phi=0.2,cutoff=12"],
-    ], ids=["seed-option", "seed-key", "cv-check-cutoff", "bs-demo-phi-cutoff"])
+    ], ids=["seed-key", "cv-check-cutoff", "bs-demo-phi-cutoff"])
     def test_injected_and_read_keys_allowed(self, runner, argv):
         result = runner.invoke(main, argv)
         assert result.exit_code in (0, 2), result.output
@@ -238,8 +247,8 @@ class TestErrors:
 
 # The keys each family accepts; spec_strings adds "R", "p" and "r" and random keys.
 SPEC_FAMILIES = {
-    "ghz_mixed": ["p", "seed"], "bell": ["seed"], "werner": ["p"],
-    "single_photon_entangled": [], "random_density": ["dim", "dims", "seed"],
+    "ghz_mixed": ["p", "seed"], "bell": ["seed"], "werner": ["p", "seed"],
+    "single_photon_entangled": ["seed"], "random_density": ["dim", "dims", "seed"],
     "random_separable": ["dims", "terms", "seed"], "product": ["dims", "seed"],
     "coherent": ["alpha", "cutoff"], "fock": ["n", "cutoff"],
     "squeezed_vacuum": ["r", "phi", "cutoff"],
@@ -281,22 +290,27 @@ BELL_ENTRIES = hermitian.matrix_payload(make_bell())["matrix"]
 matrix_payloads = spec_dims.map(lambda dims: json.dumps({"dims": dims, "matrix": BELL_ENTRIES}))
 
 
-SIZE_KEYS = ("dim", "terms", "cutoff", "n")
+INTEGER_KEYS = ("dim", "terms", "cutoff", "n", "seed")
 
 
-def _has_bool_or_non_integral_size(source) -> bool:
-    """Whether a spec holds a bool for any key or a non-integral number for a size."""
+def _has_refused_value(source) -> bool:
+    """Whether a spec holds a bool or a null for any key (random_density's
+    optional dims aside, where null means absent) or a non-integral number
+    for a size, a count or a seed."""
     try:
         spec = cli._parse_spec(source)
     except Exception:
         return False
     if not isinstance(spec, dict):
         return False
-    values = [spec.get(key) for key in SIZE_KEYS]
+    values = [spec.get(key) for key in INTEGER_KEYS]
     if isinstance(spec.get("dims"), list):
         values += spec["dims"]
-    return any(isinstance(v, bool) or isinstance(v, float) and not v.is_integer()
-               for v in values) or any(isinstance(v, bool) for v in spec.values())
+    optional = {"dims"} if spec.get("family") == "random_density" else set()
+    return (any(isinstance(v, bool) or isinstance(v, float) and not v.is_integer()
+                for v in values)
+            or any(isinstance(v, bool) or v is None and k not in optional
+                   for k, v in spec.items()))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -310,7 +324,7 @@ def test_fuzzed_specs_exit_cleanly(source, command, bip):
     result = CliRunner().invoke(main, argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     assert result.exit_code in (0, 1, 2, 3)
-    if _has_bool_or_non_integral_size(source):
+    if _has_refused_value(source):
         assert result.exit_code == 1, argv
     if result.exit_code in (1, 3):
         lines = result.stderr.splitlines()

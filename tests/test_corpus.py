@@ -14,8 +14,25 @@ def test_snapshot_twice_and_diff(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("5 of 5 requests byte-identical")
     rows = [json.loads(line) for line in a.read_text().splitlines()]
     assert [r["exit"] for r in rows] == [2, 2, 2, 2, 1]
-    # a changed exit code is listed with both codes
-    rows[0]["exit"] = 0
+    assert rows[0]["report"]["verdict"] == "violated" and rows[4]["report"] is None
+    # a changed exit code, verdict and report field are listed by path
+    rows[0].update(exit=0, sha256="0" * 64)
+    rows[0]["report"]["verdict"] = "satisfied"
+    del rows[0]["report"]["config"]["tol"]
     (tmp_path / "b" / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
-    assert corpus.diff(tmp_path / "a", tmp_path / "b") == [(requests[0], 2, 0)]
-    assert "exit 2 -> 0: check bell" in capsys.readouterr().out
+    assert corpus.diff(tmp_path / "a", tmp_path / "b") == [
+        (requests[0], 2, 0, [("config.tol", "removed"), ("verdict", "'violated' -> 'satisfied'")])]
+    out = capsys.readouterr().out
+    assert "  exit 2 -> 0: check bell --bipartition 0|1\n    config.tol: removed\n" in out
+    assert "2 changed verdicts and exit codes" in out
+    assert "  verdict 'violated' -> 'satisfied': check bell" in out
+
+
+def test_changed_paths():
+    old = {"a": [1, 2.0], "b": {"c": "x", "gone": 1}, "sweep": corpus._tree("p,m\n0.1,5\n")}
+    new = {"a": [1, 2], "b": {"c": "y", "new": 1}, "sweep": corpus._tree("p,m\n0.1,6\n")}
+    assert corpus.changed_paths(old, new) == [
+        ("a[1]", "2.0 -> 2"), ("b.c", "'x' -> 'y'"), ("b.gone", "removed"), ("b.new", "added"),
+        ("sweep.row 0.m", "'5' -> '6'")]
+    assert corpus.changed_paths([1], [1, 2], "v") == [("v", "length 1 -> 2")]
+    assert corpus.changed_paths(float("nan"), float("nan")) == []

@@ -38,8 +38,8 @@ def kron_state(a, b):
 def peak_share_of_matrix(run):
     """Peak traced allocation of run(rho), rho the dense matrix of a cutoff-30
     two-mode squeezed state, over rho.matrix.nbytes: a copy of rho^PT alone
-    would read 1.  Dense, so the run reads rho^PT through its strided view (a
-    pure state's entries come from its amplitudes)."""
+    would read 1.  Dense, so the run gathers rho^PT's entries from rho.matrix
+    by the mode-2 index swap (a pure state's come from its amplitudes)."""
     pure = cv.two_mode_squeezed(0.3, SP2)
     rho = HermitianOperator(pure.matrix, pure.dims)
     tracemalloc.start()
@@ -836,9 +836,9 @@ class TestUnitTrace:
             run(UNNORMALIZED[kind])
 
 
-# rho^PT is read as a strided view of rho.matrix; the copy-based references
-# in oracles.py read a contiguous copy through the same gather, so the two
-# must agree with ==.  The diagonal thermal and Fock products have PT = rho
+# rho^PT's entries are read from rho.matrix with their mode-2 indices
+# swapped; the copy-based references in oracles.py read a contiguous copy of
+# rho^PT through the same gather without the swap, so the two must agree with ==.  The diagonal thermal and Fock products have PT = rho
 # and cannot tell a wrong transpose; the other states do.
 PT_VIEW_STATES = ["squeezed x vacuum", "thermal x thermal", "coherent x coherent",
                   "fock x fock", "random c6", "random c12", "two_mode_squeezed c30",
@@ -899,7 +899,7 @@ PURE_PT_STATES = {
 
 class TestPurePtGather:
     """A pure state's rho^PT entries, gathered from its amplitudes, are the
-    bits its dense matrix holds, read through the strided view.  Only the
+    bits its dense matrix holds, read by the same mode-2 index swap.  Only the
     rho^PT side is compared: the relation's right side and the printed
     margin read a pure state by the closed form <V, M1 V M2^T>, whose
     rounding differs from a dense gather's."""

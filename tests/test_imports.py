@@ -1,8 +1,9 @@
 """Every module-level import in src/nptcert is used (no linter is a dependency),
 every third-party module it imports is a declared dependency and the other
 way round, and every library option that no caller sets, every unbounded
-cache, every dataclass field that nothing reads and every public function
-that only tests call is on a reviewed list."""
+cache, every dataclass field that nothing reads, every public function
+that only tests call and every read of the process environment is on a
+reviewed list."""
 
 import ast
 import re
@@ -289,3 +290,59 @@ def test_detects_a_test_only_function():
     ])
     callers = ["import m\nm.traced()", "from m import test_only, build\nx = build\ntest_only = 1"]
     assert uncalled_definitions({"m": source}, callers) == ["m.recursive", "m.test_only"]
+
+
+# Reads of the process environment, each with the reason it is read.  An
+# environment variable is a second, invisible way to set what an option or a
+# spec sets, and no report records it.
+ENVIRONMENT_READS = {}
+
+ENVIRONMENT = ("environ", "getenv", "putenv")
+
+
+def environment_reads(modules: dict) -> list:
+    """"where: os.name" for each load of os.environ, os.getenv or os.putenv
+    in modules ({module: source}), through `os`, an alias of it or a name
+    imported from it; `where` is the module and its enclosing classes and
+    functions, e.g. "cli._tol"."""
+    found = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        aliases, names = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "os"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names |= {a.asname or a.name: a.name for a in node.names if a.name in ENVIRONMENT}
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{where}.{child.name}")
+                    continue
+                if (isinstance(child, ast.Attribute) and child.attr in ENVIRONMENT
+                        and isinstance(child.value, ast.Name) and child.value.id in aliases):
+                    found.append(f"{where}: os.{child.attr}")
+                elif isinstance(child, ast.Name) and child.id in names:
+                    found.append(f"{where}: os.{names[child.id]}")
+                visit(child, where)
+        visit(tree, module)
+    return sorted(found)
+
+
+def test_no_environment_reads():
+    modules = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert environment_reads(modules) == sorted(ENVIRONMENT_READS)
+
+
+def test_detects_an_environment_read():
+    source = "\n".join([
+        "import os", "import os as system", "from os import getenv, environ as env",
+        "from os import path",
+        "HOME = os.environ['HOME']",
+        "def f():", "    return getenv('X')",
+        "class K:", "    def g(self):", "        system.putenv('A', 'b')", "        return env",
+        "def h():", "    return os.path.exists('x'), os.getcwd(), path.sep",
+    ])
+    assert environment_reads({"m": source}) == [
+        "m.K.g: os.environ", "m.K.g: os.putenv", "m.f: os.getenv", "m: os.environ"]
