@@ -12,9 +12,13 @@ the fixed beam-splitter generator theta * (a1^dag a2 - a1 a2^dag) maps onto
 the (X1 + X2, Y1 - Y2) observable pair.  The two-mode squeezed factory uses
 Fock amplitudes proportional to (-tanh r)^k, which squeezes that same pair.
 
-States.  A PureFockState's amplitudes give the moments, rho^PT's entries
-and the truncation guard; its d^2 x d^2 ``matrix`` is built only when read.
-The vacuum ancilla and the beam splitter map them; thermal stays dense.
+States.  Each factory takes a cutoff and knows its mode count: vacuum,
+fock, coherent, squeezed_vacuum and thermal build one mode,
+two_mode_squeezed and single_photon_entangled two; with_vacuum_ancilla
+adds a vacuum second mode.  Operations read (modes, cutoff) off rho.dims.
+A PureFockState's amplitudes give the moments, rho^PT's entries and the
+truncation guard; its d^2 x d^2 ``matrix`` is built only when read.  The
+vacuum ancilla and the beam splitter map them; thermal stays dense.
 
 Truncation.  An operator of raising order j evaluated on a state is exact
 when the state carries no weight on the top j levels of either mode.  The
@@ -48,30 +52,11 @@ TAIL_THRESHOLD = 1e-8
 BEAM_SPLITTER_GUARD_ORDER = 2
 
 
-@dataclass(frozen=True)
-class FockSpace:
-    """One or two bosonic modes truncated at number-state ``cutoff``."""
-
-    modes: int
-    cutoff: int
-
-    def __post_init__(self):
-        if self.modes not in (1, 2):
-            raise ParameterOutOfRange(f"modes = {self.modes} must be 1 or 2")
-        if self.cutoff < 2:
-            raise ParameterOutOfRange(f"cutoff = {self.cutoff} must be >= 2")
-
-    @property
-    def dim_per_mode(self) -> int:
-        return self.cutoff + 1
-
-    @property
-    def dims(self) -> tuple:
-        return (self.dim_per_mode,) * self.modes
-
-    @property
-    def total_dim(self) -> int:
-        return self.dim_per_mode ** self.modes
+def _check_cutoff(cutoff: int) -> int:
+    """cutoff + 1, the dimension of one mode; a cutoff below 2 is a ParameterOutOfRange."""
+    if cutoff < 2:
+        raise ParameterOutOfRange(f"cutoff = {cutoff} must be >= 2")
+    return cutoff + 1
 
 
 @dataclass(frozen=True)
@@ -80,11 +65,15 @@ class TruncationDiagnostics:
     reliable: bool
 
 
-def space_of(rho: HermitianOperator) -> FockSpace:
+def space_of(rho: HermitianOperator) -> tuple:
+    """(modes, cutoff) of a one- or two-mode operator with equal mode dimensions."""
     dims = rho.dims
     if len(set(dims)) != 1:
         raise DimensionMismatch(f"unequal mode dimensions {dims}")
-    return FockSpace(modes=len(dims), cutoff=dims[0] - 1)
+    if len(dims) > 2:
+        raise ParameterOutOfRange(f"modes = {len(dims)} must be 1 or 2")
+    _check_cutoff(dims[0] - 1)
+    return len(dims), dims[0] - 1
 
 
 def destroy(cutoff: int) -> np.ndarray:
@@ -94,23 +83,21 @@ def destroy(cutoff: int) -> np.ndarray:
 
 def mode_populations(rho: HermitianOperator) -> np.ndarray:
     """Per-mode number-state populations, shape (modes, cutoff+1)."""
-    space = space_of(rho)
+    modes, _ = space_of(rho)
     if isinstance(rho, PureFockState):  # rho.matrix's diagonal, by the same operations
         diag = (rho.amplitudes * rho.amplitudes.conj() / rho.trace()).real
     else:
         diag = np.real(np.diagonal(rho.matrix))
-    if space.modes == 1:
+    if modes == 1:
         return diag.reshape(1, -1)
-    d = space.dim_per_mode
-    grid = diag.reshape(d, d)
+    grid = diag.reshape(rho.dims)
     return np.stack([grid.sum(axis=1), grid.sum(axis=0)])
 
 
 def truncation_diagnostics(rho: HermitianOperator, order: int) -> TruncationDiagnostics:
     """Population at levels >= cutoff - order, summed over modes."""
-    space = space_of(rho)
     pops = mode_populations(rho)
-    start = max(space.cutoff - order, 0)
+    start = max(pops.shape[1] - 1 - order, 0)
     tail = float(pops[:, start:].sum())
     return TruncationDiagnostics(tail_weight=tail, reliable=tail < TAIL_THRESHOLD)
 
@@ -169,106 +156,99 @@ class PureFockState:
         return matrix
 
 
-def vacuum(space: FockSpace) -> PureFockState:
-    v = np.zeros(space.total_dim, dtype=np.complex128)
+def vacuum(cutoff: int) -> PureFockState:
+    """Single-mode |0>; the two-mode vacuum is with_vacuum_ancilla(vacuum(cutoff))."""
+    v = np.zeros(_check_cutoff(cutoff), dtype=np.complex128)
     v[0] = 1.0
-    return PureFockState(v, space.dims)
+    return PureFockState(v, v.shape)
 
 
-def fock(n: int, space: FockSpace) -> PureFockState:
-    if space.modes != 1:
-        raise ParameterOutOfRange("fock factory builds single-mode states")
-    if not 0 <= n <= space.cutoff:
-        raise ParameterOutOfRange(f"n = {n} outside 0..{space.cutoff}")
-    v = np.zeros(space.dim_per_mode, dtype=np.complex128)
+def fock(n: int, cutoff: int) -> PureFockState:
+    d = _check_cutoff(cutoff)
+    if not 0 <= n <= cutoff:
+        raise ParameterOutOfRange(f"n = {n} outside 0..{cutoff}")
+    v = np.zeros(d, dtype=np.complex128)
     v[n] = 1.0
-    return PureFockState(v, space.dims)
+    return PureFockState(v, v.shape)
 
 
-def coherent(alpha: complex, space: FockSpace) -> PureFockState:
+def coherent(alpha: complex, cutoff: int) -> PureFockState:
     """|alpha> with amplitudes alpha^k / sqrt(k!), renormalized after truncation."""
-    if space.modes != 1:
-        raise ParameterOutOfRange("coherent factory builds single-mode states")
+    d = _check_cutoff(cutoff)
     if not np.isfinite(alpha):
         raise ParameterOutOfRange(f"alpha = {alpha!r} is not finite")
-    amps = np.zeros(space.dim_per_mode, dtype=np.complex128)
+    amps = np.zeros(d, dtype=np.complex128)
     amps[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, space.dim_per_mode):
+        for i in range(1, d):
             amps[i] = amps[i - 1] * alpha / math.sqrt(i)
         norm = np.linalg.norm(amps)
     if not np.isfinite(norm):
         raise ParameterOutOfRange(
-            f"|alpha| = {abs(alpha):.3g} overflows the amplitudes at cutoff {space.cutoff}")
+            f"|alpha| = {abs(alpha):.3g} overflows the amplitudes at cutoff {cutoff}")
     amps /= norm
-    return PureFockState(amps, space.dims)
+    return PureFockState(amps, amps.shape)
 
 
-def squeezed_vacuum(r: float, phi: float, space: FockSpace) -> PureFockState:
+def squeezed_vacuum(r: float, phi: float, cutoff: int) -> PureFockState:
     """Squeezed vacuum with <a^2> = e^{i phi} sinh(r) cosh(r).
 
     Even-level amplitudes follow the recurrence
     c_{2k+2} = c_{2k} e^{i phi} tanh(r) sqrt((2k+1)(2k+2)) / (2(k+1)).
     """
-    if space.modes != 1:
-        raise ParameterOutOfRange("squeezed_vacuum factory builds single-mode states")
+    d = _check_cutoff(cutoff)
     if not (np.isfinite(r) and np.isfinite(phi)):
         raise ParameterOutOfRange("squeezing parameters must be finite")
     z = np.exp(1j * phi) * np.tanh(r)
-    amps = np.zeros(space.dim_per_mode, dtype=np.complex128)
+    amps = np.zeros(d, dtype=np.complex128)
     amps[0] = 1.0
     k = 0
-    while 2 * k + 2 <= space.cutoff:
+    while 2 * k + 2 <= cutoff:
         amps[2 * k + 2] = amps[2 * k] * z * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2 * (k + 1))
         k += 1
     amps /= np.linalg.norm(amps)
-    return PureFockState(amps, space.dims)
+    return PureFockState(amps, amps.shape)
 
 
-def thermal(nbar: float, space: FockSpace) -> HermitianOperator:
+def thermal(nbar: float, cutoff: int) -> HermitianOperator:
     """Thermal state with mean occupation nbar (diagonal geometric weights)."""
-    if space.modes != 1:
-        raise ParameterOutOfRange("thermal factory builds single-mode states")
+    d = _check_cutoff(cutoff)
     if not (np.isfinite(nbar) and nbar >= 0):
         raise ParameterOutOfRange(f"nbar = {nbar!r} must be finite and >= 0")
-    k = np.arange(space.dim_per_mode, dtype=np.float64)
+    k = np.arange(d, dtype=np.float64)
     weights = (nbar / (1.0 + nbar)) ** k / (1.0 + nbar) if nbar > 0 else (k == 0).astype(float)
     m = np.diag(weights.astype(np.complex128))
     m /= float(np.trace(m).real)
-    return HermitianOperator(m, space.dims)
+    return HermitianOperator(m, (d,))
 
 
-def two_mode_squeezed(r: float, space: FockSpace) -> PureFockState:
+def two_mode_squeezed(r: float, cutoff: int) -> PureFockState:
     """Two-mode squeezed vacuum, amplitudes c_k = (-tanh r)^k / cosh r on |k,k>."""
-    if space.modes != 2:
-        raise ParameterOutOfRange("two_mode_squeezed needs a two-mode space")
+    d = _check_cutoff(cutoff)
     if not np.isfinite(r):
         raise ParameterOutOfRange(f"r = {r!r} is not finite")
-    d = space.dim_per_mode
     coeff = (-np.tanh(r)) ** np.arange(d)
     coeff = coeff / np.linalg.norm(coeff)
-    v = np.zeros(space.total_dim, dtype=np.complex128)
+    v = np.zeros(d * d, dtype=np.complex128)
     v[np.arange(d) * d + np.arange(d)] = coeff
-    return PureFockState(v, space.dims)
+    return PureFockState(v, (d, d))
 
 
-def single_photon_entangled(space: FockSpace) -> PureFockState:
+def single_photon_entangled(cutoff: int) -> PureFockState:
     """(|01> + |10>)/sqrt(2) embedded in the truncated two-mode space."""
-    if space.modes != 2:
-        raise ParameterOutOfRange("single_photon_entangled needs a two-mode space")
-    d = space.dim_per_mode
-    v = np.zeros(space.total_dim, dtype=np.complex128)
+    d = _check_cutoff(cutoff)
+    v = np.zeros(d * d, dtype=np.complex128)
     v[1] = 1.0 / np.sqrt(2.0)      # |0,1>
     v[d] = 1.0 / np.sqrt(2.0)      # |1,0>
-    return PureFockState(v, space.dims)
+    return PureFockState(v, (d, d))
 
 
 def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator | PureFockState:
     """Extend a single-mode state to two modes, vacuum in the second; a pure state stays pure."""
-    space = space_of(rho)
-    if space.modes != 1:
+    modes, cutoff = space_of(rho)
+    if modes != 1:
         raise ParameterOutOfRange("state already has two modes")
-    d = space.dim_per_mode
+    d = cutoff + 1
     if isinstance(rho, PureFockState):  # v x |0>: v on the n2 = 0 amplitudes
         w = np.zeros(d * d, dtype=np.complex128)
         w[::d] = rho.amplitudes
@@ -324,13 +304,13 @@ def beam_splitter(rho: HermitianOperator, theta: float) -> BeamSplitterResult:
     block by block over the photon-number sectors, never as a dense matrix; a
     PureFockState goes to U|v>.  Raises ParameterOutOfRange unless |theta| <= MAX_THETA.
     """
-    space = space_of(rho)
-    if space.modes != 2:
+    modes, cutoff = space_of(rho)
+    if modes != 2:
         raise ParameterOutOfRange("beam splitter acts on two-mode states")
     if not abs(theta) <= MAX_THETA:  # nan fails the comparison too
         raise ParameterOutOfRange(f"theta = {theta} must be finite, |theta| <= {MAX_THETA:g}")
     _guard(rho, BEAM_SPLITTER_GUARD_ORDER)
-    blocks, defect = _beam_splitter_unitary(space.cutoff, float(theta))
+    blocks, defect = _beam_splitter_unitary(cutoff, float(theta))
 
     def left(m):
         # U is real, so each block acts on the interleaved (re, im) float view
@@ -342,14 +322,14 @@ def beam_splitter(rho: HermitianOperator, theta: float) -> BeamSplitterResult:
 
     if isinstance(rho, PureFockState):  # U|v>: one column through the same blocks
         v = left(np.ascontiguousarray(rho.amplitudes, dtype=np.complex128)[:, None])
-        return BeamSplitterResult(PureFockState(v.ravel(), space.dims), defect)
+        return BeamSplitterResult(PureFockState(v.ravel(), rho.dims), defect)
     # U (U rho)^T = conj(U rho U^dag): rho^T = conj(rho) and U is real
     y = left(left(np.ascontiguousarray(rho.matrix, dtype=np.complex128)).T.copy())
     # U rho U^dag is Hermitian only to rounding: symmetrize once
     out = np.conj(y)
     out += y.T
     out *= 0.5
-    return BeamSplitterResult(HermitianOperator(out, space.dims, rho.deviation), defect)
+    return BeamSplitterResult(HermitianOperator(out, rho.dims, rho.deviation), defect)
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +459,12 @@ def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int):
     2 max(m, n), the mode factors of orders m and n and the moment engine.
     Raises ParameterOutOfRange for a one-mode state and UnnormalizedState
     unless rho has unit trace."""
-    space = space_of(rho)
-    if space.modes != 2:
+    modes, cutoff = space_of(rho)
+    if modes != 2:
         raise ParameterOutOfRange(f"inequality {which} needs a two-mode state")
     require_state_like(rho)
     diag = _guard(rho, 2 * max(m, n))
-    return (diag, _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n),
+    return (diag, _mode_factors(cutoff, m), _mode_factors(cutoff, n),
             _MomentEngine(rho).kron_moment)
 
 
@@ -554,13 +534,13 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
     swapped: the two sides run on independent code.  tests/oracles.py holds
     the dense contraction.
     """
-    space = space_of(rho)
-    if space.modes != 2:
+    modes, cutoff = space_of(rho)
+    if modes != 2:
         raise ParameterOutOfRange("moment relation needs a two-mode state")
     _guard(rho, 2 * max(m, n, p, q))
-    m1 = _ladder(space.cutoff, m, n)
-    lhs = _MomentEngine(rho, pt=True).kron_moment(m1, _ladder(space.cutoff, p, q))
-    rhs = _MomentEngine(rho).kron_moment(m1, _ladder(space.cutoff, q, p))
+    m1 = _ladder(cutoff, m, n)
+    lhs = _MomentEngine(rho, pt=True).kron_moment(m1, _ladder(cutoff, p, q))
+    rhs = _MomentEngine(rho).kron_moment(m1, _ladder(cutoff, q, p))
     return MomentRelationCheck(lhs, rhs, abs(lhs - rhs))
 
 
@@ -571,12 +551,12 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
 def _witness_moments(witness: str, rho: HermitianOperator, m: int, pairs) -> list:
     """<a^dag^j a^k> for each (j, k) of pairs over a one-mode, unit-trace rho,
     guarded at order 2m."""
-    space = space_of(rho)
-    if space.modes != 1:
+    modes, cutoff = space_of(rho)
+    if modes != 1:
         raise ParameterOutOfRange(f"{witness} is a single-mode witness")
     require_state_like(rho)
     _guard(rho, 2 * m)
-    ladder = lambda order, key: _mode_factors(space.cutoff, order)[key][0]
+    ladder = lambda order, key: _mode_factors(cutoff, order)[key][0]
     return [trace_product(rho.matrix, ladder(j, "ad") @ ladder(k, "a")) for j, k in pairs]
 
 
@@ -649,10 +629,10 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
     if which not in (10, 11):
         raise ParameterOutOfRange(f"which = {which} must be 10 or 11")
     rep = (ineq10 if which == 10 else ineq11)(rho, m, n)
-    space = space_of(rho)
-    f1, f2 = _mode_factors(space.cutoff, m), _mode_factors(space.cutoff, n)
+    cutoff = rho.dims[0] - 1  # ineq10/ineq11 checked rho's shape
+    f1, f2 = _mode_factors(cutoff, m), _mode_factors(cutoff, n)
     if which == 10:
-        eye = _factor(np.eye(space.dim_per_mode, dtype=np.complex128))
+        eye = _factor(np.eye(cutoff + 1, dtype=np.complex128))
         h1 = [(1, f1["x"], eye), (1, eye, f2["x"])]                 # X1 + X2
         h2 = [(1, f1["y"], eye), (1, eye, f2["y"])]                 # Y1 + Y2
     else:  # B = a1^m a2^n
@@ -676,41 +656,30 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
 # CV state specs (CLI surface)
 # ---------------------------------------------------------------------------
 
-# The keys each family reads; every family also takes "cutoff".
+# Each family's keys besides "cutoff", and its factory on (spec, cutoff).
 _CV_FAMILIES = {
-    "coherent": {"alpha"},
-    "fock": {"n"},
-    "squeezed_vacuum": {"r", "phi"},
-    "thermal": {"nbar"},
-    "vacuum": set(),
-    "two_mode_squeezed": {"r"},
-    "single_photon_entangled": set(),
+    "coherent": ({"alpha"}, lambda s, c: coherent(complex(spec_value(s, "alpha")), c)),
+    "fock": ({"n"}, lambda s, c: fock(spec_int(spec_value(s, "n"), "n"), c)),
+    "squeezed_vacuum": ({"r", "phi"}, lambda s, c: squeezed_vacuum(
+        float(spec_value(s, "r")), float(spec_value(s, "phi", 0.0)), c)),
+    "thermal": ({"nbar"}, lambda s, c: thermal(float(spec_value(s, "nbar")), c)),
+    "vacuum": (set(), lambda s, c: vacuum(c)),
+    "two_mode_squeezed": ({"r"}, lambda s, c: two_mode_squeezed(float(spec_value(s, "r")), c)),
+    "single_photon_entangled": (set(), lambda s, c: single_photon_entangled(c)),
 }
 
 
 def cv_state_from_spec(spec: dict) -> HermitianOperator:
     """Build a CV state from a spec such as
-    {"family": "squeezed_vacuum", "r": 0.5, "phi": 0, "cutoff": 30}."""
+    {"family": "squeezed_vacuum", "r": 0.5, "phi": 0, "cutoff": 30}.  The
+    cutoff is checked, 2..MAX_CUTOFF, before any other value is read."""
     family = spec.get("family")
     if family not in _CV_FAMILIES:
         raise ParameterOutOfRange(f"unknown CV state family {family!r}")
-    check_spec_keys(spec, _CV_FAMILIES[family] | {"cutoff"})
+    keys, build = _CV_FAMILIES[family]
+    check_spec_keys(spec, keys | {"cutoff"})
     cutoff = spec_int(spec_value(spec, "cutoff", DEFAULT_CUTOFF), "cutoff")
     if cutoff > MAX_CUTOFF:
         raise ParameterOutOfRange(f"cutoff = {cutoff} exceeds {MAX_CUTOFF}")
-    one = FockSpace(1, cutoff)
-    two = FockSpace(2, cutoff)
-    if family == "coherent":
-        return coherent(complex(spec_value(spec, "alpha")), one)
-    if family == "fock":
-        return fock(spec_int(spec_value(spec, "n"), "n"), one)
-    if family == "squeezed_vacuum":
-        return squeezed_vacuum(float(spec_value(spec, "r")), float(spec_value(spec, "phi", 0.0)),
-                               one)
-    if family == "thermal":
-        return thermal(float(spec_value(spec, "nbar")), one)
-    if family == "vacuum":
-        return vacuum(one)
-    if family == "two_mode_squeezed":
-        return two_mode_squeezed(float(spec_value(spec, "r")), two)
-    return single_photon_entangled(two)
+    _check_cutoff(cutoff)
+    return build(spec, cutoff)

@@ -21,11 +21,15 @@ HERMITICITY_TOL = 1e-9
 
 
 def spec_int(value, name: str) -> int:
-    """A spec's or matrix file's size or count as an int.  A bool or a
-    non-integral number, such as true or 4.7, is a ParameterOutOfRange."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ParameterOutOfRange(f"{name} = {value!r} is not an integer")
-    return int(value)
+    """A spec's or matrix file's size or count as an int; an integral string
+    such as "5" reads as 5.  A bool, a non-integral number such as 4.7 or a
+    value int() refuses, such as [1, 2] or "x", is a ParameterOutOfRange."""
+    if not (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):  # a list, a dict, text that is no integer
+            pass
+    raise ParameterOutOfRange(f"{name} = {value!r} is not an integer")
 
 
 def check_profile(dims, n: int) -> tuple:

@@ -1,7 +1,7 @@
 """A fixed list of CLI requests for "same answers" claims between two trees.
 
     PYTHONPATH=<tree>/src python tests/corpus.py snapshot DIR
-    python tests/corpus.py diff A B
+    python tests/corpus.py diff A B [--rtol R]
 
 `snapshot` runs every request in-process through nptcert.cli.main, from a
 scratch working directory that holds the request list's matrix files, and
@@ -13,7 +13,12 @@ bytes.  `diff` prints how many requests are byte-identical (same exit code,
 stderr and report) and lists every other one with its old and new exit
 codes and the paths whose values differ (`config.seed: removed`,
 `sr.margin: -0.0625 -> -0.0624`, a sweep's `row 3.sr_margin`); then every
-changed verdict.  It exits 1 when any request differs.
+changed verdict.  It exits 1 when any request differs.  With --rtol R, two
+numeric report leaves (a CSV cell that reads as a number included) within
+relative distance R agree: a request whose exit code and stderr match and
+whose report differs only in such leaves is listed as "within rtol", with
+its paths, and does not count as changed.  Verdicts, exit codes and stderr
+are always compared exactly.
 """
 
 from __future__ import annotations
@@ -73,6 +78,8 @@ REJECTED = [
     ["check", "werner:p=0.5,q=0.1", "--bipartition", "0|1"],
     ["check", '{"family": "random_density", "dim": 1025}', "--bipartition", "0|1"],
     ["check", "bell", "--bipartition", "0|1", "--tol", "nan"],
+    # the cutoff is checked before alpha is read
+    ["cv-check", '{"family": "coherent", "alpha": "abc", "cutoff": 1}'],
 ]
 
 REQUESTS = (
@@ -164,9 +171,21 @@ def _tree(report):
     return report
 
 
-def changed_paths(old, new, path="") -> list:
+def _number(x):
+    """x as a float when it is a number or text that reads as one, else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def changed_paths(old, new, path="", rtol=0.0) -> list:
     """(path, change) for each value that differs between two report trees:
-    "removed", "added", "length 3 -> 4" or "old -> new" by repr."""
+    "removed", "added", "length 3 -> 4" or "old -> new" by repr.  With rtol,
+    two numbers a, b with |a - b| <= rtol max(|a|, |b|) agree, save under a
+    verdict key."""
     if isinstance(old, dict) and isinstance(new, dict):
         out = []
         for key in sorted(old.keys() | new.keys()):
@@ -174,55 +193,73 @@ def changed_paths(old, new, path="") -> list:
             if key not in new or key not in old:
                 out.append((sub, "removed" if key not in new else "added"))
             else:
-                out += changed_paths(old[key], new[key], sub)
+                out += changed_paths(old[key], new[key], sub, rtol)
         return out
     if isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
             return [(path, f"length {len(old)} -> {len(new)}")]
         return [p for i, (a, b) in enumerate(zip(old, new))
-                for p in changed_paths(a, b, f"{path}[{i}]")]
-    return [] if repr(old) == repr(new) else [(path or "report", f"{old!r} -> {new!r}")]
+                for p in changed_paths(a, b, f"{path}[{i}]", rtol)]
+    if repr(old) == repr(new):
+        return []
+    a, b = _number(old), _number(new)
+    if (rtol and a is not None and b is not None and path.rpartition(".")[2] not in VERDICT_KEYS
+            and abs(a - b) <= rtol * max(abs(a), abs(b))):
+        return []
+    return [(path or "report", f"{old!r} -> {new!r}")]
 
 
-def request_changes(a, b) -> list:
+def request_changes(a, b, rtol=0.0) -> list:
     """(path, change) between two snapshot lines of one request, None for a
-    missing line: stderr, then the report's paths, or the report as a whole
-    when only one side wrote one."""
+    missing line: stderr, then the report's paths (numbers compared to rtol),
+    or the report as a whole when only one side wrote one."""
     if a is None or b is None:
         return [("request", "added" if a is None else "removed")]
     out = changed_paths(a["stderr"], b["stderr"], "stderr")
     old, new = _tree(a.get("report")), _tree(b.get("report"))
     if old is None or new is None:
         return out + ([] if old is new else [("report", "added" if old is None else "removed")])
-    return out + changed_paths(old, new)
+    return out + changed_paths(old, new, rtol=rtol)
 
 
-def diff(a_dir, b_dir) -> list:
-    """Print the byte-identical count, each differing request with its old
-    and new exit (None for a missing side) and the paths whose values
-    differ, then every changed verdict and exit code; returns the differing
-    (argv, old exit, new exit, [(path, change)])."""
+def _show(head, paths):
+    """Print a request's line and the first MAX_PATHS of its changed paths."""
+    print(f"  {head}")
+    for path, change in paths[:MAX_PATHS]:
+        print(f"    {path}: {change}")
+    if len(paths) > MAX_PATHS:
+        print(f"    ... and {len(paths) - MAX_PATHS} more paths")
+
+
+def diff(a_dir, b_dir, rtol=0.0) -> list:
+    """Print the byte-identical count; with rtol, the requests whose reports
+    agree to rtol, with the paths whose values moved; each other differing
+    request with its old and new exit (None for a missing side) and the
+    paths whose values differ; then every changed verdict and exit code.
+    Returns the differing (argv, old exit, new exit, [(path, change)]),
+    those within rtol left out."""
     def load(d):
         rows = [json.loads(line) for line in (Path(d) / "corpus.jsonl").read_text().splitlines()]
         return {json.dumps(r["argv"]): r for r in rows}
 
     old, new = load(a_dir), load(b_dir)
     keys = sorted(old.keys() | new.keys())
-    changed = []
+    changed, within = [], []
     for k in keys:
         a, b = old.get(k), new.get(k)
         if a is None or b is None or any(a[f] != b[f] for f in ("exit", "stderr", "sha256")):
-            changed.append((json.loads(k), a and a["exit"], b and b["exit"],
-                            request_changes(a, b)))
-    print(f"{len(keys) - len(changed)} of {len(keys)} requests byte-identical")
+            row = (json.loads(k), a and a["exit"], b and b["exit"], request_changes(a, b))
+            agree = rtol and row[1] == row[2] and not request_changes(a, b, rtol)
+            (within if agree else changed).append(row)
+    print(f"{len(keys) - len(changed) - len(within)} of {len(keys)} requests byte-identical")
+    if rtol:
+        print(f"{len(within)} within rtol {rtol:g}")
+        for argv, _, _, paths in within:
+            _show(" ".join(argv), paths)
     verdicts = []
     for argv, a_exit, b_exit, paths in changed:
         request = " ".join(argv)
-        print(f"  exit {a_exit} -> {b_exit}: {request}")
-        for path, change in paths[:MAX_PATHS]:
-            print(f"    {path}: {change}")
-        if len(paths) > MAX_PATHS:
-            print(f"    ... and {len(paths) - MAX_PATHS} more paths")
+        _show(f"exit {a_exit} -> {b_exit}: {request}", paths)
         if a_exit != b_exit:
             verdicts.append(f"exit {a_exit} -> {b_exit}: {request}")
         verdicts += [f"{path} {change}: {request}" for path, change in paths
@@ -238,9 +275,9 @@ def main(argv=None) -> int:
     if len(args) == 2 and args[0] == "snapshot":
         print(snapshot(args[1]))
         return 0
-    if len(args) == 3 and args[0] == "diff":
-        return 1 if diff(args[1], args[2]) else 0
-    print("usage: corpus.py snapshot DIR | corpus.py diff A B", file=sys.stderr)
+    if args[:1] == ["diff"] and (len(args) == 3 or len(args) == 5 and args[3] == "--rtol"):
+        return 1 if diff(args[1], args[2], float(args[4]) if len(args) == 5 else 0.0) else 0
+    print("usage: corpus.py snapshot DIR | corpus.py diff A B [--rtol R]", file=sys.stderr)
     return 2
 
 

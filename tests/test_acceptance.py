@@ -223,7 +223,7 @@ def test_criterion_07_mancini_reduction():
 
 
 def _criterion8_states():
-    one = cv.FockSpace(1, 30)
+    one = 30
 
     def prod(a, b):
         return validate_hermitian(np.kron(a.matrix, b.matrix), (31, 31), tol=1e-12)
@@ -252,7 +252,7 @@ def test_criterion_08_cv_pipeline_equivalence():
 
 
 def test_criterion_09_beam_splitter_detection():
-    one = cv.FockSpace(1, 30)
+    one = 30
     theta = np.pi / 4
     squeezed = cv.squeezed_vacuum(0.5, 0.0, one)
     single = cv.fock(1, one)

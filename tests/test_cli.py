@@ -92,6 +92,13 @@ class TestCheck:
 
 
 class TestErrors:
+    # rows whose line must name the key; a CV spec's cutoff is read before its values
+    SAYS = {"list-seed": "seed = [1, 2] is not an integer",
+            "string-seed-bell": "seed = 'x' is not an integer",
+            "list-dim": "dim = [4] is not an integer",
+            "dict-n": "n = {'a': 1} is not an integer",
+            "cutoff-before-alpha": "cutoff = 1 must be >= 2"}
+
     @pytest.mark.parametrize("argv", [
         ["sweep-ghz", "--out", "{missing}/x.csv"],
         ["check", "bell:", "--bipartition", "0|1", "--out", "{missing}/x.json"],
@@ -130,6 +137,9 @@ class TestErrors:
         ["check", '{{"family": "bell", "seed": "x"}}', "--bipartition", "0|1"],
         ["check", '{{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": 2.5}}',
          "--bipartition", "0|1"],
+        ["check", '{{"family": "random_density", "dim": [4]}}', "--bipartition", "0|1"],
+        ["cv-check", '{{"family": "fock", "n": {{"a": 1}}}}'],
+        ["cv-check", '{{"family": "coherent", "alpha": "abc", "cutoff": 1}}'],
     ], ids=["sweep-out-missing-dir", "check-out-missing-dir",
             "bad-complex-value", "check-json-array-file", "cv-check-json-array-file",
             "non-integral-terms", "non-integral-dim", "non-integral-dims-entry",
@@ -138,8 +148,8 @@ class TestErrors:
             "deep-json-inline", "deep-json-matrix-file", "bool-p", "bool-p-false",
             "bool-seed", "bool-seed-bell", "bool-r", "bool-alpha", "bool-phi", "bool-nbar",
             "null-seed", "null-seed-witness", "list-seed", "string-seed-bell",
-            "non-integral-seed"])
-    def test_one_line_error_exit_1(self, runner, tmp_path, argv):
+            "non-integral-seed", "list-dim", "dict-n", "cutoff-before-alpha"])
+    def test_one_line_error_exit_1(self, runner, tmp_path, argv, request):
         array = tmp_path / "array.json"
         array.write_text("[1, 2]")
         bell = tmp_path / "bell.json"
@@ -157,6 +167,8 @@ class TestErrors:
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        said = self.SAYS.get(request.node.callspec.id)
+        assert said is None or lines[0] == f"error: {said}"
 
     @pytest.mark.parametrize("argv", [
         ["check", "bell", "--bipartition", "0|1"],

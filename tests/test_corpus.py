@@ -2,6 +2,7 @@
 outside tier-1, before and after a change."""
 
 import json
+import math
 
 import corpus
 
@@ -36,3 +37,34 @@ def test_changed_paths():
         ("sweep.row 0.m", "'5' -> '6'")]
     assert corpus.changed_paths([1], [1, 2], "v") == [("v", "length 1 -> 2")]
     assert corpus.changed_paths(float("nan"), float("nan")) == []
+    # to rtol: numbers and numeric CSV cells agree, text and verdicts never
+    assert corpus.changed_paths(old, new, rtol=0.2) == [
+        ("b.c", "'x' -> 'y'"), ("b.gone", "removed"), ("b.new", "added")]
+    assert corpus.changed_paths({"violated": 1}, {"violated": 1.1}, rtol=0.2) == [
+        ("violated", "1 -> 1.1")]
+
+
+def test_diff_rtol(tmp_path, capsys):
+    requests = corpus.REQUESTS[:2]
+    a = corpus.snapshot(tmp_path / "a", requests)
+    corpus.snapshot(tmp_path / "b", requests)
+    rows = [json.loads(line) for line in a.read_text().splitlines()]
+    # a last-digit change of one margin: the bytes differ, the numbers agree to 1e-12
+    margin = rows[0]["report"]["hur_weak"]["margin"]
+    rows[0]["report"]["hur_weak"]["margin"] = math.nextafter(margin, 0.0)
+    rows[0]["sha256"] = "0" * 64
+    (tmp_path / "b" / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert corpus.main(["diff", str(tmp_path / "a"), str(tmp_path / "b"), "--rtol", "1e-12"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("1 of 2 requests byte-identical\n1 within rtol 1e-12\n"
+                          "  check bell --bipartition 0|1\n    hur_weak.margin: ")
+    assert "0 changed verdicts and exit codes" in out
+    assert corpus.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "  exit 2 -> 2: check bell --bipartition 0|1\n    hur_weak.margin: " in (
+        capsys.readouterr().out)
+    # a verdict is compared exactly whatever the tolerance
+    rows[0]["report"]["hur_weak"]["violated"] = False
+    (tmp_path / "b" / "corpus.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert corpus.diff(tmp_path / "a", tmp_path / "b", rtol=1.0) == [
+        (requests[0], 2, 2, [("hur_weak.margin", f"{margin!r} -> {math.nextafter(margin, 0.0)!r}"),
+                             ("hur_weak.violated", "True -> False")])]

@@ -16,11 +16,14 @@ from oracles import (amplitude_squeezing_oracle, bs_fock1_output, bs_unitary_ora
                      random_hermitian, relation_check_copy_reference, sr_pt_oracle)
 from test_acceptance import _criterion8_states
 
-SP1 = cv.FockSpace(1, 30)
-SP2 = cv.FockSpace(2, 30)
-SMALL1 = cv.FockSpace(1, 12)
-SMALL2 = cv.FockSpace(2, 12)
-MID1 = cv.FockSpace(1, 20)   # deep enough for order-4 moments of warm states
+CUT = 30
+SMALL = 12
+MID = 20   # deep enough for order-4 moments of warm states
+
+
+def vacuum2(cutoff):
+    """The two-mode vacuum."""
+    return cv.with_vacuum_ancilla(cv.vacuum(cutoff))
 
 
 @pytest.fixture
@@ -40,7 +43,7 @@ def peak_share_of_matrix(run):
     two-mode squeezed state, over rho.matrix.nbytes: a copy of rho^PT alone
     would read 1.  Dense, so the run gathers rho^PT's entries from rho.matrix
     by the mode-2 index swap (a pure state's come from its amplitudes)."""
-    pure = cv.two_mode_squeezed(0.3, SP2)
+    pure = cv.two_mode_squeezed(0.3, CUT)
     rho = HermitianOperator(pure.matrix, pure.dims)
     tracemalloc.start()
     try:
@@ -78,15 +81,15 @@ class TestLadderOps:
 
 class TestFactories:
     def test_fock_number(self):
-        assert number_mean(cv.fock(1, SP1)) == pytest.approx(1.0, abs=1e-14)
+        assert number_mean(cv.fock(1, CUT)) == pytest.approx(1.0, abs=1e-14)
 
     def test_coherent_number(self):
-        assert number_mean(cv.coherent(1.0, SP1)) == pytest.approx(1.0, abs=1e-10)
+        assert number_mean(cv.coherent(1.0, CUT)) == pytest.approx(1.0, abs=1e-10)
 
     def test_squeezed_moments(self):
         r, phi = 0.5, 0.3
-        rho = cv.squeezed_vacuum(r, phi, SP1)
-        a = cv.destroy(SP1.cutoff)
+        rho = cv.squeezed_vacuum(r, phi, CUT)
+        a = cv.destroy(CUT)
         mean_n = number_mean(rho)
         mean_a2 = np.trace(rho.matrix @ a @ a)
         assert mean_n == pytest.approx(np.sinh(r) ** 2, abs=1e-9)
@@ -96,8 +99,8 @@ class TestFactories:
 
     def test_two_mode_squeezed_schmidt(self):
         r = 0.5
-        rho = cv.two_mode_squeezed(r, SP2)
-        d = SP2.dim_per_mode
+        rho = cv.two_mode_squeezed(r, CUT)
+        d = CUT + 1
         # Schmidt coefficients of the pure state: |c_k| proportional to tanh^k
         diag_amps = np.sqrt(np.real(np.diagonal(rho.matrix).reshape(d, d).diagonal()))
         expected = np.tanh(r) ** np.arange(d)
@@ -105,45 +108,43 @@ class TestFactories:
         np.testing.assert_allclose(diag_amps, expected, atol=1e-10)
 
     def test_thermal_moments(self):
-        rho = cv.thermal(1.0, SP1)
+        rho = cv.thermal(1.0, CUT)
         assert number_mean(rho) == pytest.approx(1.0, rel=1e-6)
 
     def test_unit_trace(self):
-        for rho in (cv.fock(2, SP1), cv.coherent(0.7, SP1),
-                    cv.squeezed_vacuum(0.4, 0.0, SP1), cv.thermal(0.5, SP1),
-                    cv.two_mode_squeezed(0.4, SP2), cv.vacuum(SP2)):
+        for rho in (cv.fock(2, CUT), cv.coherent(0.7, CUT),
+                    cv.squeezed_vacuum(0.4, 0.0, CUT), cv.thermal(0.5, CUT),
+                    cv.two_mode_squeezed(0.4, CUT), vacuum2(CUT)):
             assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_guard(self):
         # a factory builds a state at any cutoff; the operations reading it
         # guard it at their own order (TestTruncationGuard)
-        rho = cv.coherent(3.0, cv.FockSpace(1, 8))
+        rho = cv.coherent(3.0, 8)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
         assert not cv.truncation_diagnostics(rho, cv.BEAM_SPLITTER_GUARD_ORDER).reliable
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterOutOfRange):
-            cv.fock(31, SP1)
+            cv.fock(31, CUT)
         with pytest.raises(ParameterOutOfRange):
-            cv.thermal(-1.0, SP1)
-        with pytest.raises(ParameterOutOfRange):
-            cv.two_mode_squeezed(0.3, SP1)
-        with pytest.raises(ParameterOutOfRange):
-            cv.FockSpace(3, 10)
-        with pytest.raises(ParameterOutOfRange):
-            cv.FockSpace(1, 1)
+            cv.thermal(-1.0, CUT)
+        with pytest.raises(ParameterOutOfRange, match="modes = 3 must be 1 or 2"):
+            cv.ineq10(HermitianOperator(np.eye(27, dtype=complex) / 27, (3, 3, 3)), 1, 1)
+        with pytest.raises(ParameterOutOfRange, match="cutoff = 1 must be >= 2"):
+            cv.fock(0, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning on the way
             with pytest.raises(ParameterOutOfRange):
-                cv.coherent(1e300, SP1)
+                cv.coherent(1e300, CUT)
 
     def test_spec_cutoff_cap(self, monkeypatch):
         assert cv.cv_state_from_spec({"family": "vacuum", "cutoff": cv.MAX_CUTOFF}).dims == (61,)
 
-        def no_space(*args):
-            raise AssertionError("an over-cap cutoff reached FockSpace")
+        def no_state(*args):
+            raise AssertionError("an over-cap cutoff reached the factory")
 
-        monkeypatch.setattr(cv, "FockSpace", no_space)
+        monkeypatch.setattr(cv, "two_mode_squeezed", no_state)
         for cutoff in (cv.MAX_CUTOFF + 1, 10**7):
             with pytest.raises(ParameterOutOfRange):
                 cv.cv_state_from_spec({"family": "two_mode_squeezed", "r": 0.3,
@@ -163,43 +164,43 @@ class TestFactories:
             cv.cv_state_from_spec(dict(spec, cutoff=spec.get("cutoff", 10)))
 
     def test_diagnostics_fields(self):
-        diag = cv.truncation_diagnostics(cv.fock(1, SP1), order=2)
+        diag = cv.truncation_diagnostics(cv.fock(1, CUT), order=2)
         assert diag.tail_weight == pytest.approx(0.0, abs=1e-15)
         assert diag.reliable
 
 
 class TestBeamSplitter:
     def test_vacuum_fixed_point(self):
-        vac = cv.vacuum(SMALL2)
+        vac = vacuum2(SMALL)
         out = cv.beam_splitter(vac, np.pi / 4)
         np.testing.assert_allclose(out.state.matrix, vac.matrix, atol=1e-12)
         assert out.unitarity_defect < 1e-12
 
     def test_single_photon_balanced(self):
-        rho = cv.with_vacuum_ancilla(cv.fock(1, SMALL1))
+        rho = cv.with_vacuum_ancilla(cv.fock(1, SMALL))
         out = cv.beam_splitter(rho, np.pi / 4).state
         assert number_mean(out, 0) == pytest.approx(0.5, abs=1e-12)
         assert number_mean(out, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_single_photon_exact_state(self):
         theta = 0.7
-        rho = cv.with_vacuum_ancilla(cv.fock(1, SMALL1))
+        rho = cv.with_vacuum_ancilla(cv.fock(1, SMALL))
         out = cv.beam_splitter(rho, theta).state
-        np.testing.assert_allclose(out.matrix, bs_fock1_output(theta, SMALL1.cutoff),
+        np.testing.assert_allclose(out.matrix, bs_fock1_output(theta, SMALL),
                                    atol=1e-12)
 
     def test_coherent_stays_product(self):
         alpha, theta = 0.8, np.pi / 4
-        rho = cv.with_vacuum_ancilla(cv.coherent(alpha, SP1))
+        rho = cv.with_vacuum_ancilla(cv.coherent(alpha, CUT))
         out = cv.beam_splitter(rho, theta).state
-        target = np.kron(coherent_vector(alpha * np.cos(theta), SP1.cutoff),
-                         coherent_vector(-alpha * np.sin(theta), SP1.cutoff))
+        target = np.kron(coherent_vector(alpha * np.cos(theta), CUT),
+                         coherent_vector(-alpha * np.sin(theta), CUT))
         overlap = np.real(np.vdot(target, out.matrix @ target))
         assert overlap >= 1 - 1e-8
 
     def test_needs_two_modes(self):
         with pytest.raises(ParameterOutOfRange):
-            cv.beam_splitter(cv.fock(1, SMALL1), np.pi / 4)
+            cv.beam_splitter(cv.fock(1, SMALL), np.pi / 4)
 
 
 class TestSectorBeamSplitter:
@@ -237,21 +238,21 @@ class TestSectorBeamSplitter:
                                        np.nextafter(cv.MAX_THETA, np.inf)])
     def test_theta_out_of_range(self, theta):
         with pytest.raises(ParameterOutOfRange, match="theta"):
-            cv.beam_splitter(cv.vacuum(cv.FockSpace(2, 3)), theta)
+            cv.beam_splitter(vacuum2(3), theta)
 
     def test_theta_cap_keeps_unitarity(self):
         # the cap was measured at the largest cutoff: the defect is 3.3e-15 there
-        out = cv.beam_splitter(cv.vacuum(cv.FockSpace(2, cv.MAX_CUTOFF)), -cv.MAX_THETA)
+        out = cv.beam_splitter(vacuum2(cv.MAX_CUTOFF), -cv.MAX_THETA)
         assert out.unitarity_defect < 1e-14
 
 
 # Single-mode pure inputs of bs-demo; the tests on them run unguarded, since
 # coherent and squeezed states carry tail weight at cutoff 3.
 BS_INPUTS = {
-    **{f"fock{n}": (lambda c, n=n: cv.fock(n, cv.FockSpace(1, c))) for n in range(4)},
-    "coherent-real": lambda c: cv.coherent(0.8, cv.FockSpace(1, c)),
-    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, cv.FockSpace(1, c)),
-    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, cv.FockSpace(1, c)),
+    **{f"fock{n}": (lambda c, n=n: cv.fock(n, c)) for n in range(4)},
+    "coherent-real": lambda c: cv.coherent(0.8, c),
+    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, c),
+    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, c),
 }
 
 
@@ -303,14 +304,14 @@ class TestPureBeamSplitter:
                         assert abs(got.margin - want.margin) <= 1e-12 * scale
 
     def test_ancilla_puts_the_input_on_n2_zero(self):
-        state = cv.coherent(0.4 - 0.3j, SMALL1)
+        state = cv.coherent(0.4 - 0.3j, SMALL)
         two = cv.with_vacuum_ancilla(state)
         np.testing.assert_array_equal(two.amplitudes.reshape(13, 13),
                                       np.outer(state.amplitudes, np.eye(13)[0]))
         assert two.dims == (13, 13)
 
     def test_cutoff_40_pipeline_never_builds_the_matrix(self):
-        state = cv.squeezed_vacuum(0.5, 0.3, cv.FockSpace(1, 40))
+        state = cv.squeezed_vacuum(0.5, 0.3, 40)
         cv._beam_splitter_unitary(40, 0.7)   # the cached blocks, as for a repeated key
         tracemalloc.start()
         try:
@@ -323,22 +324,22 @@ class TestPureBeamSplitter:
         assert "matrix" not in vars(out.state)
         assert peak < 1 << 20   # a dense output is 45 MB
         # thermal stays on the dense sector path
-        out = cv.beam_splitter(cv.with_vacuum_ancilla(cv.thermal(0.1, SMALL1)), 0.7)
+        out = cv.beam_splitter(cv.with_vacuum_ancilla(cv.thermal(0.1, SMALL)), 0.7)
         assert isinstance(out.state, HermitianOperator)
 
 
 # Every pure-state factory at a given cutoff; coherent and squeezed states
 # may carry tail weight at cutoff 3, which an operation's guard would refuse.
 PURE_FACTORIES = {
-    "coherent-real": lambda c: cv.coherent(0.7, cv.FockSpace(1, c)),
-    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, cv.FockSpace(1, c)),
-    "squeezed-phi0": lambda c: cv.squeezed_vacuum(0.3, 0.0, cv.FockSpace(1, c)),
-    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, cv.FockSpace(1, c)),
-    "fock": lambda c: cv.fock(2, cv.FockSpace(1, c)),
-    "vacuum-one-mode": lambda c: cv.vacuum(cv.FockSpace(1, c)),
-    "vacuum-two-mode": lambda c: cv.vacuum(cv.FockSpace(2, c)),
-    "two_mode_squeezed": lambda c: cv.two_mode_squeezed(0.4, cv.FockSpace(2, c)),
-    "single_photon_entangled": lambda c: cv.single_photon_entangled(cv.FockSpace(2, c)),
+    "coherent-real": lambda c: cv.coherent(0.7, c),
+    "coherent-complex": lambda c: cv.coherent(0.4 - 0.3j, c),
+    "squeezed-phi0": lambda c: cv.squeezed_vacuum(0.3, 0.0, c),
+    "squeezed-phi0.7": lambda c: cv.squeezed_vacuum(0.3, 0.7, c),
+    "fock": lambda c: cv.fock(2, c),
+    "vacuum-one-mode": cv.vacuum,
+    "vacuum-two-mode": vacuum2,
+    "two_mode_squeezed": lambda c: cv.two_mode_squeezed(0.4, c),
+    "single_photon_entangled": cv.single_photon_entangled,
 }
 
 
@@ -358,26 +359,26 @@ class TestSupportFactories:
     @pytest.mark.parametrize("name", list(PURE_FACTORIES))
     def test_factory_matches_dense_oracle(self, monkeypatch, name, cutoff):
         seen = []
-        pure = cv.PureFockState
 
-        def spy(v, dims):
-            seen.append(v.copy())
-            return pure(v, dims)
+        class Spy(cv.PureFockState):  # a subclass: with_vacuum_ancilla tests isinstance
+            def __init__(self, v, dims):
+                seen.append(v.copy())
+                super().__init__(v, dims)
 
-        monkeypatch.setattr(cv, "PureFockState", spy)
+        monkeypatch.setattr(cv, "PureFockState", Spy)
         rho = PURE_FACTORIES[name](cutoff)
-        assert len(seen) == 1
-        self.assert_matches_dense(rho.matrix, seen[0])
+        # the two-mode vacuum is the one-mode vacuum with a vacuum ancilla
+        assert len(seen) == 1 + (name == "vacuum-two-mode")
+        self.assert_matches_dense(rho.matrix, seen[-1])
 
     @pytest.mark.parametrize("complex_amps", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("seed", range(4))
     def test_unnormalized_sparse_vector(self, seed, complex_amps):
         rng = np.random.default_rng(seed)
-        space = cv.FockSpace(2, 6)
-        v = 3.0 * rng.standard_normal(space.total_dim) * (rng.random(space.total_dim) < 0.3)
+        v = 3.0 * rng.standard_normal(49) * (rng.random(49) < 0.3)   # cutoff 6, two modes
         if complex_amps:
-            v = v + 2j * rng.standard_normal(space.total_dim) * (v != 0)
-        rho = cv.PureFockState(v.astype(np.complex128), space.dims)
+            v = v + 2j * rng.standard_normal(49) * (v != 0)
+        rho = cv.PureFockState(v.astype(np.complex128), (7, 7))
         self.assert_matches_dense(rho.matrix, v)
 
 
@@ -405,7 +406,7 @@ class TestAmplitudePath:
                     assert got.violated == want.violated
 
     def test_cutoff_40_never_builds_the_matrix(self):
-        rho = cv.two_mode_squeezed(0.3, cv.FockSpace(2, 40))
+        rho = cv.two_mode_squeezed(0.3, 40)
         tracemalloc.start()
         try:
             for m, n in [(1, 1), (2, 3)]:
@@ -419,7 +420,7 @@ class TestAmplitudePath:
 
     def test_certify_reads_a_pure_state_as_its_matrix(self):
         # certify transposes a pure state's dense matrix, as it does the copy's
-        rho = cv.two_mode_squeezed(0.3, cv.FockSpace(2, 6))
+        rho = cv.two_mode_squeezed(0.3, 6)
         bip = Bipartition(frozenset({0}), 2)
         dense = HermitianOperator(rho.matrix, rho.dims)
         assert certificates.certificate_payload(rho, bip) == certificates.certificate_payload(
@@ -439,11 +440,11 @@ class TestExactHermitian:
 
     def test_factories_and_maps(self):
         built = [
-            cv.coherent(0.4 - 0.3j, SP1), cv.squeezed_vacuum(0.3, 0.8, SP1),
-            cv.fock(2, SP1), cv.thermal(0.4, SP1), cv.vacuum(SP2),
-            cv.two_mode_squeezed(0.4, SP2), cv.single_photon_entangled(SP2),
-            cv.with_vacuum_ancilla(cv.coherent(0.5 + 0.2j, SP1)),
-            cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.3, 0.8, SP1)),
+            cv.coherent(0.4 - 0.3j, CUT), cv.squeezed_vacuum(0.3, 0.8, CUT),
+            cv.fock(2, CUT), cv.thermal(0.4, CUT), vacuum2(CUT),
+            cv.two_mode_squeezed(0.4, CUT), cv.single_photon_entangled(CUT),
+            cv.with_vacuum_ancilla(cv.coherent(0.5 + 0.2j, CUT)),
+            cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.3, 0.8, CUT)),
                              0.37).state,
         ]
         for rho in built:
@@ -472,28 +473,28 @@ class TestBandedMoments:
 
 class TestIneq10:
     def test_vacuum_components(self):
-        rep = cv.ineq10(cv.vacuum(SMALL2), 1, 1)
+        rep = cv.ineq10(vacuum2(SMALL), 1, 1)
         assert rep.lhs == pytest.approx(4.0, abs=1e-12)   # 2 * 2
         assert rep.rhs == pytest.approx(4.0, abs=1e-12)
         assert rep.margin == pytest.approx(0.0, abs=1e-12)
         assert not rep.violated
 
     def test_two_mode_squeezed_violates(self):
-        rep = cv.ineq10(cv.two_mode_squeezed(0.5, SP2), 1, 1)
+        rep = cv.ineq10(cv.two_mode_squeezed(0.5, CUT), 1, 1)
         assert rep.violated
         assert rep.margin == pytest.approx(4 * np.exp(-2.0) - 4, abs=1e-9)
 
     def test_thermal_product_satisfied(self):
-        th = cv.thermal(1.0, SP1)
+        th = cv.thermal(1.0, CUT)
         rep = cv.ineq10(kron_state(th, th), 1, 1)
         assert not rep.violated
         assert rep.margin == pytest.approx(32.0, rel=1e-5)
 
     def test_separable_margins_nonnegative(self):
         candidates = [
-            kron_state(cv.coherent(0.9, MID1), cv.coherent(-0.4 + 0.2j, MID1)),
-            kron_state(cv.thermal(0.3, MID1), cv.fock(1, MID1)),
-            kron_state(cv.fock(2, MID1), cv.thermal(0.2, MID1)),
+            kron_state(cv.coherent(0.9, MID), cv.coherent(-0.4 + 0.2j, MID)),
+            kron_state(cv.thermal(0.3, MID), cv.fock(1, MID)),
+            kron_state(cv.fock(2, MID), cv.thermal(0.2, MID)),
         ]
         mixtures = validate_hermitian(
             0.5 * candidates[0].matrix + 0.5 * candidates[1].matrix,
@@ -505,9 +506,9 @@ class TestIneq10:
 
     def test_sum_form_weaker_than_product(self):
         states = [
-            cv.two_mode_squeezed(0.3, SP2),
-            kron_state(cv.coherent(0.5, MID1), cv.thermal(0.2, MID1)),
-            cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.4, 0.0, SP1)),
+            cv.two_mode_squeezed(0.3, CUT),
+            kron_state(cv.coherent(0.5, MID), cv.thermal(0.2, MID)),
+            cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.4, 0.0, CUT)),
                              np.pi / 4).state,
         ]
         for rho in states:
@@ -522,38 +523,38 @@ class TestIneq10:
 
 class TestIneq11:
     def test_product_coherent_margin_zero(self):
-        rho = kron_state(cv.coherent(0.7, SP1), cv.coherent(0.3 - 0.5j, SP1))
+        rho = kron_state(cv.coherent(0.7, CUT), cv.coherent(0.3 - 0.5j, CUT))
         rep = cv.ineq11(rho, 1, 1)
         assert rep.margin == pytest.approx(0.0, abs=1e-9)
         assert not rep.violated
 
     def test_single_photon_bs_output_violates(self):
-        out = cv.beam_splitter(cv.with_vacuum_ancilla(cv.fock(1, SP1)), np.pi / 4).state
+        out = cv.beam_splitter(cv.with_vacuum_ancilla(cv.fock(1, CUT)), np.pi / 4).state
         rep = cv.ineq11(out, 1, 1)
         assert rep.violated
         assert rep.margin == pytest.approx(-2.0, abs=1e-10)
 
     def test_embedded_single_photon_entangled_violates(self):
-        rep = cv.ineq11(cv.single_photon_entangled(SMALL2), 1, 1)
+        rep = cv.ineq11(cv.single_photon_entangled(SMALL), 1, 1)
         assert rep.violated
         assert rep.margin == pytest.approx(-2.0, abs=1e-12)
 
 
 class TestPtMomentRelation:
     def test_diagonal_state_exact(self):
-        th = cv.thermal(0.3, MID1)
-        rho = kron_state(th, cv.thermal(0.15, MID1))
+        th = cv.thermal(0.3, MID)
+        rho = kron_state(th, cv.thermal(0.15, MID))
         for m, p in [(1, 1), (2, 1), (1, 2)]:
             res = cv.pt_moment_relation_check(rho, m, m, p, p)
             assert res.defect == pytest.approx(0.0, abs=1e-14)
 
     def test_two_mode_squeezed(self):
-        res = cv.pt_moment_relation_check(cv.two_mode_squeezed(0.3, SP2), 1, 1, 1, 1)
+        res = cv.pt_moment_relation_check(cv.two_mode_squeezed(0.3, CUT), 1, 1, 1, 1)
         assert res.defect < 1e-8
 
     def test_asymmetric_orders_random_state(self):
         rng = np.random.default_rng(77)
-        d = SMALL2.dim_per_mode
+        d = SMALL + 1
         keep = 6  # support well below the cutoff keeps the check reliable
         g = rng.standard_normal((keep * keep, keep * keep)) \
             + 1j * rng.standard_normal((keep * keep, keep * keep))
@@ -562,7 +563,7 @@ class TestPtMomentRelation:
         full = np.zeros((d * d, d * d), dtype=complex)
         idx = (np.arange(keep)[:, None] * d + np.arange(keep)[None, :]).reshape(-1)
         full[np.ix_(idx, idx)] = block
-        rho = validate_hermitian(full, SMALL2.dims, tol=1e-12)
+        rho = validate_hermitian(full, (d, d), tol=1e-12)
         res = cv.pt_moment_relation_check(rho, 0, 0, 1, 0)
         assert res.defect < 1e-8
         res2 = cv.pt_moment_relation_check(rho, 2, 1, 1, 2)
@@ -598,8 +599,8 @@ class TestPtMomentRelation:
 
     @pytest.mark.parametrize("state", ["two_mode_squeezed", "single_photon_entangled"])
     def test_pure_states_cutoff30_match_dense_oracle(self, state):
-        rho = (cv.two_mode_squeezed(0.3, SP2) if state == "two_mode_squeezed"
-               else cv.single_photon_entangled(SP2))
+        rho = (cv.two_mode_squeezed(0.3, CUT) if state == "two_mode_squeezed"
+               else cv.single_photon_entangled(CUT))
         for m, n, p, q in [(1, 1, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0), (2, 1, 1, 2),
                            (2, 2, 1, 1), (1, 2, 3, 0)]:
             res = cv.pt_moment_relation_check(rho, m, n, p, q)
@@ -614,23 +615,23 @@ class TestPtMomentRelation:
 
 class TestNonclassicality:
     def test_coherent_amplitude_flat(self):
-        rho = cv.coherent(1.0, SP1)
+        rho = cv.coherent(1.0, CUT)
         for m in (1, 2):
             for phi in (0.0, 0.7, np.pi / 2):
                 assert abs(cv.amplitude_squeezing(rho, m, phi)) < 1e-9
 
     def test_squeezed_optimum(self):
         r = 0.5
-        rho = cv.squeezed_vacuum(r, 0.0, SP1)
+        rho = cv.squeezed_vacuum(r, 0.0, CUT)
         best, phi = cv.amplitude_squeezing_scan(rho, 1)
         assert best == pytest.approx(np.exp(-2 * r) - 1, abs=1e-9)
         assert phi == pytest.approx(np.pi / 2, abs=0.1)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("rho", [
-        cv.coherent(0.5, cv.FockSpace(1, 20)),
-        cv.coherent(1.1 * np.exp(0.4j), cv.FockSpace(1, 40)),
-        cv.fock(1, SP1), cv.thermal(0.5, SP1),
+        cv.coherent(0.5, 20),
+        cv.coherent(1.1 * np.exp(0.4j), 40),
+        cv.fock(1, CUT), cv.thermal(0.5, CUT),
     ], ids=["coherent", "coherent-complex", "fock", "thermal"])
     def test_flat_curve_gives_first_phase(self, rho, m):
         # all 64 values agree to rounding: the first phase wins the tie, not
@@ -640,24 +641,24 @@ class TestNonclassicality:
         assert value == cv.amplitude_squeezing(rho, m, 0.0)
 
     def test_fock_not_quadrature_squeezed(self):
-        rho = cv.fock(1, SP1)
+        rho = cv.fock(1, CUT)
         best, _ = cv.amplitude_squeezing_scan(rho, 1)
         assert best >= 0.0
 
     def test_photon_stats(self):
-        assert cv.photon_stat_nonclassicality(cv.coherent(1.0, SP1), 1) == pytest.approx(
+        assert cv.photon_stat_nonclassicality(cv.coherent(1.0, CUT), 1) == pytest.approx(
             0.0, abs=1e-9)
-        assert cv.photon_stat_nonclassicality(cv.fock(2, SP1), 1) == pytest.approx(
+        assert cv.photon_stat_nonclassicality(cv.fock(2, CUT), 1) == pytest.approx(
             -2.0, abs=1e-12)
-        assert cv.photon_stat_nonclassicality(cv.thermal(1.0, SP1), 1) == pytest.approx(
+        assert cv.photon_stat_nonclassicality(cv.thermal(1.0, CUT), 1) == pytest.approx(
             1.0, rel=1e-5)
 
     # Each with a Fock tail far below the guard's at order 6 and cutoff 20.
     WITNESS_STATES = {
-        "squeezed": lambda c: cv.squeezed_vacuum(0.3, 0.4, cv.FockSpace(1, c)),
-        "coherent": lambda c: cv.coherent(0.8 - 0.5j, cv.FockSpace(1, c)),
-        "thermal": lambda c: cv.thermal(0.2, cv.FockSpace(1, c)),
-        "fock": lambda c: cv.fock(2, cv.FockSpace(1, c)),
+        "squeezed": lambda c: cv.squeezed_vacuum(0.3, 0.4, c),
+        "coherent": lambda c: cv.coherent(0.8 - 0.5j, c),
+        "thermal": lambda c: cv.thermal(0.2, c),
+        "fock": lambda c: cv.fock(2, c),
     }
 
     @pytest.mark.parametrize("cutoff", [20, 30])
@@ -675,7 +676,7 @@ class TestNonclassicality:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_scan_is_the_argmin_of_single_phase_calls(self, m):
-        rho = cv.squeezed_vacuum(0.5, 0.3, SP1)
+        rho = cv.squeezed_vacuum(0.5, 0.3, CUT)
         grid = np.linspace(0.0, np.pi, 64, endpoint=False)
         values = [cv.amplitude_squeezing(rho, m, phi) for phi in grid]
         best = int(np.argmin(values))
@@ -690,11 +691,11 @@ class TestNonclassicality:
             return guard(rho, order, *args)
 
         monkeypatch.setattr(cv, "_guard", counting)
-        cv.amplitude_squeezing_scan(cv.squeezed_vacuum(0.5, 0.0, SP1), 2)
+        cv.amplitude_squeezing_scan(cv.squeezed_vacuum(0.5, 0.0, CUT), 2)
         assert orders == [4]
 
     def test_reliability_guard(self):
-        hot = cv.thermal(5.0, cv.FockSpace(1, 10))
+        hot = cv.thermal(5.0, 10)
         with pytest.raises(TruncationUnreliable):
             cv.photon_stat_nonclassicality(hot, 2)
 
@@ -702,11 +703,11 @@ class TestNonclassicality:
     # squeezing verdict of -8.0.
     @pytest.mark.parametrize("run", [
         lambda: cv.photon_stat_nonclassicality(
-            HermitianOperator(2 * cv.fock(2, SMALL1).matrix, (13,)), 1),
+            HermitianOperator(2 * cv.fock(2, SMALL).matrix, (13,)), 1),
         lambda: cv.amplitude_squeezing(
-            HermitianOperator(2 * cv.coherent(1.0, cv.FockSpace(1, 20)).matrix, (21,)), 1, 0.0),
+            HermitianOperator(2 * cv.coherent(1.0, 20).matrix, (21,)), 1, 0.0),
         lambda: cv.amplitude_squeezing_scan(
-            HermitianOperator(2 * cv.coherent(1.0, cv.FockSpace(1, 20)).matrix, (21,)), 1),
+            HermitianOperator(2 * cv.coherent(1.0, 20).matrix, (21,)), 1),
     ], ids=["photon_stat", "amplitude_squeezing", "amplitude_squeezing_scan"])
     def test_refuses_non_unit_trace(self, run):
         with pytest.raises(UnnormalizedState):
@@ -715,17 +716,17 @@ class TestNonclassicality:
 
 class TestCrosscheck:
     def test_vacuum_tight(self):
-        res = cv.cv_pipeline_crosscheck(cv.vacuum(SMALL2), 1, 1, 10)
+        res = cv.cv_pipeline_crosscheck(vacuum2(SMALL), 1, 1, 10)
         assert res.defect < 1e-12
 
     def test_two_mode_squeezed_both(self):
-        rho = cv.two_mode_squeezed(0.5, SP2)
+        rho = cv.two_mode_squeezed(0.5, CUT)
         for which in (10, 11):
             res = cv.cv_pipeline_crosscheck(rho, 1, 1, which)
             assert res.defect < 1e-8
 
     def test_bs_output_higher_orders(self):
-        out = cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.4, 0.0, SP1)),
+        out = cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.4, 0.0, CUT)),
                                np.pi / 4).state
         for which in (10, 11):
             res = cv.cv_pipeline_crosscheck(out, 2, 2, which)
@@ -737,9 +738,9 @@ class TestCrosscheck:
         assert share <= 0.25
 
     @pytest.mark.parametrize("rho, m, which", [
-        (cv.vacuum(SMALL2), 0, 10),
-        (cv.vacuum(SMALL1), 1, 10),
-        (cv.vacuum(SMALL2), 1, 12),
+        (vacuum2(SMALL), 0, 10),
+        (cv.vacuum(SMALL), 1, 10),
+        (vacuum2(SMALL), 1, 12),
     ], ids=["order-zero", "one-mode", "which-12"])
     def test_rejects_bad_input(self, rho, m, which):
         with pytest.raises(ParameterOutOfRange):
@@ -779,21 +780,21 @@ class TestCrosscheck:
         # HUR variant of the quadrature inequality = 4 x the standard-units
         # product-form criterion, coded independently
         states = [
-            cv.two_mode_squeezed(0.4, SP2),
-            kron_state(cv.coherent(0.6, SP1), cv.thermal(0.3, SP1)),
-            cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.5, 0.0, SP1)),
+            cv.two_mode_squeezed(0.4, CUT),
+            kron_state(cv.coherent(0.6, CUT), cv.thermal(0.3, CUT)),
+            cv.beam_splitter(cv.with_vacuum_ancilla(cv.squeezed_vacuum(0.5, 0.0, CUT)),
                              np.pi / 4).state,
         ]
         for rho in states:
             rep = cv.ineq10(rho, 1, 1)
-            oracle = mancini_margin(rho.matrix, SP2.cutoff)
+            oracle = mancini_margin(rho.matrix, CUT)
             assert rep.hur_variant_margin == pytest.approx(4 * oracle, abs=1e-10)
 
 
 # The factories do not guard; each operation reading a state guards it at its
 # own order.  coherent(3.0) at cutoff 8 has mean photon number 9, so every
 # order refuses it; on two modes it is v x |0>.
-HOT = cv.coherent(3.0, cv.FockSpace(1, 8))
+HOT = cv.coherent(3.0, 8)
 HOT_TWO = cv.with_vacuum_ancilla(HOT)
 GUARDED_OPERATIONS = {
     "beam_splitter": lambda: cv.beam_splitter(HOT_TWO, np.pi / 4),
@@ -818,7 +819,7 @@ class TestTruncationGuard:
 # the moment engine does not divide by the trace, so both must be refused.
 UNNORMALIZED = {
     "pure": cv.PureFockState(np.where(np.isin(np.arange(49), [1, 7]), 3.0 + 0j, 0j), (7, 7)),
-    "dense": HermitianOperator(2.0 * cv.single_photon_entangled(cv.FockSpace(2, 6)).matrix,
+    "dense": HermitianOperator(2.0 * cv.single_photon_entangled(6).matrix,
                                (7, 7)),
 }
 
@@ -853,8 +854,8 @@ class TestPtView:
             d = cutoff + 1
             states[f"random c{cutoff}"] = validate_hermitian(
                 random_density_oracle(np.random.default_rng(cutoff), d * d), (d, d), tol=1e-12)
-        states["two_mode_squeezed c30"] = cv.two_mode_squeezed(0.3, SP2)
-        states["single_photon_entangled c30"] = cv.single_photon_entangled(SP2)
+        states["two_mode_squeezed c30"] = cv.two_mode_squeezed(0.3, CUT)
+        states["single_photon_entangled c30"] = cv.single_photon_entangled(CUT)
         return states
 
     @pytest.mark.usefixtures("unguarded")
@@ -884,12 +885,12 @@ class TestPtView:
 # their amplitudes: real ones, and beam-splitter outputs of one-mode inputs,
 # complex but for fock(2).  Cutoff 10 refuses the coherent input on its tail.
 PURE_PT_STATES = {
-    "two_mode_squeezed r0.1": lambda c: cv.two_mode_squeezed(0.1, cv.FockSpace(2, c)),
-    "two_mode_squeezed r0.3": lambda c: cv.two_mode_squeezed(0.3, cv.FockSpace(2, c)),
-    "single_photon_entangled": lambda c: cv.single_photon_entangled(cv.FockSpace(2, c)),
+    "two_mode_squeezed r0.1": lambda c: cv.two_mode_squeezed(0.1, c),
+    "two_mode_squeezed r0.3": lambda c: cv.two_mode_squeezed(0.3, c),
+    "single_photon_entangled": cv.single_photon_entangled,
     **{f"bs {name} theta{theta}": (
         lambda c, state=state, theta=theta:
-        cv.beam_splitter(cv.with_vacuum_ancilla(state(cv.FockSpace(1, c))), theta).state)
+        cv.beam_splitter(cv.with_vacuum_ancilla(state(c)), theta).state)
        for name, state in [("coherent", lambda sp: cv.coherent(0.3 + 0.25j, sp)),
                            ("squeezed", lambda sp: cv.squeezed_vacuum(0.3, 0.7, sp)),
                            ("fock2", lambda sp: cv.fock(2, sp))]
@@ -919,7 +920,7 @@ class TestPurePtGather:
                 m, n, which)
 
     def test_cutoff_40_never_builds_the_matrix(self):
-        rho = cv.two_mode_squeezed(0.3, cv.FockSpace(2, 40))
+        rho = cv.two_mode_squeezed(0.3, 40)
         tracemalloc.start()
         try:
             cv.pt_moment_relation_check(rho, 2, 1, 1, 3)
