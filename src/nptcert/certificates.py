@@ -399,11 +399,6 @@ def certificate_payload(rho: HermitianOperator, bip: Bipartition,
             "alpha2": complex_pairs(pair.alpha2),
         },
         "sr": {"lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.margin},
-        "hur_weak": {
-            "lhs": weak.lhs,
-            "rhs": weak.rhs,
-            "margin": weak.margin,
-            "violated": weak.violated,
-        },
+        "hur_weak": dict(vars(weak)),
         "witness": witness_entry(rho, bip, cert.spectrum, verdict),
     }

@@ -59,12 +59,6 @@ def _check_cutoff(cutoff: int) -> int:
     return cutoff + 1
 
 
-@dataclass(frozen=True)
-class TruncationDiagnostics:
-    tail_weight: float
-    reliable: bool
-
-
 def space_of(rho: HermitianOperator) -> tuple:
     """(modes, cutoff) of a one- or two-mode operator with equal mode dimensions."""
     dims = rho.dims
@@ -94,21 +88,15 @@ def mode_populations(rho: HermitianOperator) -> np.ndarray:
     return np.stack([grid.sum(axis=1), grid.sum(axis=0)])
 
 
-def truncation_diagnostics(rho: HermitianOperator, order: int) -> TruncationDiagnostics:
-    """Population at levels >= cutoff - order, summed over modes."""
+def _guard(rho: HermitianOperator, order: int) -> float:
+    """The tail weight, the population at levels >= cutoff - order summed
+    over modes; TruncationUnreliable unless it is below TAIL_THRESHOLD."""
     pops = mode_populations(rho)
-    start = max(pops.shape[1] - 1 - order, 0)
-    tail = float(pops[:, start:].sum())
-    return TruncationDiagnostics(tail_weight=tail, reliable=tail < TAIL_THRESHOLD)
-
-
-def _guard(rho: HermitianOperator, order: int) -> TruncationDiagnostics:
-    diag = truncation_diagnostics(rho, order)
-    if not diag.reliable:
+    tail = float(pops[:, max(pops.shape[1] - 1 - order, 0):].sum())
+    if not tail < TAIL_THRESHOLD:  # a nan tail is refused too
         raise TruncationUnreliable(
-            f"tail weight {diag.tail_weight:.3e} at order {order} exceeds {TAIL_THRESHOLD}"
-        )
-    return diag
+            f"tail weight {tail:.3e} at order {order} exceeds {TAIL_THRESHOLD}")
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +428,10 @@ class CvInequalityReport:
     hur_variant_margin: float
     sum_hur_margin: float
     violated: bool
-    diagnostics: TruncationDiagnostics
+    tail_weight: float
 
 
-def _cv_report(inequality, m, n, var1, var2, shift, comm, cov_half, tol, diag):
+def _cv_report(inequality, m, n, var1, var2, shift, comm, cov_half, tol, tail):
     """(Var1 + shift)(Var2 + shift) >= comm^2 + cov_half^2, its HUR variant
     (no covariance term) and sum form (Var1 + Var2 + 2 shift >= 2|comm|)."""
     lhs = (var1 + shift) * (var2 + shift)
@@ -451,11 +439,11 @@ def _cv_report(inequality, m, n, var1, var2, shift, comm, cov_half, tol, diag):
     rhs = comm_term + cov_half ** 2
     margin = lhs - rhs
     return CvInequalityReport(inequality, m, n, lhs, rhs, margin, lhs - comm_term,
-                              var1 + var2 + 2.0 * shift - 2.0 * abs(comm), margin < -tol, diag)
+                              var1 + var2 + 2.0 * shift - 2.0 * abs(comm), margin < -tol, tail)
 
 
 def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int):
-    """What ineq10 and ineq11 read: the guard's diagnostics at order
+    """What ineq10 and ineq11 read: the guard's tail weight at order
     2 max(m, n), the mode factors of orders m and n and the moment engine.
     Raises ParameterOutOfRange for a one-mode state and UnnormalizedState
     unless rho has unit trace."""
@@ -463,8 +451,8 @@ def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int):
     if modes != 2:
         raise ParameterOutOfRange(f"inequality {which} needs a two-mode state")
     require_state_like(rho)
-    diag = _guard(rho, 2 * max(m, n))
-    return (diag, _mode_factors(cutoff, m), _mode_factors(cutoff, n),
+    tail = _guard(rho, 2 * max(m, n))
+    return (tail, _mode_factors(cutoff, m), _mode_factors(cutoff, n),
             _MomentEngine(rho).kron_moment)
 
 
@@ -477,7 +465,7 @@ def ineq10(rho: HermitianOperator, m: int, n: int,
     variant drops the covariance term; the sum form replaces the product of
     variances by their sum against 2|<C1+C2>|.
     """
-    diag, f1, f2, km = _inequality_inputs("10", rho, m, n)
+    tail, f1, f2, km = _inequality_inputs("10", rho, m, n)
     e1 = (km(f1["x"], None) + km(None, f2["x"])).real
     e2 = (km(f1["y"], None) - km(None, f2["y"])).real
     m11 = (km(f1["xx"], None) + km(None, f2["xx"]) + 2.0 * km(f1["x"], f2["x"])).real
@@ -487,7 +475,7 @@ def ineq10(rho: HermitianOperator, m: int, n: int,
     c_mean = (km(f1["c"], None) + km(None, f2["c"])).real
 
     return _cv_report("10", m, n, m11 - e1 * e1, m22 - e2 * e2, 0.0, c_mean,
-                      (anti - 2.0 * e1 * e2) / 2.0, tol, diag)
+                      (anti - 2.0 * e1 * e2) / 2.0, tol, tail)
 
 
 def ineq11(rho: HermitianOperator, m: int, n: int,
@@ -497,7 +485,7 @@ def ineq11(rho: HermitianOperator, m: int, n: int,
     (Var X_mn + <C1 C2>)(Var Y_mn + <C1 C2>) >= <[a1^m a2^n, h.c.]>^2 + cov_S^2
     with X_mn = a1^dag^m a2^n + h.c. and Y_mn = -i(a1^dag^m a2^n - h.c.).
     """
-    diag, f1, f2, km = _inequality_inputs("11", rho, m, n)
+    tail, f1, f2, km = _inequality_inputs("11", rho, m, n)
 
     b_dag_mean = km(f1["ad"], f2["a"])          # <a1^dag^m a2^n>
     e_x = 2.0 * b_dag_mean.real
@@ -512,7 +500,7 @@ def ineq11(rho: HermitianOperator, m: int, n: int,
     comm_aa = (km(f1["a_ad"], f2["a_ad"]) - km(f1["ad_a"], f2["ad_a"])).real
 
     return _cv_report("11", m, n, m_xx - e_x * e_x, m_yy - e_y * e_y, c_prod, comm_aa,
-                      (anti - 2.0 * e_x * e_y) / 2.0, tol, diag)
+                      (anti - 2.0 * e_x * e_y) / 2.0, tol, tail)
 
 
 @dataclass(frozen=True)

@@ -134,15 +134,18 @@ def check_spec_keys(spec: dict, allowed: set) -> None:
             + ", ".join(map(repr, unknown)))
 
 
-# The keys each family reads; every family also takes "seed".
+# Each family's keys besides "seed", and its factory on (spec, seed).
 _FAMILIES = {
-    "ghz_mixed": {"p"},
-    "bell": set(),
-    "werner": {"p"},
-    "single_photon_entangled": set(),
-    "random_density": {"dim", "dims"},
-    "random_separable": {"dims", "terms"},
-    "product": {"dims"},
+    "ghz_mixed": ({"p"}, lambda s, seed: make_ghz_mixed(float(spec_value(s, "p")))),
+    "bell": (set(), lambda s, seed: make_bell()),
+    "werner": ({"p"}, lambda s, seed: make_werner(float(spec_value(s, "p")))),
+    "single_photon_entangled": (set(), lambda s, seed: make_single_photon_entangled()),
+    "random_density": ({"dim", "dims"}, lambda s, seed: random_density(
+        spec_int(spec_value(s, "dim"), "dim"), seed,
+        dims=None if s.get("dims") is None else spec_dims(s))),
+    "random_separable": ({"dims", "terms"}, lambda s, seed: random_separable(
+        spec_dims(s), spec_int(spec_value(s, "terms", 4), "terms"), seed)),
+    "product": ({"dims"}, lambda s, seed: random_separable(spec_dims(s), 1, seed)),
 }
 
 
@@ -155,20 +158,6 @@ def state_from_spec(spec: dict) -> HermitianOperator:
     family = spec.get("family")
     if family not in _FAMILIES:
         raise ParameterOutOfRange(f"unknown state family {family!r}")
-    check_spec_keys(spec, _FAMILIES[family] | {"seed"})
-    seed = spec_int(spec_value(spec, "seed", 0), "seed")
-    if family == "ghz_mixed":
-        return make_ghz_mixed(float(spec_value(spec, "p")))
-    if family == "bell":
-        return make_bell()
-    if family == "werner":
-        return make_werner(float(spec_value(spec, "p")))
-    if family == "single_photon_entangled":
-        return make_single_photon_entangled()
-    if family == "random_density":
-        return random_density(spec_int(spec_value(spec, "dim"), "dim"), seed,
-                              dims=None if spec.get("dims") is None else spec_dims(spec))
-    if family == "random_separable":
-        return random_separable(spec_dims(spec), spec_int(spec_value(spec, "terms", 4), "terms"),
-                                seed)
-    return random_separable(spec_dims(spec), 1, seed)  # "product": one product term
+    keys, build = _FAMILIES[family]
+    check_spec_keys(spec, keys | {"seed"})
+    return build(spec, spec_int(spec_value(spec, "seed", 0), "seed"))

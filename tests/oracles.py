@@ -58,18 +58,6 @@ def random_density_oracle(rng, n):
     return rho / np.trace(rho).real
 
 
-def random_separable_oracle(rng, dims, terms):
-    total = int(np.prod(dims))
-    rho = np.zeros((total, total), dtype=complex)
-    weights = rng.dirichlet(np.ones(terms))
-    for w in weights:
-        block = np.array([[1.0]], dtype=complex)
-        for d in dims:
-            block = np.kron(block, random_density_oracle(rng, d))
-        rho += w * block
-    return rho
-
-
 # ---------------------------------------------------------------------------
 # Continuous-variable oracles
 # ---------------------------------------------------------------------------

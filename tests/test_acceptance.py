@@ -213,7 +213,7 @@ def test_criterion_07_mancini_reduction():
     for seed in range(100):
         rho = _embedded_random_two_mode(70_000 + seed)
         rep = cv.ineq10(rho, 1, 1)
-        assert rep.diagnostics.reliable
+        assert rep.tail_weight < cv.TAIL_THRESHOLD
         oracle = mancini_margin(rho.matrix, 30)
         # factor 4 converts the oracle's standard quadratures (a+ad)/sqrt2
         # to the unnormalized convention a+ad used by the inequality

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -393,7 +394,7 @@ class TestOneCertifyPass:
             seen["eig"] += 1
             return eig(op)
 
-        for module in (spectral, certificates, cli):
+        for module in (hermitian, spectral, certificates, cli):
             if getattr(module, "partial_transpose", None) is pt:
                 monkeypatch.setattr(module, "partial_transpose", counting_pt)
         monkeypatch.setattr(spectral, "eig_hermitian", counting_eig)
@@ -414,6 +415,8 @@ class TestOneCertifyPass:
                                       "--steps", "2"])
         assert result.exit_code == 0
         assert calls["eig"] == 2
+        # every partial transpose, the witness value's included, is of rho
+        assert len(calls["pt_inputs"]) == 2
         for p in (0.3, 0.6):
             assert self._pts_of(calls, make_ghz_mixed(p)) == 1
 
@@ -569,6 +572,51 @@ class TestFactoredReports:
                                       "--out", str(out)])
         assert result.exit_code in (0, 2), result.output
         assert out.stat().st_size < 40_000
+
+
+def _field_names(record) -> set:
+    return {f.name for f in dataclasses.fields(record)}
+
+
+class TestReportsFromRecords:
+    """A report block holds its record's fields, and only derived keys besides."""
+
+    CV_KEYS = _field_names(cv.CvInequalityReport) - {"tail_weight"} | {"verdict", "truncation"}
+
+    def _check_cv_block(self, block, ineq, rep):
+        assert set(block) == self.CV_KEYS
+        assert block["inequality"] == ineq
+        assert block["verdict"] == ("violated" if block["violated"] else "satisfied")
+        # the guard's tail weight; no report is written past the guard
+        assert block["truncation"] == {"tail_weight": rep.tail_weight, "reliable": True}
+        assert block["truncation"]["reliable"] is True
+        assert block["margin"] == rep.margin
+
+    @pytest.mark.parametrize("ineq", ["10", "11"])
+    def test_cv_check(self, runner, ineq):
+        result = runner.invoke(main, ["cv-check", "two_mode_squeezed:r=0.3", "--ineq", ineq,
+                                      "--cutoff", "12"])
+        assert result.exit_code in (0, 2), result.output
+        report = json.loads(result.stdout)
+        assert report.pop("config")["ineq"] == ineq
+        rho = cv.two_mode_squeezed(0.3, 12)
+        self._check_cv_block(report, ineq, (cv.ineq10 if ineq == "10" else cv.ineq11)(rho, 1, 1))
+
+    def test_bs_demo(self, runner):
+        result = runner.invoke(main, ["bs-demo", "--input", "fock:n=1", "--cutoff", "12"])
+        assert result.exit_code == 2, result.output
+        report = json.loads(result.stdout)
+        assert set(report) == {"unitarity_defect", "ineq10", "ineq11", "config"}
+        state = cv.beam_splitter(cv.with_vacuum_ancilla(cv.fock(1, 12)), np.pi / 4).state
+        self._check_cv_block(report["ineq10"], "10", cv.ineq10(state, 1, 1))
+        self._check_cv_block(report["ineq11"], "11", cv.ineq11(state, 1, 1))
+
+    def test_check_hur_weak(self, runner, bell_file):
+        result = runner.invoke(main, ["check", bell_file, "--bipartition", "0|1"])
+        assert result.exit_code == 2
+        weak = json.loads(result.stdout)["hur_weak"]
+        assert set(weak) == _field_names(certificates.HurWeakReport)
+        assert weak["violated"] is True
 
 
 class TestCvCommands:

@@ -122,7 +122,8 @@ class TestFactories:
         # guard it at their own order (TestTruncationGuard)
         rho = cv.coherent(3.0, 8)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-        assert not cv.truncation_diagnostics(rho, cv.BEAM_SPLITTER_GUARD_ORDER).reliable
+        with pytest.raises(TruncationUnreliable):
+            cv.beam_splitter(cv.with_vacuum_ancilla(rho), np.pi / 4)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterOutOfRange):
@@ -164,9 +165,8 @@ class TestFactories:
             cv.cv_state_from_spec(dict(spec, cutoff=spec.get("cutoff", 10)))
 
     def test_diagnostics_fields(self):
-        diag = cv.truncation_diagnostics(cv.fock(1, CUT), order=2)
-        assert diag.tail_weight == pytest.approx(0.0, abs=1e-15)
-        assert diag.reliable
+        # the guard's tail weight at the report's order, 2 max(m, n)
+        assert cv.ineq10(cv.with_vacuum_ancilla(cv.fock(1, CUT)), 1, 1).tail_weight == 0
 
 
 class TestBeamSplitter:
@@ -813,6 +813,12 @@ class TestTruncationGuard:
         # every operation refuses: no caller can allow an unreliable truncation
         with pytest.raises(TruncationUnreliable, match="at order 2 exceeds"):
             GUARDED_OPERATIONS[name]()
+
+    def test_nan_tail_is_refused(self):
+        # a nan tail weight is not below the threshold, so it is refused too
+        rho = HermitianOperator(np.diag(np.full(49, np.nan + 0j)), (7, 7))
+        with pytest.raises(TruncationUnreliable, match="tail weight nan at order 2"):
+            cv.beam_splitter(rho, 0.3)
 
 
 # |0,1> + |1,0> with amplitudes 3 (|v|^2 = 18), and a dense state of trace 2:
