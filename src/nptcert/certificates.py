@@ -16,7 +16,6 @@ hbar = 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -308,26 +307,23 @@ _PAULI = {
 }
 
 
-@lru_cache(maxsize=64)
-def _pauli_string(letters: str) -> np.ndarray:
-    """P1 x P2 x ... as a read-only matrix, built once per string."""
-    op = _PAULI[letters[0]]
-    for ch in letters[1:]:
-        op = np.kron(op, _PAULI[ch])
-    op.flags.writeable = False
-    return op
+# The 16 Pauli strings P1 x P2 x P3 of ghz_correlators, in the order it sums them.
+_GHZ_TABLE = np.stack([np.kron(np.kron(_PAULI[a], _PAULI[b]), _PAULI[c]) for a, b, c in (
+    "iii", "zzi", "ziz", "izz", "zii", "izi", "iiz", "zzz",
+    "xxy", "xyx", "yxx", "yyy", "xxx", "xyy", "yxy", "yyx")])
+_GHZ_TABLE.flags.writeable = False
 
 
 def ghz_correlators(rho: HermitianOperator):
     """The four Pauli correlator combinations entering the three-qubit test,
-    each term <P1 x P2 x P3> for a Pauli string such as "zzi"."""
+    each term <P1 x P2 x P3> for a Pauli string of _GHZ_TABLE."""
     if rho.dims != (2, 2, 2):
         raise DimensionMismatch(f"state dims {rho.dims} are not three qubits (2, 2, 2)")
-    e = lambda s: float(trace_product(_pauli_string(s), rho.matrix).real)
-    a_z = e("iii") + e("zzi") - e("ziz") - e("izz")
-    b_z = e("zii") + e("izi") - e("iiz") - e("zzz")
-    c_xy = e("xxy") + e("xyx") + e("yxx") - e("yyy")
-    d_xy = e("xxx") - e("xyy") - e("yxy") - e("yyx")
+    e = [float(x.real) for x in np.einsum("kij,ji->k", _GHZ_TABLE, rho.matrix)]
+    a_z = e[0] + e[1] - e[2] - e[3]
+    b_z = e[4] + e[5] - e[6] - e[7]
+    c_xy = e[8] + e[9] + e[10] - e[11]
+    d_xy = e[12] - e[13] - e[14] - e[15]
     return a_z, b_z, c_xy, d_xy
 
 

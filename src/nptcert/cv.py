@@ -146,9 +146,7 @@ class PureFockState:
 
 def vacuum(cutoff: int) -> PureFockState:
     """Single-mode |0>; the two-mode vacuum is with_vacuum_ancilla(vacuum(cutoff))."""
-    v = np.zeros(_check_cutoff(cutoff), dtype=np.complex128)
-    v[0] = 1.0
-    return PureFockState(v, v.shape)
+    return fock(0, cutoff)
 
 
 def fock(n: int, cutoff: int) -> PureFockState:
@@ -350,7 +348,7 @@ class _MomentEngine:
 
     def __init__(self, rho: HermitianOperator, pt: bool = False):
         self._v = self._r4 = self._pure = None
-        self._pt, self._d, self._left = pt, rho.dims[0], {}
+        self._pt, self._cutoff, self._left = pt, rho.dims[0] - 1, {}
         if isinstance(rho, PureFockState) and pt:
             v = rho.amplitudes.reshape(rho.dims)
             self._pure = v, rho.trace(), bool(np.any(v.imag))
@@ -358,10 +356,6 @@ class _MomentEngine:
             self._v = rho.amplitudes.reshape(rho.dims)
         else:
             self._r4 = rho.matrix.reshape(rho.dims + rho.dims)
-
-    @cached_property
-    def _eye(self):  # a dense gather reads the identity through its diagonal
-        return _factor(np.eye(self._d, dtype=np.complex128))
 
     def _band(self, i0, j0, k0, l0, n1, n2):
         """rho4[i0 + t, j0 + s, k0 + t, l0 + s] over t < n1, s < n2."""
@@ -386,9 +380,10 @@ class _MomentEngine:
                     hit = self._left[id(f1[0])] = f1[0], f1[0] @ self._v
                 left = hit[1]
             return complex(np.vdot(self._v, left if f2 is None else left @ f2[0].T))
+        eye = _ladder(self._cutoff, 0, 0)  # a dense gather reads the identity's diagonal
         total = 0j
-        for k0, i0, w1 in (self._eye if f1 is None else f1)[1]:
-            for l0, j0, w2 in (self._eye if f2 is None else f2)[1]:
+        for k0, i0, w1 in (eye if f1 is None else f1)[1]:
+            for l0, j0, w2 in (eye if f2 is None else f2)[1]:
                 total += w1 @ self._band(i0, j0, k0, l0, len(w1), len(w2)) @ w2
         return complex(total)
 
@@ -411,8 +406,8 @@ def _mode_factors(cutoff: int, m: int):
 
 @lru_cache(maxsize=32)
 def _ladder(cutoff: int, j: int, k: int):
-    """a^dag^j a^k as a read-only _factor pair, by matrix_power: the relation
-    check's own source of ladder products, apart from _mode_factors."""
+    """a^dag^j a^k as a read-only _factor pair, by matrix_power, for the relation check,
+    the witnesses and (j = k = 0) the identity; the inequalities read _mode_factors."""
     a = destroy(cutoff)
     return _factor(np.linalg.matrix_power(a.conj().T, j) @ np.linalg.matrix_power(a, k))
 
@@ -515,12 +510,11 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
     """Compare <a1^dag^m a1^n a2^dag^p a2^q> over rho^PT against the
     index-swapped moment <a1^dag^m a1^n a2^dag^q a2^p> over rho.
 
-    The left side gathers entries of the Fock-basis rho^PT (_MomentEngine)
-    by swapping the mode-2 indices of rho's, from a dense rho.matrix or from
-    a pure state's amplitudes, never a copy.  The right side reads rho
-    itself, a pure state by <V, M1 V M2^T>, with the mode-2 exponents
-    swapped: the two sides run on independent code.  tests/oracles.py holds
-    the dense contraction.
+    The left side gathers rho^PT's entries (_MomentEngine) by swapping rho's
+    mode-2 indices; the right side reads rho with the mode-2 exponents swapped.
+    For a dense rho both gather the same entries with the same weights, so the
+    defect is 0 and only the index swap is tested.  The independent references
+    are tests/oracles.py's dense contraction and perfbench's numpy recomputation.
     """
     modes, cutoff = space_of(rho)
     if modes != 2:
@@ -544,8 +538,7 @@ def _witness_moments(witness: str, rho: HermitianOperator, m: int, pairs) -> lis
         raise ParameterOutOfRange(f"{witness} is a single-mode witness")
     require_state_like(rho)
     _guard(rho, 2 * m)
-    ladder = lambda order, key: _mode_factors(cutoff, order)[key][0]
-    return [trace_product(rho.matrix, ladder(j, "ad") @ ladder(k, "a")) for j, k in pairs]
+    return [trace_product(rho.matrix, _ladder(cutoff, j, k)[0]) for j, k in pairs]
 
 
 def _squeezing_curve(rho: HermitianOperator, m: int, phi: np.ndarray):
@@ -620,7 +613,7 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
     cutoff = rho.dims[0] - 1  # ineq10/ineq11 checked rho's shape
     f1, f2 = _mode_factors(cutoff, m), _mode_factors(cutoff, n)
     if which == 10:
-        eye = _factor(np.eye(cutoff + 1, dtype=np.complex128))
+        eye = _ladder(cutoff, 0, 0)
         h1 = [(1, f1["x"], eye), (1, eye, f2["x"])]                 # X1 + X2
         h2 = [(1, f1["y"], eye), (1, eye, f2["y"])]                 # Y1 + Y2
     else:  # B = a1^m a2^n

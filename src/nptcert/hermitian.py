@@ -205,13 +205,13 @@ def operator_from_payload(payload: dict) -> HermitianOperator:
     try:
         dims = tuple(spec_int(d, "dims entry") for d in payload["dims"])
         entries = payload["matrix"]
+        n = math.prod(dims)
+        if len(entries) != n * n:  # a matrix without len() is malformed too
+            raise DimensionMismatch(
+                f"matrix payload has {len(entries)} entries, expected {n * n} for dims {dims}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed matrix payload: {exc}") from exc
-    n = int(np.prod(dims))
-    if len(entries) != n * n:
-        raise DimensionMismatch(
-            f"matrix payload has {len(entries)} entries, expected {n * n} for dims {dims}"
-        )
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
     except (TypeError, ValueError) as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, UnnormalizedState
+from .errors import ConvergenceFailure, ParameterOutOfRange, UnnormalizedState
 from .hermitian import Bipartition, HermitianOperator, partial_transpose
 
 VIOLATION_TOL = 1e-10
@@ -68,8 +68,10 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
 
 
 def pt_spectrum(rho: HermitianOperator, bip: Bipartition, tol: float = VIOLATION_TOL):
-    """One partial transpose and one eigensolve: (rho^PT, Spectrum, NptVerdict);
-    raises UnnormalizedState unless rho has unit trace within 1e-9."""
+    """One partial transpose and one eigensolve: (rho^PT, Spectrum, NptVerdict); raises
+    ParameterOutOfRange below total dimension 2, UnnormalizedState unless Tr rho = 1 (1e-9)."""
+    if rho.dim < 2:
+        raise ParameterOutOfRange(f"total dimension {rho.dim} must be >= 2")
     require_state_like(rho)
     rho_pt = partial_transpose(rho, bip)
     spectrum = eig_hermitian(rho_pt)

@@ -80,6 +80,11 @@ REJECTED = [
     ["check", "bell", "--bipartition", "0|1", "--tol", "nan"],
     # the cutoff is checked before alpha is read
     ["cv-check", '{"family": "coherent", "alpha": "abc", "cutoff": 1}'],
+    # dims whose product wraps in int64, a matrix that is no list, a total dimension of 1
+    ["check", '{"dims": [4294967297, 4294967295], "matrix": [[1, 0]]}', "--bipartition", "0|1"],
+    ["check", '{"dims": [2, 2], "matrix": 5}', "--bipartition", "0|1"],
+    *([command, '{"dims": [1, 1], "matrix": [[1, 0]]}', "--bipartition", "0|1"]
+      for command in ("check", "witness")),
 ]
 
 REQUESTS = (
@@ -142,8 +147,7 @@ def snapshot(out_dir, requests=REQUESTS) -> Path:
     """Run requests and write out_dir/corpus.jsonl; returns its path."""
     out = Path(out_dir).resolve() / "corpus.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
-    # trees before the variable's removal read NPT_CERTIFY_TOL as the default --tol
-    lines, cwd, tol = [], os.getcwd(), os.environ.pop("NPT_CERTIFY_TOL", None)
+    lines, cwd = [], os.getcwd()
     try:
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)  # reports name their input as given: the same relative path
@@ -153,8 +157,6 @@ def snapshot(out_dir, requests=REQUESTS) -> Path:
             lines = [json.dumps(run(argv)) for argv in requests]
     finally:
         os.chdir(cwd)
-        if tol is not None:
-            os.environ["NPT_CERTIFY_TOL"] = tol
     out.write_text("\n".join(lines) + "\n")
     return out
 

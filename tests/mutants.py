@@ -3,15 +3,18 @@
     python tests/mutants.py [NAME ...]
 
 Each mutant is (name, file under src/nptcert, exact old text, new text,
-pytest node ids).  For each mutant (all of them, or the named ones) the
-runner copies src/ to a temporary directory, replaces the old text, which
-must occur exactly once, and runs the mutant's node ids in a fresh
-interpreter with `-o pythonpath=<tmp>/src`: pyproject's `pythonpath =
-["src"]` would otherwise put this tree's own src ahead of PYTHONPATH.  A
-mutant is killed when a node id fails (pytest exit 1) and survives when all
-pass.  The runner prints one line per mutant and exits 1 when any mutant
-survives or cannot be run (its old text is not found exactly once, or
-pytest ends in a usage or collection error).
+pytest node ids).  The runner copies src/, tests/, perfbench/ and
+pyproject.toml to a temporary directory (the censuses of
+tests/test_imports.py read the last three beside the package) and runs
+pytest there in a fresh interpreter, so pyproject's `pythonpath = ["src"]`
+imports the copy.  It first runs every mutant's node ids on the unmutated
+copy and stops with exit 1 unless they pass.  Then, for each mutant (all of
+them, or the named ones), it replaces the old text in a fresh copy, where
+it must occur exactly once, and runs the mutant's node ids.  A mutant is
+killed when a node id fails (pytest exit 1) and survives when all pass.  The
+runner prints one line per mutant and exits 1 when any mutant survives or
+cannot be run (its old text is not found exactly once, or pytest ends in a
+usage or collection error).
 
 tests/test_mutants.py checks only that each old text occurs exactly once, so
 a change that moves mutated code rewrites its mutant in the same change.
@@ -71,6 +74,45 @@ MUTANTS = (
            "np.vdot(v2, cert.rho_pt.matrix @ v2)",
            "np.vdot(v2, rho.matrix @ v2)",
            ("tests/test_cli.py::TestSweep",)),
+    Mutant("ghz-term-sign", "certificates.py",
+           "- e[3]",
+           "+ e[3]",
+           ("tests/test_certificates.py::TestGhzInequality",)),
+    Mutant("ghz-string-swapped", "certificates.py",
+           '"iii", "zzi",',
+           '"iii", "zzz",',
+           ("tests/test_certificates.py::TestGhzInequality",)),
+    Mutant("identity-factor-is-a", "cv.py",
+           "eye = _ladder(self._cutoff, 0, 0)",
+           "eye = _ladder(self._cutoff, 0, 1)",
+           ("tests/test_cv.py::TestBandedMoments",)),
+    Mutant("vacuum-is-fock1", "cv.py",
+           "return fock(0, cutoff)",
+           "return fock(1, cutoff)",
+           ("tests/test_cv.py::TestBeamSplitter::test_vacuum_fixed_point",
+            "tests/test_cv.py::TestIneq10::test_vacuum_components")),
+    # the censuses of tests/test_imports.py: an unread field, a public function
+    # nothing calls and a read of the process environment
+    Mutant("unread-field", "certificates.py",
+           "    det: float\n",
+           "    det: float\n    census_probe: float = 0.0\n",
+           ("tests/test_imports.py::test_every_dataclass_field_is_read_or_listed",)),
+    Mutant("uncalled-function", "hermitian.py",
+           "def save_operator(",
+           "def census_probe():\n    pass\n\n\ndef save_operator(",
+           ("tests/test_imports.py::test_every_public_function_has_a_caller_or_is_listed",)),
+    Mutant("environment-read", "cli.py",
+           "default=certificates.VIOLATION_TOL,",
+           'default=float(os.environ.get("NPT_CERTIFY_TOL", certificates.VIOLATION_TOL)),',
+           ("tests/test_imports.py::test_no_environment_reads",)),
+    Mutant("dims-product-in-int64", "hermitian.py",
+           "n = math.prod(dims)",
+           "n = int(np.prod(dims))",
+           ("tests/test_cli.py::TestErrors::test_refused_with_its_message",)),
+    Mutant("dimension-one-accepted", "spectral.py",
+           "if rho.dim < 2:",
+           "if rho.dim < 1:",
+           ("tests/test_spectral.py::TestClassifyNpt",)),
 )
 
 
@@ -78,19 +120,26 @@ def occurrences(mutant: Mutant, root: Path = ROOT) -> int:
     return (root / "src" / "nptcert" / mutant.file).read_text().count(mutant.old)
 
 
+def pytest_on_copy(tests, mutant: Mutant | None = None) -> subprocess.CompletedProcess:
+    """pytest on node ids in a copy of the tree, with the mutant applied if given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        for name in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / name, Path(tmp) / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            path = Path(tmp) / "src" / "nptcert" / mutant.file
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tmp, capture_output=True, text=True)
+
+
 def run(mutant: Mutant) -> str:
     """"killed", "survived" or the reason the mutant could not be run."""
     if occurrences(mutant) != 1:
         return f"old text found {occurrences(mutant)} times in {mutant.file}"
-    with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        path = src / "nptcert" / mutant.file
-        path.write_text(path.read_text().replace(mutant.old, mutant.new))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "-o", f"pythonpath={src}", *mutant.tests],
-            cwd=ROOT, capture_output=True, text=True)
+    proc = pytest_on_copy(mutant.tests, mutant)
     if proc.returncode in (0, 1):
         return "killed" if proc.returncode == 1 else "survived"
     return f"pytest exit {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
@@ -101,7 +150,12 @@ def main(names) -> int:
     if unknown:
         print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
         return 1
-    results = {m.name: run(m) for m in MUTANTS if not names or m.name in names}
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    baseline = pytest_on_copy(sorted({t for m in chosen for t in m.tests}))
+    if baseline.returncode != 0:
+        print(f"the unmutated tree fails its mutants' tests:\n{baseline.stdout}", file=sys.stderr)
+        return 1
+    results = {m.name: run(m) for m in chosen}
     for name, result in results.items():
         print(f"{name}: {result}")
     return 0 if all(r == "killed" for r in results.values()) else 1

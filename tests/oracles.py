@@ -58,6 +58,23 @@ def random_density_oracle(rng, n):
     return rho / np.trace(rho).real
 
 
+_PAULI = {"i": np.eye(2), "x": np.array([[0, 1], [1, 0]]),
+          "y": np.array([[0, -1j], [1j, 0]]), "z": np.diag([1, -1])}
+
+
+def ghz_correlators_oracle(rho_matrix):
+    """(A_z, B_z, C_xy, D_xy) of the three-qubit test, one string at a time:
+    each <P1 x P2 x P3> is Re Tr{P rho} by hermitian.trace_product's einsum
+    on its own np.kron-built string, summed in the printed order."""
+    def e(s):
+        p = np.kron(np.kron(_PAULI[s[0]], _PAULI[s[1]]), _PAULI[s[2]]).astype(np.complex128)
+        return float(complex(np.einsum("ij,ji->", p, rho_matrix)).real)
+    return (e("iii") + e("zzi") - e("ziz") - e("izz"),
+            e("zii") + e("izi") - e("iiz") - e("zzz"),
+            e("xxy") + e("xyx") + e("yxx") - e("yyy"),
+            e("xxx") - e("xyy") - e("yxy") - e("yyx"))
+
+
 # ---------------------------------------------------------------------------
 # Continuous-variable oracles
 # ---------------------------------------------------------------------------

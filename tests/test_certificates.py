@@ -41,7 +41,8 @@ from nptcert.states import (
     random_density,
     random_separable,
 )
-from oracles import random_density_oracle, random_hermitian, random_unit_trace_hermitian
+from oracles import (ghz_correlators_oracle, random_density_oracle, random_hermitian,
+                     random_unit_trace_hermitian)
 
 E0 = np.array([1, 0], dtype=complex)
 E1 = np.array([0, 1], dtype=complex)
@@ -112,6 +113,10 @@ class TestBuildPseudospin:
         assert build_pseudospin(E0, E1, dims=[2.0]).h1.dims == (2,)
         with pytest.raises(DimensionMismatch):
             build_pseudospin(E0, E1, dims=(3,))
+
+    def test_vector_lengths_must_agree(self):
+        with pytest.raises(DimensionMismatch, match="vector lengths 2 vs 3"):
+            build_pseudospin(E0, np.array([0, 1, 0], dtype=complex))
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,6 +469,14 @@ class TestGhzInequality:
         assert (a_z, b_z, c_xy, d_xy) == (1.0, 0.0, 0.0, 0.0)
         res = ghz_inequality(a_z, b_z, c_xy, d_xy)
         assert res.margin == pytest.approx(16.0, abs=1e-12)
+
+    def test_correlators_equal_per_string_traces(self):
+        # one einsum over the stacked strings gives each string's own trace bits
+        rng = np.random.default_rng(27)
+        states = [herm(random_density_oracle(rng, 8), (2, 2, 2)) for _ in range(200)]
+        states += [make_ghz_mixed(float(p)) for p in np.linspace(0.0, 1.0, 101)]
+        for rho in states:
+            assert ghz_correlators(rho) == ghz_correlators_oracle(rho.matrix)
 
     def test_needs_three_qubits(self):
         for rho in (make_bell(), herm(np.eye(8) / 8, (8,)), herm(np.eye(8) / 8, (2, 4))):

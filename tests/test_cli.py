@@ -257,6 +257,29 @@ class TestErrors:
         result = runner.invoke(main, argv)
         assert result.exit_code in (0, 2), result.output
 
+    # 4294967297 * 4294967295 = 2^64 - 1 wrapped to -1 in int64, whose square passed
+    # the length check; a total dimension of 1 built the pair on one vector twice in
+    # `check`, while `witness` exited 0
+    WRAPPED = (4294967297 * 4294967295) ** 2
+
+    @pytest.mark.parametrize("argv, said", [
+        (["check", '{"dims": [4294967297, 4294967295], "matrix": [[1, 0]]}', "--bipartition",
+          "0|1"], f"matrix payload has 1 entries, expected {WRAPPED} for dims "
+                  "(4294967297, 4294967295)"),
+        (["check", '{"dims": [2, 2], "matrix": 5}', "--bipartition", "0|1"],
+         "malformed matrix payload: object of type 'int' has no len()"),
+        (["check", '{"dims": [1, 1], "matrix": [[1, 0]]}', "--bipartition", "0|1"],
+         "total dimension 1 must be >= 2"),
+        (["witness", '{"dims": [1, 1], "matrix": [[1, 0]]}', "--bipartition", "0|1"],
+         "total dimension 1 must be >= 2"),
+        (["relation-check", "two_mode_squeezed:r=0.3", "--p", "5"], "order 5 outside 0..4"),
+    ], ids=["dims-product-wraps", "matrix-without-len", "check-dimension-1",
+            "witness-dimension-1", "relation-check-order-5"])
+    def test_refused_with_its_message(self, runner, argv, said):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr == f"error: {said}\n"
+
 
 # The keys each family accepts; spec_strings adds "R", "p" and "r" and random keys.
 SPEC_FAMILIES = {

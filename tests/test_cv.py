@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from nptcert import certificates, cv
-from nptcert.errors import ParameterOutOfRange, TruncationUnreliable, UnnormalizedState
+from nptcert.errors import (DimensionMismatch, ParameterOutOfRange, TruncationUnreliable,
+                            UnnormalizedState)
 from nptcert.hermitian import Bipartition, HermitianOperator, validate_hermitian
 from oracles import (amplitude_squeezing_oracle, bs_fock1_output, bs_unitary_oracle,
                      coherent_vector, crosscheck_copy_reference, crosscheck_pair_oracle,
@@ -138,6 +140,28 @@ class TestFactories:
             warnings.simplefilter("error")  # no overflow warning on the way
             with pytest.raises(ParameterOutOfRange):
                 cv.coherent(1e300, CUT)
+
+    @pytest.mark.parametrize("run, error, said", [
+        (lambda: cv.space_of(HermitianOperator(np.eye(12, dtype=complex) / 12, (3, 4))),
+         DimensionMismatch, "unequal mode dimensions (3, 4)"),
+        (lambda: cv.coherent(complex("nan"), CUT), ParameterOutOfRange, "is not finite"),
+        (lambda: cv.squeezed_vacuum(np.inf, 0.0, CUT), ParameterOutOfRange,
+         "squeezing parameters must be finite"),
+        (lambda: cv.squeezed_vacuum(0.3, np.nan, CUT), ParameterOutOfRange,
+         "squeezing parameters must be finite"),
+        (lambda: cv.two_mode_squeezed(-np.inf, CUT), ParameterOutOfRange, "r = -inf is not finite"),
+        (lambda: cv.amplitude_squeezing(vacuum2(SMALL), 1, 0.0), ParameterOutOfRange,
+         "amplitude squeezing is a single-mode witness"),
+        (lambda: cv.amplitude_squeezing_scan(vacuum2(SMALL), 1), ParameterOutOfRange,
+         "amplitude squeezing is a single-mode witness"),
+        (lambda: cv.photon_stat_nonclassicality(vacuum2(SMALL), 1), ParameterOutOfRange,
+         "photon statistics is a single-mode witness"),
+    ], ids=["unequal-modes", "coherent-nan", "squeezed-inf-r", "squeezed-nan-phi",
+            "two-mode-squeezed-inf", "amplitude-squeezing-two-mode", "scan-two-mode",
+            "photon-stat-two-mode"])
+    def test_refused_input(self, run, error, said):
+        with pytest.raises(error, match=re.escape(said)):
+            run()
 
     def test_spec_cutoff_cap(self, monkeypatch):
         assert cv.cv_state_from_spec({"family": "vacuum", "cutoff": cv.MAX_CUTOFF}).dims == (61,)
@@ -608,6 +632,21 @@ class TestPtMomentRelation:
             np.testing.assert_allclose(res.lhs, lhs, rtol=1e-12)
             np.testing.assert_allclose(res.rhs, rhs, rtol=1e-12)
 
+    @pytest.mark.usefixtures("unguarded")
+    @pytest.mark.parametrize("cutoff", [6, 10])
+    def test_dense_sides_are_the_same_gathers(self, cutoff):
+        # For a dense rho both sides gather the same entries with the same
+        # weights: the defect is exactly 0 and the check tests only the mode-2
+        # index swap (the dense oracle above is the independent reference).  A
+        # pure state's sides run on different formulas and differ by rounding.
+        d = cutoff + 1
+        rho = validate_hermitian(random_density_oracle(np.random.default_rng(cutoff), d * d),
+                                 (d, d), tol=1e-12)
+        orders = list(itertools.product(range(3), repeat=4))
+        assert [cv.pt_moment_relation_check(rho, *o).defect for o in orders] == [0.0] * 81
+        pure = PURE_PT_STATES["bs coherent theta0.37"](20)
+        assert any(cv.pt_moment_relation_check(pure, *o).defect for o in orders)
+
     def test_copies_no_partial_transpose(self):
         share = peak_share_of_matrix(lambda rho: cv.pt_moment_relation_check(rho, 2, 1, 1, 2))
         assert share <= 0.25
@@ -1002,7 +1041,7 @@ class TestFixedIngredients:
     def test_cached_matrices_are_read_only(self):
         blocks, _ = cv._beam_splitter_unitary(10, 0.7)
         matrices = [f[0] for f in self.cached_factors(12)] + [u for _, u in blocks]
-        matrices.append(certificates._pauli_string("xyz"))
+        matrices.append(certificates._GHZ_TABLE)   # the 16 Pauli strings of ghz_correlators
         for matrix in matrices:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 7.0
@@ -1011,8 +1050,7 @@ class TestFixedIngredients:
         for cutoff in range(10, 61):
             cv._mode_factors(cutoff, 1)
             cv._ladder(cutoff, 1, 2)
-        for cache in (cv._mode_factors, cv._ladder, cv._beam_splitter_unitary,
-                      certificates._pauli_string):
+        for cache in (cv._mode_factors, cv._ladder, cv._beam_splitter_unitary):
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
 

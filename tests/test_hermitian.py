@@ -284,6 +284,14 @@ class TestJsonFormat:
         with pytest.raises(DimensionMismatch):
             operator_from_payload(payload)
 
+    @pytest.mark.parametrize("payload, said", [
+        ({"matrix": [[1.0, 0.0]]}, "'dims'"),
+        ({"dims": [1]}, "'matrix'"),
+    ], ids=["no-dims", "no-matrix"])
+    def test_rejects_malformed_payload(self, payload, said):
+        with pytest.raises(DimensionMismatch, match=f"^malformed matrix payload: {said}$"):
+            operator_from_payload(payload)
+
     def test_rejects_malformed_entries(self):
         with pytest.raises(DimensionMismatch):
             operator_from_payload({"dims": [2], "matrix": [["x", 0]] * 4})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nptcert.errors import ConvergenceFailure, UnnormalizedState
+from nptcert.errors import ConvergenceFailure, ParameterOutOfRange, UnnormalizedState
 from nptcert.hermitian import Bipartition, tensor_product, validate_hermitian
 from nptcert.spectral import eig_hermitian, pt_spectrum
 from nptcert.states import make_bell, make_ghz_mixed, random_separable
@@ -100,6 +100,12 @@ class TestClassifyNpt:
     def test_unnormalized(self):
         op = validate_hermitian(np.eye(4), (2, 2))
         with pytest.raises(UnnormalizedState):
+            pt_spectrum(op, Bipartition(frozenset({0}), 2))
+
+    def test_total_dimension_one_refused(self):
+        # one vector has no orthogonal partner for the pair, so no subcommand can certify
+        op = validate_hermitian(np.ones((1, 1)), (1, 1))
+        with pytest.raises(ParameterOutOfRange, match="total dimension 1 must be >= 2"):
             pt_spectrum(op, Bipartition(frozenset({0}), 2))
 
     def test_pt_eigenvalue_sum_is_one(self):

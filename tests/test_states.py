@@ -74,6 +74,11 @@ class TestPureFamilies:
             w = eigvals_oracle(partial_transpose(make_werner(p), BIP01).matrix)
             assert w[-1] < -1e-10
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_werner_out_of_range(self, p):
+        with pytest.raises(ParameterOutOfRange, match=r"outside \[0, 1\]"):
+            make_werner(p)
+
 
 class TestRandomFactories:
     def test_density_psd_unit_trace(self):
@@ -132,6 +137,10 @@ class TestStateSpec:
     def test_unknown_family(self):
         with pytest.raises(ParameterOutOfRange):
             state_from_spec({"family": "cat"})
+
+    def test_dims_must_be_a_list(self):
+        with pytest.raises(ParameterOutOfRange, match="dims = 4 is not a list"):
+            state_from_spec({"family": "product", "dims": 4})
 
     @pytest.mark.parametrize("spec, key", [
         ({"family": "werner", "p": True}, "p"),
