@@ -1,6 +1,10 @@
 """Command-line front end: ingest states, run certificates and sweeps,
 export witnesses and reports.
 
+Each subcommand returns its report (a dict, or sweep-ghz's CSV text) and
+whether it exits 2; main checks --tol, adds `config` to a JSON report and
+writes it, json.dumps(indent=2, sort_keys=True) plus a newline, once.
+
 Exit codes: 0 = separability condition satisfied (no certificate),
 2 = violation certified, 1 = error, 3 = unreliable Fock truncation.  A usage
 error is one `error:` line and exit 1 too; `--help` exits 0.  Exit 2 means a
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import certificates, states
 from .errors import CertificationError, ParameterOutOfRange, TruncationUnreliable
-from .hermitian import Bipartition, operator_from_payload
+from .hermitian import Bipartition, complex_pairs, operator_from_payload
 from .spectral import pt_spectrum
 
 EXIT_OK = 0
@@ -36,13 +40,6 @@ RELATION_RTOL = 1e-8    # relation-check's bound on |lhs - rhs|, relative
 # at about 0.25 ms a point (2-vCPU VM) the largest sweep takes 2-4 s in-process
 # and writes 1 MB of CSV, and a p spacing of 1e-4 is far finer than a plot shows.
 MAX_STEPS = 10_000
-
-
-def _tol(tol: float) -> float:
-    """--tol (default VIOLATION_TOL) as given: a finite number >= 0."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParameterOutOfRange(f"tolerance {tol!r} is not a finite number >= 0")
-    return tol
 
 
 def _parse_value(text: str):
@@ -84,64 +81,42 @@ def _read_payload(source: str) -> dict:
     return payload
 
 
-def _load_finite_state(source: str):
-    """A finite state from a matrix payload or a state spec (see _read_payload)."""
+def _load_finite_state(source: str, bipartition: str):
+    """(state, Bipartition) from a matrix payload or a state spec (see
+    _read_payload) and a bipartition string over the state's subsystems."""
     payload = _read_payload(source)
-    if "matrix" in payload:
-        return operator_from_payload(payload)
-    return states.state_from_spec(payload)
+    rho = (operator_from_payload if "matrix" in payload else states.state_from_spec)(payload)
+    return rho, Bipartition.parse(bipartition, len(rho.dims))
 
 
 def _load_cv_state(source: str, cutoff: int | None):
-    """(state, spec, cutoff) at the spec's cutoff, else --cutoff, else DEFAULT_CUTOFF."""
+    """(state, its config: the spec as read and the cutoff built at) at the
+    spec's cutoff, else --cutoff, else DEFAULT_CUTOFF."""
     from . import cv  # imported by the CV subcommands only: the finite ones never read it
     payload = _read_payload(source)
     payload.setdefault("cutoff", cv.DEFAULT_CUTOFF if cutoff is None else cutoff)
     rho = cv.cv_state_from_spec(payload)
     if cutoff not in (None, rho.dims[0] - 1):
         raise ParameterOutOfRange(f"spec cutoff {rho.dims[0] - 1} differs from --cutoff {cutoff}")
-    return rho, payload, rho.dims[0] - 1
+    return rho, {"spec": payload, "cutoff": rho.dims[0] - 1}
 
 
-def _write(text: str, out) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _config(command: str, source: str, **options) -> dict:
-    return {"command": command, "input": source, **options}
-
-
-def _emit(payload: dict, out) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
-
-
-def check(source, bipartition, tol, out):
+def check(source, bipartition, tol):
     """Run the full SR certificate for one state and bipartition."""
-    tol = _tol(tol)
-    rho = _load_finite_state(source)
-    bip = Bipartition.parse(bipartition, len(rho.dims))
+    rho, bip = _load_finite_state(source, bipartition)
     payload = certificates.certificate_payload(rho, bip, tol=tol)
-    payload["config"] = _config("check", source, bipartition=bipartition, tol=tol)
-    _emit(payload, out)
-    return EXIT_VIOLATED if payload["verdict"] == "violated" else EXIT_OK
+    return payload, payload["verdict"] == "violated"
 
 
-def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
+def sweep_ghz(p_from, p_to, steps, bipartition, tol):
     """Sweep the mixed-GHZ family and emit CSV columns
     p, lambda_minus, sr_margin, eq8_margin, witness_value."""
-    tol = _tol(tol)
     if not (0.0 <= p_from < p_to <= 1.0):
-        raise ParameterOutOfRange(
-            f"need 0 <= p_from < p_to <= 1, got {p_from}, {p_to}"
-        )
+        raise ParameterOutOfRange(f"need 0 <= p_from < p_to <= 1, got {p_from}, {p_to}")
     if not 2 <= steps <= MAX_STEPS:
         raise ParameterOutOfRange(f"steps = {steps} outside 2..{MAX_STEPS}")
     bip = Bipartition.parse(bipartition, 3)
-    rows = []
+    lines = ["p,lambda_minus,sr_margin,eq8_margin,witness_value"]
     for p in np.linspace(p_from, p_to, steps):
         rho = states.make_ghz_mixed(float(p))
         cert = certificates.certify(rho, bip, tol=tol)
@@ -150,32 +125,21 @@ def sweep_ghz(p_from, p_to, steps, bipartition, tol, out):
         # minimal-eigenvalue eigenvector; equals lambda_min whatever its sign.
         v2 = cert.spectrum.vector(-1)
         wval = float(np.vdot(v2, cert.rho_pt.matrix @ v2).real)
-        rows.append((float(p), cert.verdict.min_eigenvalue, cert.report.margin,
-                     eq8.margin, wval))
-    lines = ["p,lambda_minus,sr_margin,eq8_margin,witness_value"]
-    lines += [",".join(repr(x) for x in row) for row in rows]
-    _write("\n".join(lines) + "\n", out)
-    return EXIT_OK
+        lines.append(",".join(repr(x) for x in (float(p), cert.verdict.min_eigenvalue,
+                                                cert.report.margin, eq8.margin, wval)))
+    return "\n".join(lines) + "\n", False
 
 
-def witness(source, bipartition, tol, out):
+def witness(source, bipartition, tol):
     """Export the entanglement witness built from the most negative PT eigenvector."""
-    tol = _tol(tol)
-    rho = _load_finite_state(source)
-    bip = Bipartition.parse(bipartition, len(rho.dims))
+    rho, bip = _load_finite_state(source, bipartition)
     _, spectrum, verdict = pt_spectrum(rho, bip, tol=tol)
     entry = certificates.witness_entry(rho, bip, spectrum, verdict)
     if entry is not None:
         entry["source_eigenvalue"] = verdict.min_eigenvalue
-    payload = {
-        "schema": certificates.REPORT_SCHEMA,
-        "is_npt": verdict.is_npt,
-        "pt_eigenvalues": [float(x) for x in spectrum.eigenvalues],
-        "witness": entry,
-        "config": _config("witness", source, bipartition=bipartition, tol=tol),
-    }
-    _emit(payload, out)
-    return EXIT_VIOLATED if verdict.is_npt else EXIT_OK
+    payload = {"schema": certificates.REPORT_SCHEMA, "is_npt": verdict.is_npt,
+               "pt_eigenvalues": [float(x) for x in spectrum.eigenvalues], "witness": entry}
+    return payload, verdict.is_npt
 
 
 def _cv_report_payload(rep: cv.CvInequalityReport) -> dict:
@@ -187,68 +151,45 @@ def _cv_report_payload(rep: cv.CvInequalityReport) -> dict:
     return payload
 
 
-def _check_orders(*orders) -> None:
+def _check_orders(*orders, lowest=1) -> None:
     for o in orders:
-        if not 1 <= o <= 4:
-            raise ParameterOutOfRange(f"order {o} outside 1..4")
+        if not lowest <= o <= 4:
+            raise ParameterOutOfRange(f"order {o} outside {lowest}..4")
 
 
-def cv_check(source, ineq, m, n, cutoff, tol, out):
+def cv_check(source, ineq, m, n, cutoff, tol):
     """Evaluate a moment inequality for a two-mode CV state spec."""
     from . import cv
-    tol = _tol(tol)
     _check_orders(m, n)
-    rho, spec, cutoff = _load_cv_state(source, cutoff)
-    runner = cv.ineq10 if ineq == "10" else cv.ineq11
-    rep = runner(rho, m, n, tol=tol)
-    payload = _cv_report_payload(rep)
-    payload["config"] = _config("cv-check", source, spec=spec, ineq=ineq, m=m, n=n,
-                                cutoff=cutoff, tol=tol)
-    _emit(payload, out)
-    return EXIT_VIOLATED if rep.violated else EXIT_OK
+    rho, config = _load_cv_state(source, cutoff)
+    rep = (cv.ineq10 if ineq == "10" else cv.ineq11)(rho, m, n, tol=tol)
+    return dict(_cv_report_payload(rep), config=config), rep.violated
 
 
-def bs_demo(source, theta, m, n, cutoff, tol, out):
+def bs_demo(source, theta, m, n, cutoff, tol):
     """Pipe a single-mode state and vacuum through a beam splitter, then
     evaluate both moment inequalities on the output."""
     from . import cv
-    tol = _tol(tol)
     _check_orders(m, n)
-    rho_in, spec, cutoff = _load_cv_state(source, cutoff)
-    two_mode = cv.with_vacuum_ancilla(rho_in)
-    result = cv.beam_splitter(two_mode, theta)
+    rho_in, config = _load_cv_state(source, cutoff)
+    result = cv.beam_splitter(cv.with_vacuum_ancilla(rho_in), theta)
     rep10 = cv.ineq10(result.state, m, n, tol=tol)
     rep11 = cv.ineq11(result.state, m, n, tol=tol)
-    payload = {
-        "unitarity_defect": result.unitarity_defect,
-        "ineq10": _cv_report_payload(rep10),
-        "ineq11": _cv_report_payload(rep11),
-        "config": _config("bs-demo", source, spec=spec, theta=theta, m=m, n=n,
-                          cutoff=cutoff, tol=tol),
-    }
-    _emit(payload, out)
-    violated = rep10.violated or rep11.violated
-    return EXIT_VIOLATED if violated else EXIT_OK
+    payload = {"unitarity_defect": result.unitarity_defect, "ineq10": _cv_report_payload(rep10),
+               "ineq11": _cv_report_payload(rep11), "config": config}
+    return payload, rep10.violated or rep11.violated
 
 
-def relation_check(source, m, n, p, q, cutoff, out):
+def relation_check(source, m, n, p, q, cutoff):
     """Check the partial-transpose moment identity on a two-mode state;
     exit 2 when its defect exceeds RELATION_RTOL * max(1, |lhs|, |rhs|)."""
     from . import cv
-    for o in (m, n, p, q):
-        if not 0 <= o <= 4:
-            raise ParameterOutOfRange(f"order {o} outside 0..4")
-    rho, spec, cutoff = _load_cv_state(source, cutoff)
+    _check_orders(m, n, p, q, lowest=0)
+    rho, config = _load_cv_state(source, cutoff)
     res = cv.pt_moment_relation_check(rho, m, n, p, q)
-    payload = {
-        "lhs": [res.lhs.real, res.lhs.imag],
-        "rhs": [res.rhs.real, res.rhs.imag],
-        "defect": res.defect,
-        "config": _config("relation-check", source, spec=spec, m=m, n=n, p=p, q=q, cutoff=cutoff),
-    }
-    _emit(payload, out)
-    bound = RELATION_RTOL * max(1.0, abs(res.lhs), abs(res.rhs))
-    return EXIT_VIOLATED if res.defect > bound else EXIT_OK
+    payload = {"lhs": complex_pairs(res.lhs), "rhs": complex_pairs(res.rhs),
+               "defect": res.defect, "config": config}
+    return payload, res.defect > RELATION_RTOL * max(1.0, abs(res.lhs), abs(res.rhs))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,14 +247,29 @@ def _parser(prog):
 
 
 def main(argv=None, prog_name=None):
-    """Run the subcommand argv names (default sys.argv[1:]); exit with its code.
-    A library, input or file error in it is one `error:` line and exit 1 (3 for an
-    unreliable Fock truncation): a spec value of the wrong type raises TypeError,
-    an infinite count (`n=inf`) OverflowError, JSON nested too deep RecursionError."""
+    """Run the subcommand argv names (default sys.argv[1:]), write its report to
+    --out or stdout and exit 2 if it flags the request, else 0.  `config` holds
+    the command, the input and every option but --out, then a CV subcommand's
+    spec as read and cutoff as built.  An error is one `error:` line and exit 1
+    (3 for an unreliable Fock truncation): an unreadable file is an OSError, bad
+    JSON a ValueError, JSON nested too deep a RecursionError."""
     options = vars(_parser(prog_name or "nptcert").parse_args(argv))
-    run = options.pop("run")
+    run, out = options.pop("run"), options.pop("out")
     try:
-        code = run(**options)
+        if "tol" in options and not (math.isfinite(options["tol"]) and options["tol"] >= 0):
+            raise ParameterOutOfRange(f"tolerance {options['tol']!r} is not a finite number >= 0")
+        report, flagged = run(**options)
+        if isinstance(report, dict):
+            options["input"] = options.pop("source")
+            report["config"] = {"command": run.__name__.replace("_", "-"), **options,
+                                **report.get("config", {})}
+            report = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if out:
+            with open(out, "w") as fh:
+                fh.write(report)
+        else:
+            sys.stdout.write(report)
+        code = EXIT_VIOLATED if flagged else EXIT_OK
     except (CertificationError, OSError, KeyError, ValueError, TypeError, OverflowError,
             RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

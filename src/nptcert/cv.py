@@ -38,7 +38,7 @@ import numpy as np
 from .certificates import VIOLATION_TOL, SRReport, require_state_like, sr_from_moments
 from .errors import DimensionMismatch, ParameterOutOfRange, TruncationUnreliable
 from .hermitian import HermitianOperator, spec_int, trace_product
-from .states import check_spec_keys, spec_value
+from .states import check_spec_keys, spec_number, spec_value
 
 DEFAULT_CUTOFF = 30
 # The largest cutoff a spec may ask for, checked before anything is
@@ -639,13 +639,13 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
 
 # Each family's keys besides "cutoff", and its factory on (spec, cutoff).
 _CV_FAMILIES = {
-    "coherent": ({"alpha"}, lambda s, c: coherent(complex(spec_value(s, "alpha")), c)),
+    "coherent": ({"alpha"}, lambda s, c: coherent(spec_number(s, "alpha", complex), c)),
     "fock": ({"n"}, lambda s, c: fock(spec_int(spec_value(s, "n"), "n"), c)),
     "squeezed_vacuum": ({"r", "phi"}, lambda s, c: squeezed_vacuum(
-        float(spec_value(s, "r")), float(spec_value(s, "phi", 0.0)), c)),
-    "thermal": ({"nbar"}, lambda s, c: thermal(float(spec_value(s, "nbar")), c)),
+        spec_number(s, "r"), spec_number(s, "phi", default=0.0), c)),
+    "thermal": ({"nbar"}, lambda s, c: thermal(spec_number(s, "nbar"), c)),
     "vacuum": (set(), lambda s, c: vacuum(c)),
-    "two_mode_squeezed": ({"r"}, lambda s, c: two_mode_squeezed(float(spec_value(s, "r")), c)),
+    "two_mode_squeezed": ({"r"}, lambda s, c: two_mode_squeezed(spec_number(s, "r"), c)),
     "single_photon_entangled": (set(), lambda s, c: single_photon_entangled(c)),
 }
 

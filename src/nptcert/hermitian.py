@@ -32,12 +32,20 @@ def spec_int(value, name: str) -> int:
     raise ParameterOutOfRange(f"{name} = {value!r} is not an integer")
 
 
-def check_profile(dims, n: int) -> tuple:
-    """dims as a tuple of ints >= 1 with product n, else DimensionMismatch."""
+def read_dims(dims) -> tuple:
+    """A spec's or matrix file's "dims": a JSON list of integers (spec_int).
+    Any other value, such as "22" or an object, is a ParameterOutOfRange."""
+    if not isinstance(dims, list):
+        raise ParameterOutOfRange(f"dims = {dims!r} is not a list")
+    return tuple(spec_int(d, "dims entry") for d in dims)
+
+
+def check_profile(dims, n: int | None = None) -> tuple:
+    """dims as a tuple of ints >= 1, with product n if given, else DimensionMismatch."""
     dims = tuple(spec_int(d, "dims entry") for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DimensionMismatch(f"invalid dimension profile {dims}")
-    if math.prod(dims) != n:
+    if n is not None and math.prod(dims) != n:
         raise DimensionMismatch(f"profile {dims} has total {math.prod(dims)}, matrix is {n}x{n}")
     return dims
 
@@ -202,8 +210,9 @@ def matrix_payload(op: HermitianOperator) -> dict:
 
 
 def operator_from_payload(payload: dict) -> HermitianOperator:
+    """A matrix file's operator; its dims are read_dims's, checked >= 1 before the entry count."""
     try:
-        dims = tuple(spec_int(d, "dims entry") for d in payload["dims"])
+        dims = check_profile(read_dims(payload["dims"]))
         entries = payload["matrix"]
         n = math.prod(dims)
         if len(entries) != n * n:  # a matrix without len() is malformed too

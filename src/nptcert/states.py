@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ParameterOutOfRange
-from .hermitian import HermitianOperator, check_profile, spec_int, tensor_product
+from .hermitian import HermitianOperator, check_profile, read_dims, spec_int, tensor_product
 
 # Size caps, checked before anything is allocated: a dim-1024 state is a
 # 16 MB matrix, four times the north star's largest (256).
@@ -116,12 +116,16 @@ def spec_value(spec: dict, key: str, default=_REQUIRED):
     return value
 
 
-def spec_dims(spec: dict) -> list:
-    """spec["dims"] as a list of ints, each read by spec_int."""
-    dims = spec_value(spec, "dims")
-    if not isinstance(dims, list):
-        raise ParameterOutOfRange(f"dims = {dims!r} is not a list")
-    return [spec_int(d, "dims entry") for d in dims]
+def spec_number(spec: dict, key: str, cast=float, default=_REQUIRED):
+    """spec_value(spec, key, default) read by cast, float or complex.  A value
+    cast refuses, such as "abc", [1] or an integer too large for a float, is a
+    ParameterOutOfRange naming the key, as spec_int's is."""
+    value = spec_value(spec, key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "float" if cast is float else "complex number"
+        raise ParameterOutOfRange(f"{key} = {value!r} is not a {kind}") from None
 
 
 def check_spec_keys(spec: dict, allowed: set) -> None:
@@ -136,16 +140,17 @@ def check_spec_keys(spec: dict, allowed: set) -> None:
 
 # Each family's keys besides "seed", and its factory on (spec, seed).
 _FAMILIES = {
-    "ghz_mixed": ({"p"}, lambda s, seed: make_ghz_mixed(float(spec_value(s, "p")))),
+    "ghz_mixed": ({"p"}, lambda s, seed: make_ghz_mixed(spec_number(s, "p"))),
     "bell": (set(), lambda s, seed: make_bell()),
-    "werner": ({"p"}, lambda s, seed: make_werner(float(spec_value(s, "p")))),
+    "werner": ({"p"}, lambda s, seed: make_werner(spec_number(s, "p"))),
     "single_photon_entangled": (set(), lambda s, seed: make_single_photon_entangled()),
     "random_density": ({"dim", "dims"}, lambda s, seed: random_density(
         spec_int(spec_value(s, "dim"), "dim"), seed,
-        dims=None if s.get("dims") is None else spec_dims(s))),
+        dims=None if s.get("dims") is None else read_dims(spec_value(s, "dims")))),
     "random_separable": ({"dims", "terms"}, lambda s, seed: random_separable(
-        spec_dims(s), spec_int(spec_value(s, "terms", 4), "terms"), seed)),
-    "product": ({"dims"}, lambda s, seed: random_separable(spec_dims(s), 1, seed)),
+        read_dims(spec_value(s, "dims")), spec_int(spec_value(s, "terms", 4), "terms"), seed)),
+    "product": ({"dims"}, lambda s, seed: random_separable(
+        read_dims(spec_value(s, "dims")), 1, seed)),
 }
 
 

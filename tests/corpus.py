@@ -69,6 +69,9 @@ BOOL_SPECS = [
     ["bs-demo", "--input", '{"family": "thermal", "nbar": true}', "--cutoff", "20"],
 ]
 
+# |Phi+><Phi+| as a matrix file's 16 entries.
+BELL_ENTRIES = [[0.5, 0.0] if i in (0, 3, 12, 15) else [0.0, 0.0] for i in range(16)]
+
 # Other refused inputs, each exit 1.
 REJECTED = [
     ["check", '{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": null}',
@@ -85,6 +88,14 @@ REJECTED = [
     ["check", '{"dims": [2, 2], "matrix": 5}', "--bipartition", "0|1"],
     *([command, '{"dims": [1, 1], "matrix": [[1, 0]]}', "--bipartition", "0|1"]
       for command in ("check", "witness")),
+    # matrix-file dims read as a spec's are: a negative entry, a string and an object
+    ["check", '{"dims": [2, -1], "matrix": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+     "--bipartition", "0|1"],
+    *(["check", json.dumps({"dims": dims, "matrix": BELL_ENTRIES}), "--bipartition", "0|1"]
+      for dims in ("22", {"2": 1, "3": 1})),
+    # float and complex spec values that their readers refuse
+    ["check", '{"family": "werner", "p": "abc"}', "--bipartition", "0|1"],
+    ["bs-demo", "--input", "coherent:alpha=abc", "--cutoff", "20"],
 ]
 
 REQUESTS = (

@@ -113,6 +113,35 @@ MUTANTS = (
            "if rho.dim < 2:",
            "if rho.dim < 1:",
            ("tests/test_spectral.py::TestClassifyNpt",)),
+    # the one request path of cli.main, and the spec and matrix-file readers
+    Mutant("exit-flag-inverted", "cli.py",
+           "code = EXIT_VIOLATED if flagged else EXIT_OK",
+           "code = EXIT_OK if flagged else EXIT_VIOLATED",
+           ("tests/test_cli.py::TestCheck::test_bell_certified",)),
+    Mutant("tol-check-skipped", "cli.py",
+           'if "tol" in options and not',
+           'if False and not',
+           ("tests/test_cli.py::TestErrors::test_bad_tolerance",)),
+    Mutant("config-without-cv-spec", "cli.py",
+           '**options,\n                                **report.get("config", {})}',
+           "**options}",
+           ("tests/test_cli.py::TestReportConfig",)),
+    Mutant("config-without-input", "cli.py",
+           'options["input"] = options.pop("source")',
+           'options.pop("source")',
+           ("tests/test_cli.py::TestReportConfig",)),
+    Mutant("relation-order-0-refused", "cli.py",
+           "_check_orders(m, n, p, q, lowest=0)",
+           "_check_orders(m, n, p, q)",
+           ("tests/test_cli.py::TestCvCommands::test_relation_check_order_zero_runs",)),
+    Mutant("negative-dims-accepted", "hermitian.py",
+           'dims = check_profile(read_dims(payload["dims"]))',
+           'dims = read_dims(payload["dims"])',
+           ("tests/test_cli.py::TestErrors::test_refused_with_its_message",)),
+    Mutant("bare-float-reader", "states.py",
+           'make_werner(spec_number(s, "p"))',
+           'make_werner(float(spec_value(s, "p")))',
+           ("tests/test_cli.py::TestErrors::test_refused_with_its_message",)),
 )
 
 

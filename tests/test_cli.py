@@ -273,8 +273,34 @@ class TestErrors:
         (["witness", '{"dims": [1, 1], "matrix": [[1, 0]]}', "--bipartition", "0|1"],
          "total dimension 1 must be >= 2"),
         (["relation-check", "two_mode_squeezed:r=0.3", "--p", "5"], "order 5 outside 0..4"),
+        # a matrix file's dims are read as a spec's are, each entry >= 1, before the
+        # entry count: [2, -1] passed it (n * n = 4) and numpy refused the reshape,
+        # while "22" and {"2": 1, "3": 1} were read as (2, 2) and (2, 3)
+        (["check", '{"dims": [2, -1], "matrix": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+          "--bipartition", "0|1"], "invalid dimension profile (2, -1)"),
+        (["check", json.dumps(dict(hermitian.matrix_payload(make_bell()), dims="22")),
+          "--bipartition", "0|1"], "dims = '22' is not a list"),
+        (["check", json.dumps(dict(hermitian.matrix_payload(make_bell()), dims={"2": 1, "3": 1})),
+          "--bipartition", "0|1"], "dims = {'2': 1, '3': 1} is not a list"),
+        # a float or complex spec value ended in Python's own message, naming no key
+        (["check", '{"family": "werner", "p": "abc"}', "--bipartition", "0|1"],
+         "p = 'abc' is not a float"),
+        (["check", '{"family": "werner", "p": [1]}', "--bipartition", "0|1"],
+         "p = [1] is not a float"),
+        (["witness", '{"family": "ghz_mixed", "p": {"a": 1}}', "--bipartition", "0,1|2"],
+         "p = {'a': 1} is not a float"),
+        (["check", '{"family": "werner", "p": 1%s}' % ("0" * 400), "--bipartition", "0|1"],
+         "p = 1%s is not a float" % ("0" * 400)),
+        (["cv-check", '{"family": "two_mode_squeezed", "r": "x"}', "--cutoff", "12"],
+         "r = 'x' is not a float"),
+        (["bs-demo", "--input", "coherent:alpha=abc", "--cutoff", "12"],
+         "alpha = 'abc' is not a complex number"),
+        (["bs-demo", "--input", '{"family": "squeezed_vacuum", "r": 0.1, "phi": [1]}',
+          "--cutoff", "12"], "phi = [1] is not a float"),
     ], ids=["dims-product-wraps", "matrix-without-len", "check-dimension-1",
-            "witness-dimension-1", "relation-check-order-5"])
+            "witness-dimension-1", "relation-check-order-5", "matrix-dims-negative",
+            "matrix-dims-string", "matrix-dims-object", "string-p", "list-p", "dict-p",
+            "huge-integer-p", "string-r", "string-alpha", "list-phi"])
     def test_refused_with_its_message(self, runner, argv, said):
         result = runner.invoke(main, argv)
         assert result.exit_code == 1 and result.stdout == ""
@@ -327,26 +353,42 @@ matrix_payloads = spec_dims.map(lambda dims: json.dumps({"dims": dims, "matrix":
 
 
 INTEGER_KEYS = ("dim", "terms", "cutoff", "n", "seed")
+NUMBER_KEYS = {"p": float, "r": float, "phi": float, "nbar": float, "alpha": complex}
 
 
-def _has_refused_value(source) -> bool:
-    """Whether a spec holds a bool or a null for any key (random_density's
-    optional dims aside, where null means absent) or a non-integral number
-    for a size, a count or a seed."""
+def _casts(cast, value) -> bool:
+    if isinstance(value, bool) or value is None:
+        return False
+    if cast is int and isinstance(value, float):
+        return value.is_integer()
     try:
-        spec = cli._parse_spec(source)
-    except Exception:
+        cast(value)
+    except (TypeError, ValueError, OverflowError):
         return False
-    if not isinstance(spec, dict):
-        return False
-    values = [spec.get(key) for key in INTEGER_KEYS]
-    if isinstance(spec.get("dims"), list):
-        values += spec["dims"]
+    return True
+
+
+def _refused_keys(spec) -> set:
+    """The keys of a parsed spec whose value no reader takes: a bool or a null
+    for any key (random_density's optional dims aside, where null means
+    absent), a size, count or seed that int() refuses or that is not integral,
+    a dims that is no list or holds such an entry, and a p, r, phi or nbar
+    that float() refuses or an alpha that complex() refuses."""
     optional = {"dims"} if spec.get("family") == "random_density" else set()
-    return (any(isinstance(v, bool) or isinstance(v, float) and not v.is_integer()
-                for v in values)
-            or any(isinstance(v, bool) or v is None and k not in optional
-                   for k, v in spec.items()))
+    refused = {k for k, v in spec.items()
+               if isinstance(v, bool) or v is None and k not in optional}
+    refused |= {k for k in INTEGER_KEYS if k in spec and not _casts(int, spec[k])}
+    refused |= {k for k, cast in NUMBER_KEYS.items() if k in spec and not _casts(cast, spec[k])}
+    dims = spec.get("dims")
+    if not (dims is None and optional) and "dims" in spec and not (
+            isinstance(dims, list) and all(_casts(int, d) for d in dims)):
+        refused.add("dims")
+    return refused
+
+
+def _names_a_key(line: str, keys) -> bool:
+    """Whether an error line names one of keys, as "'p'", "p = " or "dims entry = "."""
+    return any(f"{k!r}" in line or f"{k} = " in line or f"{k} entry = " in line for k in keys)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -360,11 +402,47 @@ def test_fuzzed_specs_exit_cleanly(source, command, bip):
     result = CliRunner().invoke(main, argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     assert result.exit_code in (0, 1, 2, 3)
-    if _has_refused_value(source):
-        assert result.exit_code == 1, argv
     if result.exit_code in (1, 3):
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, result.stderr)
+    try:
+        spec = cli._parse_spec(source)
+    except Exception:
+        return
+    if not isinstance(spec, dict) or not _refused_keys(spec):
+        return
+    assert result.exit_code == 1, argv
+    # a spec of one of the command's families: the line names the refused key, or
+    # a key read before it (an unknown key, a CV cutoff, a missing required key)
+    families = states._FAMILIES if command == "check" else cv._CV_FAMILIES
+    family = spec.get("family")
+    if isinstance(family, str) and family in families:
+        keys = set(spec) - {"family"} | families[family][0]
+        assert _names_a_key(lines[0], keys), (argv, lines[0])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data(), command=st.sampled_from(["check", "cv-check"]))
+def test_fuzzed_spec_values_name_their_key(data, command):
+    # a spec of one of the command's families holding only keys the family reads,
+    # so the readers see every drawn value
+    families = states._FAMILIES if command == "check" else cv._CV_FAMILIES
+    family = data.draw(st.sampled_from(sorted(families)))
+    keys = sorted(families[family][0] | {"seed" if command == "check" else "cutoff"})
+    values = spec_values | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1) \
+        | st.integers(10**400, 10**401)
+    spec = {"family": family, **data.draw(st.dictionaries(st.sampled_from(keys), values,
+                                                          max_size=3))}
+    source = json.dumps(spec)
+    argv = (["check", "--bipartition", "0|1", "--", source] if command == "check"
+            else ["cv-check", "--cutoff", "8", "--", source])
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    if _refused_keys(spec):
+        assert result.exit_code == 1, argv
+        lines = result.stderr.splitlines()
+        named = set(keys) | set(spec) - {"family"}
+        assert len(lines) == 1 and _names_a_key(lines[0], named), (argv, lines)
 
 
 def test_cli_import_does_not_load_scipy():
@@ -563,8 +641,7 @@ class TestFactoredReports:
         check, wit = reports["check"], reports["witness"]
         assert check["schema"] == wit["schema"] == 2
 
-        rho = cli._load_finite_state(source)
-        bip = hermitian.Bipartition.parse(cut, len(rho.dims))
+        rho, bip = cli._load_finite_state(source, cut)
         cert = certificates.certify(rho, bip)
 
         obs = check["observables"]
@@ -830,3 +907,38 @@ class TestCvCommands:
         assert cfg["command"] == "cv-check"
         assert cfg["cutoff"] == 14
         assert cfg["spec"]["family"] == "two_mode_squeezed"
+
+
+class TestReportConfig:
+    """A JSON report's `config` is the command, the input and every parsed
+    option but --out; a CV report adds the spec as read and the cutoff the
+    state was built at."""
+
+    TOL = certificates.VIOLATION_TOL
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["check", "bell", "--bipartition", "0|1"],
+         {"bipartition": "0|1", "tol": TOL}),
+        (["witness", "werner:p=0.2", "--bipartition", "0|1", "--tol", "1e-6"],
+         {"bipartition": "0|1", "tol": 1e-6}),
+        (["cv-check", "two_mode_squeezed:r=0.3", "--ineq", "11", "--m", "2", "--cutoff", "12"],
+         {"ineq": "11", "m": 2, "n": 1, "cutoff": 12, "tol": TOL,
+          "spec": {"family": "two_mode_squeezed", "r": 0.3, "cutoff": 12}}),
+        (["bs-demo", "--input", "fock:n=1,cutoff=12", "--theta", "0.5", "--n", "2"],
+         {"theta": 0.5, "m": 1, "n": 2, "cutoff": 12, "tol": TOL,
+          "spec": {"family": "fock", "n": 1, "cutoff": 12}}),
+        (["relation-check", "two_mode_squeezed:r=0.3", "--p", "2", "--q", "1"],
+         {"m": 1, "n": 1, "p": 2, "q": 1, "cutoff": cv.DEFAULT_CUTOFF,
+          "spec": {"family": "two_mode_squeezed", "r": 0.3, "cutoff": cv.DEFAULT_CUTOFF}}),
+    ], ids=["check", "witness", "cv-check", "bs-demo", "relation-check"])
+    def test_config_is_the_request(self, runner, tmp_path, argv, expected):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, argv + ["--out", str(out)])
+        assert result.exit_code in (0, 2), result.output
+        source = argv[2] if argv[0] == "bs-demo" else argv[1]
+        config = json.loads(out.read_text())["config"]
+        assert config == {"command": argv[0], "input": source, **expected}
+        # every option the parser knows for the command, whether given or not
+        parsed = vars(cli._parser("nptcert").parse_args(argv))
+        assert set(config) - {"spec"} == set(parsed) - {"run", "out", "source"} | {
+            "command", "input"}
