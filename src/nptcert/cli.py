@@ -51,20 +51,29 @@ def _parse_value(text: str):
     return text
 
 
+def _unique_keys(pairs: list) -> dict:
+    """(key, value) pairs as a dict; a key given twice is a ParameterOutOfRange naming it."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ParameterOutOfRange(f"key {key!r} is given twice")
+    return out
+
+
 def _parse_spec(text: str) -> dict:
     """Accept a JSON object or the compact form "family:key=val,key=val"."""
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     family, _, rest = text.partition(":")
-    spec = {"family": family.strip()}
+    pairs = [("family", family.strip())]
     if rest.strip():
         for item in rest.split(","):
             key, _, value = item.partition("=")
             if not _:
                 raise ParameterOutOfRange(f"cannot parse spec item {item!r}")
-            spec[key.strip()] = _parse_value(value.strip())
-    return spec
+            pairs.append((key.strip(), _parse_value(value.strip())))
+    return _unique_keys(pairs)
 
 
 def _read_payload(source: str) -> dict:
@@ -72,7 +81,7 @@ def _read_payload(source: str) -> dict:
     compact spec."""
     if os.path.exists(source):
         with open(source) as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
     else:
         payload = _parse_spec(source)
     if not isinstance(payload, dict):

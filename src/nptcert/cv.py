@@ -20,11 +20,11 @@ A PureFockState's amplitudes give the moments, rho^PT's entries and the
 truncation guard; its d^2 x d^2 ``matrix`` is built only when read.  The
 vacuum ancilla and the beam splitter map them; thermal stays dense.
 
-Truncation.  An operator of raising order j evaluated on a state is exact
-when the state carries no weight on the top j levels of either mode.  The
-factories build states at any cutoff; each operation that reads a state
-guards it at its own order: it bounds the total population at levels
->= cutoff - order and refuses the state when it exceeds 1e-8.
+Truncation.  An operator of raising order j is exact on a state with no
+weight on the top j levels of either mode.  Factories build states at any
+cutoff; one check (_operand) applies each operation's rule: its mode count,
+orders >= 1 (0 for the relation check), unit trace for the moment readers,
+and under 1e-8 of total population at levels >= cutoff - 2 max(orders).
 """
 
 from __future__ import annotations
@@ -88,15 +88,28 @@ def mode_populations(rho: HermitianOperator) -> np.ndarray:
     return np.stack([grid.sum(axis=1), grid.sum(axis=0)])
 
 
-def _guard(rho: HermitianOperator, order: int) -> float:
-    """The tail weight, the population at levels >= cutoff - order summed
-    over modes; TruncationUnreliable unless it is below TAIL_THRESHOLD."""
+def _operand(rho: HermitianOperator, modes: int, refusal: str, *orders: int,
+             lowest: int = 1, unit_trace: bool = True) -> tuple:
+    """(cutoff, tail weight) of rho for an operation on `modes` modes (else
+    ParameterOutOfRange(refusal)) reading moments of `orders`, each >= lowest,
+    of a unit-trace rho (if unit_trace), guarded at order 2 max(orders).  No
+    orders checks the mode count alone, with tail weight None."""
+    found, cutoff = space_of(rho)
+    if found != modes:
+        raise ParameterOutOfRange(refusal)
+    if not orders:
+        return cutoff, None
+    if min(orders) < lowest:
+        raise ParameterOutOfRange(f"order {min(orders)} must be >= {lowest}")
+    if unit_trace:
+        require_state_like(rho)
+    order = 2 * max(orders)
     pops = mode_populations(rho)
     tail = float(pops[:, max(pops.shape[1] - 1 - order, 0):].sum())
     if not tail < TAIL_THRESHOLD:  # a nan tail is refused too
         raise TruncationUnreliable(
             f"tail weight {tail:.3e} at order {order} exceeds {TAIL_THRESHOLD}")
-    return tail
+    return cutoff, tail
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +244,7 @@ def single_photon_entangled(cutoff: int) -> PureFockState:
 
 def with_vacuum_ancilla(rho: HermitianOperator) -> HermitianOperator | PureFockState:
     """Extend a single-mode state to two modes, vacuum in the second; a pure state stays pure."""
-    modes, cutoff = space_of(rho)
-    if modes != 1:
-        raise ParameterOutOfRange("state already has two modes")
-    d = cutoff + 1
+    d = _operand(rho, 1, "state already has two modes")[0] + 1
     if isinstance(rho, PureFockState):  # v x |0>: v on the n2 = 0 amplitudes
         w = np.zeros(d * d, dtype=np.complex128)
         w[::d] = rho.amplitudes
@@ -290,12 +300,10 @@ def beam_splitter(rho: HermitianOperator, theta: float) -> BeamSplitterResult:
     block by block over the photon-number sectors, never as a dense matrix; a
     PureFockState goes to U|v>.  Raises ParameterOutOfRange unless |theta| <= MAX_THETA.
     """
-    modes, cutoff = space_of(rho)
-    if modes != 2:
-        raise ParameterOutOfRange("beam splitter acts on two-mode states")
     if not abs(theta) <= MAX_THETA:  # nan fails the comparison too
         raise ParameterOutOfRange(f"theta = {theta} must be finite, |theta| <= {MAX_THETA:g}")
-    _guard(rho, BEAM_SPLITTER_GUARD_ORDER)
+    cutoff, _ = _operand(rho, 2, "beam splitter acts on two-mode states",
+                         BEAM_SPLITTER_GUARD_ORDER // 2, unit_trace=False)
     blocks, defect = _beam_splitter_unitary(cutoff, float(theta))
 
     def left(m):
@@ -437,20 +445,6 @@ def _cv_report(inequality, m, n, var1, var2, shift, comm, cov_half, tol, tail):
                               var1 + var2 + 2.0 * shift - 2.0 * abs(comm), margin < -tol, tail)
 
 
-def _inequality_inputs(which: str, rho: HermitianOperator, m: int, n: int):
-    """What ineq10 and ineq11 read: the guard's tail weight at order
-    2 max(m, n), the mode factors of orders m and n and the moment engine.
-    Raises ParameterOutOfRange for a one-mode state and UnnormalizedState
-    unless rho has unit trace."""
-    modes, cutoff = space_of(rho)
-    if modes != 2:
-        raise ParameterOutOfRange(f"inequality {which} needs a two-mode state")
-    require_state_like(rho)
-    tail = _guard(rho, 2 * max(m, n))
-    return (tail, _mode_factors(cutoff, m), _mode_factors(cutoff, n),
-            _MomentEngine(rho).kron_moment)
-
-
 def ineq10(rho: HermitianOperator, m: int, n: int,
            tol: float = VIOLATION_TOL) -> CvInequalityReport:
     """Quadrature-type separability test of orders (m, n), moments over rho.
@@ -460,7 +454,8 @@ def ineq10(rho: HermitianOperator, m: int, n: int,
     variant drops the covariance term; the sum form replaces the product of
     variances by their sum against 2|<C1+C2>|.
     """
-    tail, f1, f2, km = _inequality_inputs("10", rho, m, n)
+    cutoff, tail = _operand(rho, 2, "inequality 10 needs a two-mode state", m, n)
+    f1, f2, km = _mode_factors(cutoff, m), _mode_factors(cutoff, n), _MomentEngine(rho).kron_moment
     e1 = (km(f1["x"], None) + km(None, f2["x"])).real
     e2 = (km(f1["y"], None) - km(None, f2["y"])).real
     m11 = (km(f1["xx"], None) + km(None, f2["xx"]) + 2.0 * km(f1["x"], f2["x"])).real
@@ -480,7 +475,8 @@ def ineq11(rho: HermitianOperator, m: int, n: int,
     (Var X_mn + <C1 C2>)(Var Y_mn + <C1 C2>) >= <[a1^m a2^n, h.c.]>^2 + cov_S^2
     with X_mn = a1^dag^m a2^n + h.c. and Y_mn = -i(a1^dag^m a2^n - h.c.).
     """
-    tail, f1, f2, km = _inequality_inputs("11", rho, m, n)
+    cutoff, tail = _operand(rho, 2, "inequality 11 needs a two-mode state", m, n)
+    f1, f2, km = _mode_factors(cutoff, m), _mode_factors(cutoff, n), _MomentEngine(rho).kron_moment
 
     b_dag_mean = km(f1["ad"], f2["a"])          # <a1^dag^m a2^n>
     e_x = 2.0 * b_dag_mean.real
@@ -516,10 +512,7 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
     defect is 0 and only the index swap is tested.  The independent references
     are tests/oracles.py's dense contraction and perfbench's numpy recomputation.
     """
-    modes, cutoff = space_of(rho)
-    if modes != 2:
-        raise ParameterOutOfRange("moment relation needs a two-mode state")
-    _guard(rho, 2 * max(m, n, p, q))
+    cutoff, _ = _operand(rho, 2, "moment relation needs a two-mode state", m, n, p, q, lowest=0)
     m1 = _ladder(cutoff, m, n)
     lhs = _MomentEngine(rho, pt=True).kron_moment(m1, _ladder(cutoff, p, q))
     rhs = _MomentEngine(rho).kron_moment(m1, _ladder(cutoff, q, p))
@@ -532,12 +525,8 @@ def pt_moment_relation_check(rho: HermitianOperator, m: int, n: int, p: int,
 
 def _witness_moments(witness: str, rho: HermitianOperator, m: int, pairs) -> list:
     """<a^dag^j a^k> for each (j, k) of pairs over a one-mode, unit-trace rho,
-    guarded at order 2m."""
-    modes, cutoff = space_of(rho)
-    if modes != 1:
-        raise ParameterOutOfRange(f"{witness} is a single-mode witness")
-    require_state_like(rho)
-    _guard(rho, 2 * m)
+    guarded at order 2m, m >= 1."""
+    cutoff, _ = _operand(rho, 1, f"{witness} is a single-mode witness", m)
     return [trace_product(rho.matrix, _ladder(cutoff, j, k)[0]) for j, k in pairs]
 
 
@@ -602,11 +591,9 @@ def cv_pipeline_crosscheck(rho: HermitianOperator, m: int, n: int, which: int) -
     banded kron_moment terms over rho^PT's entries, each read from rho with
     its mode-2 indices swapped, never a copy of rho^PT nor a pure state's
     matrix (tests/oracles.py holds the dense Kronecker form).
-    Raises ParameterOutOfRange for a one-mode state, an order below 1 or a
-    `which` other than 10 and 11, UnnormalizedState unless rho has unit trace.
+    Raises ParameterOutOfRange for a `which` other than 10 and 11, and refuses
+    rho as the inequality it names does.
     """
-    if m < 1 or n < 1:
-        raise ParameterOutOfRange(f"orders m = {m}, n = {n} must be >= 1")
     if which not in (10, 11):
         raise ParameterOutOfRange(f"which = {which} must be 10 or 11")
     rep = (ineq10 if which == 10 else ineq11)(rho, m, n)
@@ -655,7 +642,7 @@ def cv_state_from_spec(spec: dict) -> HermitianOperator:
     {"family": "squeezed_vacuum", "r": 0.5, "phi": 0, "cutoff": 30}.  The
     cutoff is checked, 2..MAX_CUTOFF, before any other value is read."""
     family = spec.get("family")
-    if family not in _CV_FAMILIES:
+    if not isinstance(family, str) or family not in _CV_FAMILIES:
         raise ParameterOutOfRange(f"unknown CV state family {family!r}")
     keys, build = _CV_FAMILIES[family]
     check_spec_keys(spec, keys | {"cutoff"})

@@ -161,8 +161,11 @@ def state_from_spec(spec: dict) -> HermitianOperator:
     {"family": "random_separable", "dims": [2, 2], "terms": 4, "seed": 7}.
     """
     family = spec.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ParameterOutOfRange(f"unknown state family {family!r}")
     keys, build = _FAMILIES[family]
     check_spec_keys(spec, keys | {"seed"})
-    return build(spec, spec_int(spec_value(spec, "seed", 0), "seed"))
+    seed = spec_int(spec_value(spec, "seed", 0), "seed")
+    if seed < 0:
+        raise ParameterOutOfRange(f"seed = {seed} must be >= 0")
+    return build(spec, seed)

@@ -96,6 +96,15 @@ REJECTED = [
     # float and complex spec values that their readers refuse
     ["check", '{"family": "werner", "p": "abc"}', "--bipartition", "0|1"],
     ["bs-demo", "--input", "coherent:alpha=abc", "--cutoff", "20"],
+    # a family that is no string, a negative seed and a key given twice
+    ["check", '{"family": [1]}', "--bipartition", "0|1"],
+    ["cv-check", '{"family": {"a": 1}}'],
+    ["check", '{"family": "product", "dims": [2, 2], "seed": -1}', "--bipartition", "0|1"],
+    ["witness", '{"family": "random_density", "dim": 4, "dims": [2, 2], "seed": -1}',
+     "--bipartition", "0|1"],
+    ["check", '{"family": "bell", "seed": -1}', "--bipartition", "0|1"],
+    ["check", '{"family": "werner", "p": 0.5, "p": 0.2}', "--bipartition", "0|1"],
+    ["check", "werner:p=0.5,p=0.6", "--bipartition", "0|1"],
 ]
 
 REQUESTS = (

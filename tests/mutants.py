@@ -142,6 +142,40 @@ MUTANTS = (
            'make_werner(spec_number(s, "p"))',
            'make_werner(float(spec_value(s, "p")))',
            ("tests/test_cli.py::TestErrors::test_refused_with_its_message",)),
+    # the one operand check of the CV operations, and the spec readers' refusals
+    Mutant("relation-trace-skipped", "cv.py",
+           "m, n, p, q, lowest=0)",
+           "m, n, p, q, lowest=0, unit_trace=False)",
+           ("tests/test_cv.py::TestUnitTrace",)),
+    Mutant("mode-count-skipped", "cv.py",
+           "if found != modes:",
+           "if False:",
+           ("tests/test_cv.py::TestFactories::test_parameter_validation",
+            "tests/test_cv.py::TestFactories::test_refused_input")),
+    Mutant("inequality-order-0-accepted", "cv.py",
+           "lowest: int = 1,",
+           "lowest: int = 0,",
+           ("tests/test_cv.py::TestOperandCheck",)),
+    Mutant("guard-order-off-by-one", "cv.py",
+           "max(pops.shape[1] - 1 - order, 0)",
+           "max(pops.shape[1] - order, 0)",
+           ("tests/test_cv.py::TestOperandCheck::test_guard_boundary",)),
+    Mutant("family-type-unchecked", "states.py",
+           "if not isinstance(family, str) or family not in _FAMILIES:",
+           "if family not in _FAMILIES:",
+           ("tests/test_cli.py::TestErrors::test_refused_with_its_message",)),
+    Mutant("cv-family-type-unchecked", "cv.py",
+           "if not isinstance(family, str) or family not in _CV_FAMILIES:",
+           "if family not in _CV_FAMILIES:",
+           ("tests/test_cli.py::TestErrors::test_refused_with_its_message",)),
+    Mutant("seed-bound-removed", "states.py",
+           "if seed < 0:",
+           "if False:",
+           ("tests/test_cli.py::TestErrors::test_refused_with_its_message",)),
+    Mutant("repeated-key-kept", "cli.py",
+           "if len(out) < len(pairs):",
+           "if False:",
+           ("tests/test_cli.py::TestErrors::test_refused_with_its_message",)),
 )
 
 

@@ -297,14 +297,49 @@ class TestErrors:
          "alpha = 'abc' is not a complex number"),
         (["bs-demo", "--input", '{"family": "squeezed_vacuum", "r": 0.1, "phi": [1]}',
           "--cutoff", "12"], "phi = [1] is not a float"),
+        # an unhashable family ended in Python's "unhashable type: 'list'"
+        (["check", '{"family": [1]}', "--bipartition", "0|1"], "unknown state family [1]"),
+        (["cv-check", '{"family": {"a": 1}}'], "unknown CV state family {'a': 1}"),
+        # a negative seed ended in numpy's "expected non-negative integer", and
+        # bell, which draws nothing, took it
+        *(([command, json.dumps(dict(spec, seed=-1)), "--bipartition", "0|1"],
+           "seed = -1 must be >= 0")
+          for command, spec in [("check", {"family": "product", "dims": [2, 2]}),
+                                ("witness", {"family": "random_density", "dim": 4}),
+                                ("check", {"family": "random_separable", "dims": [2, 2]}),
+                                ("check", {"family": "bell"})]),
+        # a key given twice: the last value was read
+        (["check", '{"family": "werner", "p": 0.5, "p": 0.2}', "--bipartition", "0|1"],
+         "key 'p' is given twice"),
+        (["check", "werner:p=0.5,p=0.6", "--bipartition", "0|1"], "key 'p' is given twice"),
+        (["cv-check", "two_mode_squeezed:r=0.3, r =0.4"], "key 'r' is given twice"),
+        (["check", json.dumps(hermitian.matrix_payload(make_bell()))[:-1] + ', "dims": [4]}',
+          "--bipartition", "0|1"], "key 'dims' is given twice"),
     ], ids=["dims-product-wraps", "matrix-without-len", "check-dimension-1",
             "witness-dimension-1", "relation-check-order-5", "matrix-dims-negative",
             "matrix-dims-string", "matrix-dims-object", "string-p", "list-p", "dict-p",
-            "huge-integer-p", "string-r", "string-alpha", "list-phi"])
+            "huge-integer-p", "string-r", "string-alpha", "list-phi", "list-family",
+            "object-cv-family", "negative-seed-product", "negative-seed-random-density",
+            "negative-seed-random-separable", "negative-seed-bell", "repeated-json-key",
+            "repeated-compact-key", "repeated-cv-key", "repeated-matrix-key"])
     def test_refused_with_its_message(self, runner, argv, said):
         result = runner.invoke(main, argv)
         assert result.exit_code == 1 and result.stdout == ""
         assert result.stderr == f"error: {said}\n"
+
+    def test_matrix_file_key_given_twice(self, runner, tmp_path, monkeypatch):
+        # the check runs once per JSON object: once for a matrix file, whatever
+        # its entry count
+        calls = []
+        check = cli._unique_keys
+        monkeypatch.setattr(cli, "_unique_keys", lambda pairs: calls.append(pairs) or check(pairs))
+        bell = tmp_path / "bell.json"
+        bell.write_text(json.dumps(hermitian.matrix_payload(make_bell())))
+        assert runner.invoke(main, ["check", str(bell), "--bipartition", "0|1"]).exit_code == 2
+        assert len(calls) == 1
+        bell.write_text(bell.read_text()[:-1] + ', "matrix": []}')
+        result = runner.invoke(main, ["check", str(bell), "--bipartition", "0|1"])
+        assert result.exit_code == 1 and result.stderr == "error: key 'matrix' is given twice\n"
 
 
 # The keys each family accepts; spec_strings adds "R", "p" and "r" and random keys.
@@ -332,17 +367,25 @@ spec_dims = st.one_of(st.lists(st.integers(-1, 4) | st.sampled_from([2.0, 2.5, T
                                max_size=3),
                       st.sampled_from([[states.MAX_DIM + 1], [2] * 11, [33, 32], [10**7] * 2]))
 spec_values = st.one_of(spec_numbers, spec_words, st.none(), st.booleans(), spec_dims)
+# A family that is no string: a JSON list, object, number or null.
+odd_families = st.one_of(st.lists(st.integers(0, 3), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+                         spec_numbers, st.none())
 
 
 @st.composite
 def spec_strings(draw):
-    family = draw(st.sampled_from(sorted(SPEC_FAMILIES)) | st.text(max_size=6))
-    keys = st.sampled_from(SPEC_FAMILIES.get(family, []) + ["R", "p", "r"]) | st.text(max_size=4)
-    if draw(st.booleans()):
-        items = draw(st.dictionaries(keys, spec_numbers | spec_words, max_size=4))
+    family = draw(st.sampled_from(sorted(SPEC_FAMILIES)) | st.text(max_size=6) | odd_families)
+    named = SPEC_FAMILIES.get(family, []) if isinstance(family, str) else []
+    keys = st.sampled_from(named + ["R", "p", "r"]) | st.text(max_size=4)
+    compact = isinstance(family, str) and draw(st.booleans())
+    items = draw(st.dictionaries(keys, spec_numbers | spec_words if compact else spec_values,
+                                 max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        items["seed"] = draw(st.integers(-2**70, -1))
+    if compact:
         return family + ":" + ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
                                        for k, v in items.items())
-    items = draw(st.dictionaries(keys, spec_values, max_size=4))
     return json.dumps({"family": family, **items})
 
 
@@ -372,13 +415,15 @@ def _refused_keys(spec) -> set:
     """The keys of a parsed spec whose value no reader takes: a bool or a null
     for any key (random_density's optional dims aside, where null means
     absent), a size, count or seed that int() refuses or that is not integral,
-    a dims that is no list or holds such an entry, and a p, r, phi or nbar
-    that float() refuses or an alpha that complex() refuses."""
+    a negative seed, a dims that is no list or holds such an entry, and a p,
+    r, phi or nbar that float() refuses or an alpha that complex() refuses."""
     optional = {"dims"} if spec.get("family") == "random_density" else set()
     refused = {k for k, v in spec.items()
                if isinstance(v, bool) or v is None and k not in optional}
     refused |= {k for k in INTEGER_KEYS if k in spec and not _casts(int, spec[k])}
     refused |= {k for k, cast in NUMBER_KEYS.items() if k in spec and not _casts(cast, spec[k])}
+    if "seed" in spec and _casts(int, spec["seed"]) and int(spec["seed"]) < 0:
+        refused.add("seed")
     dims = spec.get("dims")
     if not (dims is None and optional) and "dims" in spec and not (
             isinstance(dims, list) and all(_casts(int, d) for d in dims)):
@@ -409,13 +454,20 @@ def test_fuzzed_specs_exit_cleanly(source, command, bip):
         spec = cli._parse_spec(source)
     except Exception:
         return
-    if not isinstance(spec, dict) or not _refused_keys(spec):
+    if not isinstance(spec, dict):
+        return
+    family = spec.get("family")
+    if "family" in spec and not isinstance(family, str) and "matrix" not in spec:
+        # refused as an unknown family, shown as read: a list or an object was
+        # Python's "unhashable type"
+        assert result.exit_code == 1 and repr(family) in lines[0], (argv, result.stderr)
+        return
+    if not _refused_keys(spec):
         return
     assert result.exit_code == 1, argv
     # a spec of one of the command's families: the line names the refused key, or
     # a key read before it (an unknown key, a CV cutoff, a missing required key)
     families = states._FAMILIES if command == "check" else cv._CV_FAMILIES
-    family = spec.get("family")
     if isinstance(family, str) and family in families:
         keys = set(spec) - {"family"} | families[family][0]
         assert _names_a_key(lines[0], keys), (argv, lines[0])

@@ -722,16 +722,17 @@ class TestNonclassicality:
         assert cv.amplitude_squeezing_scan(rho, m) == (values[best], grid[best])
 
     def test_scan_guards_once(self, monkeypatch):
-        orders = []
-        guard = cv._guard
+        # one operand check for the whole curve, guarding at order 2m = 4
+        calls = []
+        check = cv._operand
 
-        def counting(rho, order, *args):
-            orders.append(order)
-            return guard(rho, order, *args)
+        def counting(rho, modes, refusal, *orders, **options):
+            calls.append(orders)
+            return check(rho, modes, refusal, *orders, **options)
 
-        monkeypatch.setattr(cv, "_guard", counting)
+        monkeypatch.setattr(cv, "_operand", counting)
         cv.amplitude_squeezing_scan(cv.squeezed_vacuum(0.5, 0.0, CUT), 2)
-        assert orders == [4]
+        assert [2 * max(orders) for orders in calls] == [4]
 
     def test_reliability_guard(self):
         hot = cv.thermal(5.0, 10)
@@ -876,10 +877,64 @@ class TestUnitTrace:
         lambda rho: cv.ineq11(rho, 1, 1),
         lambda rho: cv.cv_pipeline_crosscheck(rho, 1, 1, 10),
         lambda rho: cv.cv_pipeline_crosscheck(rho, 1, 1, 11),
-    ], ids=["ineq10", "ineq11", "crosscheck10", "crosscheck11"])
+        lambda rho: cv.pt_moment_relation_check(rho, 1, 0, 0, 1),
+    ], ids=["ineq10", "ineq11", "crosscheck10", "crosscheck11", "relation"])
     def test_refuses_non_unit_trace(self, run, kind):
         with pytest.raises(UnnormalizedState):
             run(UNNORMALIZED[kind])
+
+    def test_relation_check_refuses_twice_a_state(self):
+        # |v|^2 = 4: the left side was divided by the trace and the right side
+        # was not, so it read lhs 0.110, rhs 0.440, a failed self-check
+        s = cv.two_mode_squeezed(0.3, 10)
+        with pytest.raises(UnnormalizedState, match="trace 4.0"):
+            cv.pt_moment_relation_check(cv.PureFockState(2 * s.amplitudes, s.dims), 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("kind", list(UNNORMALIZED))
+    def test_maps_take_any_trace(self, kind):
+        # the maps are linear: they carry the trace through
+        rho = UNNORMALIZED[kind]
+        assert cv.beam_splitter(rho, 0.3).state.trace() == pytest.approx(rho.trace(), rel=1e-12)
+        single = cv.PureFockState(3.0 * cv.fock(1, 6).amplitudes, (7,))
+        assert cv.with_vacuum_ancilla(single).trace() == 9.0
+
+
+# Every operation reading moments refuses an order below its lowest, 1 for the
+# inequalities and witnesses and 0 for the relation check, naming the order:
+# a negative order reached matrix_power (LinAlgError: Singular matrix) and
+# ineq10 and ineq11 read order 0, a^0 = I, which the crosscheck refused.
+TMSV = cv.two_mode_squeezed(0.3, SMALL)
+COHERENT = cv.coherent(0.5, SMALL)
+LOW_ORDERS = {
+    "ineq10-negative": (lambda: cv.ineq10(TMSV, -1, 1), "order -1 must be >= 1"),
+    "ineq11-negative": (lambda: cv.ineq11(TMSV, 1, -1), "order -1 must be >= 1"),
+    "relation-negative": (lambda: cv.pt_moment_relation_check(TMSV, -1, 0, 0, 0),
+                          "order -1 must be >= 0"),
+    "amplitude-squeezing-negative": (lambda: cv.amplitude_squeezing(COHERENT, -1, 0.0),
+                                     "order -1 must be >= 1"),
+    "photon-stat-negative": (lambda: cv.photon_stat_nonclassicality(COHERENT, -1),
+                             "order -1 must be >= 1"),
+    "ineq10-zero": (lambda: cv.ineq10(TMSV, 0, 1), "order 0 must be >= 1"),
+    "ineq11-zero": (lambda: cv.ineq11(TMSV, 1, 0), "order 0 must be >= 1"),
+    "crosscheck-zero": (lambda: cv.cv_pipeline_crosscheck(TMSV, 0, 1, 10),
+                        "order 0 must be >= 1"),
+}
+
+
+class TestOperandCheck:
+    @pytest.mark.parametrize("name", list(LOW_ORDERS))
+    def test_refuses_an_order_below_the_lowest(self, name):
+        run, said = LOW_ORDERS[name]
+        with pytest.raises(ParameterOutOfRange, match=f"^{said}$"):
+            run()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_guard_boundary(self, m):
+        # order 2m reads the top 2m levels: a Fock state at level cutoff - 2m is
+        # refused, one level lower it is read
+        with pytest.raises(TruncationUnreliable, match=f"at order {2 * m} "):
+            cv.photon_stat_nonclassicality(cv.fock(SMALL - 2 * m, SMALL), m)
+        assert cv.photon_stat_nonclassicality(cv.fock(SMALL - 2 * m - 1, SMALL), m) < 0
 
 
 # rho^PT's entries are read from rho.matrix with their mode-2 indices
@@ -1060,5 +1115,14 @@ class TestFixedIngredients:
         heavy, unit = cv.PureFockState(v, (7, 7)), cv.PureFockState(v / np.sqrt(18.0), (7, 7))
         assert heavy.trace() == 18.0
         assert unit.trace() == pytest.approx(1.0, abs=1e-15)
-        want = cv.pt_moment_relation_check(HermitianOperator(heavy.matrix, heavy.dims), 1, 0, 0, 1)
-        assert cv.pt_moment_relation_check(heavy, 1, 0, 0, 1).lhs == want.lhs
+        # each divides by its own trace: both read as one unit-trace state
+        np.testing.assert_allclose(heavy.matrix, unit.matrix, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cv.mode_populations(heavy), cv.mode_populations(unit),
+                                   rtol=0, atol=1e-15)
+        # the PT gather divides by it as heavy.matrix does; the operations refuse heavy
+        m1, m2 = cv._ladder(6, 1, 0), cv._ladder(6, 0, 1)
+        dense = HermitianOperator(heavy.matrix, heavy.dims)
+        want = cv._MomentEngine(dense, pt=True).kron_moment(m1, m2)
+        assert cv._MomentEngine(heavy, pt=True).kron_moment(m1, m2) == want
+        with pytest.raises(UnnormalizedState):
+            cv.pt_moment_relation_check(heavy, 1, 0, 0, 1)
